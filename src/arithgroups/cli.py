@@ -24,7 +24,7 @@ from .congruence import (
     strong_approx_scan,
 )
 from .density import CRITERION_NOTE, density_verdict, lubotzky_scan
-from .errors import DomainError, Truncated
+from .errors import DomainError, OutOfRange, Truncated
 from .groups import (
     form_group,
     mult_group,
@@ -388,7 +388,10 @@ def cmd_cong_oneforall(args, cfg):
             ],
         }
 
-    canonical = "|".join(_group_canonical(G) for _, G in sets) + f"|P={cfg.pmax}|bad={sorted(bad)}"
+    canonical = (
+        "|".join(_group_canonical(G) for _, G in sets)
+        + f"|P={cfg.pmax}|bad={sorted(bad)}|cap={cfg.cap}"
+    )
     cached_scan(cfg, "cong-oneforall", canonical, compute, args.out)
 
 
@@ -573,7 +576,7 @@ def dispatch(argv):
     except DomainError as exc:
         print(f"error {exc.name}: {exc}", file=sys.stderr)
         return 1
-    except KeyError as exc:
+    except (KeyError, OutOfRange) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import gcd
 
 from .closure import run_closure
-from .errors import NonInvertibleDenominator, NotInvertible, Truncated
+from .errors import NonInvertibleDenominator, NotInvertible, OutOfRange, Truncated
 from .matrix import Mat
 from .primes import factorint, prime_support, primes_upto
 from .rings import QQ, IntegersMod
@@ -138,10 +138,6 @@ def flat_identity(n, m):
     return tuple(1 % m if i == j else 0 for i in range(n) for j in range(n))
 
 
-def flat_inverse(a, n, m):
-    return Mat(IntegersMod(m), [a[i * n : (i + 1) * n] for i in range(n)]).inverse().flat()
-
-
 def canonical_bytes(flat, m):
     """Fixed-width big-endian byte encoding of a reduced flat matrix."""
     width = max(1, ((m - 1).bit_length() + 7) // 8)
@@ -155,9 +151,9 @@ def order_sl(n, m):
     |SL_n(F_p)| = p^(n(n-1)/2) * prod_{i=2..n} (p^i - 1).
     """
     if not 2 <= n <= 4:
-        raise ValueError("order formula kept to 2 <= n <= 4 at desk scale")
+        raise OutOfRange(f"order formula kept to 2 <= n <= 4 at desk scale, got n={n}")
     if not 1 <= m <= 10 ** 6:
-        raise ValueError("modulus out of range")
+        raise OutOfRange(f"modulus must lie in 1..10^6, got {m}")
     if m == 1:
         return 1
     total = 1
@@ -195,24 +191,34 @@ class ImageRecord:
     quasisimple: object = None
 
 
+def image_record(G, p, exponent, cap, keep_elements=False):
+    """The ImageRecord mod p^exponent and the closure it was read from.
+
+    A truncated closure gives a record with no order and no verdict; the
+    caller decides whether that is an error.
+    """
+    m = p ** exponent
+    closure = bfs_closure(reduce_generators(G, m), cap=cap, keep_elements=keep_elements)
+    target = order_sl(G.n, m)
+    if closure.truncated:
+        rec = ImageRecord(m=m, image_order=None, target_order=target,
+                          surjective=None, truncated=True)
+    else:
+        rec = ImageRecord(m=m, image_order=closure.order, target_order=target,
+                          surjective=closure.order == target, truncated=False)
+    return rec, closure
+
+
 def is_surjective_image(G, p, k=1, cap=DEFAULT_CAP):
     """Compare the closure order mod p^k with |SL_n(Z/p^k)| exactly."""
     if p in G.S:
         raise ValueError(f"{p} lies in the denominator set S of {G.label}")
-    m = p ** k
-    closure = bfs_closure(reduce_generators(G, m), cap=cap)
-    if closure.truncated:
+    rec, _ = image_record(G, p, k, cap)
+    if rec.truncated:
         raise Truncated(
-            f"closure mod {m} exceeded the cap {cap}; raise --cap for an exact answer"
+            f"closure mod {rec.m} exceeded the cap {cap}; raise --cap for an exact answer"
         )
-    target = order_sl(G.n, m)
-    return ImageRecord(
-        m=m,
-        image_order=closure.order,
-        target_order=target,
-        surjective=closure.order == target,
-        truncated=False,
-    )
+    return rec
 
 
 @dataclass(frozen=True)
@@ -246,16 +252,7 @@ def strong_approx_scan(G, prime_bound, exponent=1, cap=DEFAULT_CAP):
     for p in primes_upto(prime_bound):
         if p in G.S:
             continue
-        try:
-            rec = is_surjective_image(G, p, exponent, cap=cap)
-        except Truncated:
-            rec = ImageRecord(
-                m=p ** exponent,
-                image_order=None,
-                target_order=order_sl(G.n, p ** exponent),
-                surjective=None,
-                truncated=True,
-            )
+        rec, _ = image_record(G, p, exponent, cap)
         records.append(rec)
         if rec.surjective is False:
             exceptional.append(p)
@@ -329,9 +326,23 @@ class QuasisimpleReport:
 def quasisimple_check(closure, cap=4 * 10 ** 5):
     """Exhaustive quasisimplicity test for a full SL_2(F_p) closure.
 
-    Verifies [G,G] = G by normal closure of generator commutators and
-    simplicity of G/Z by generating the normal closure of one representative
-    per nontrivial conjugacy class.
+    Works on integer indices: the sorted elements are numbered 0..N-1, and
+    right multiplication by each generator g and left multiplication by g^-1
+    become int lists, so conjugation by g is one list lookup per element.
+    The centre Z is the set of indices every conjugation fixes, and the
+    conjugacy classes are orbits under the conjugations.  G is perfect when
+    the normal closure of the generator commutators has order N; G/Z is
+    simple when, for each class outside Z, the normal closure of one
+    representative together with Z has order N.
+
+    Normal closures are built Schreier-style (Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, 2005): a conjugate of a subgroup
+    generator by a group generator becomes a new subgroup generator only when
+    it lies outside the subgroup, which is then re-closed.  By Lagrange each
+    addition at least doubles the subgroup, so there are at most log2 N
+    additions.  Right multiplication by a subgroup generator is composed from
+    that element's word in a breadth-first spanning tree of the generators'
+    Cayley graph, so no product of two matrices is formed after the setup.
     """
     p = closure.modulus
     n = closure.n
@@ -340,104 +351,124 @@ def quasisimple_check(closure, cap=4 * 10 ** 5):
     if p * closure.order > cap:
         raise Truncated(f"{p} * {closure.order} exceeds the exhaustive-check cap {cap}")
     elements = closure.elements
-    elem_set = set(elements)
-    gens = list(closure.gen_images)
+    N = len(elements)
+    index = {x: i for i, x in enumerate(elements)}
+    ident = index[flat_identity(n, p)]
+    gens = closure.gen_images
 
-    def mul(a, b):
-        return flat_mul(a, b, n, p)
+    # right[a][i] = index of elements[i] * g_a; g_a^-1 is the x with x * g_a = 1
+    right = [[index[flat_mul(x, g, n, p)] for x in elements] for g in gens]
+    gen_invs = [elements[r.index(ident)] for r in right]
+    # conj[a][i] = index of g_a^-1 * elements[i] * g_a
+    conj = []
+    for r, gi in zip(right, gen_invs):
+        left_inv = [index[flat_mul(gi, x, n, p)] for x in elements]
+        conj.append([r[j] for j in left_inv])
 
-    def inv(a):
-        return flat_inverse(a, n, p)
+    # spanning tree: elements[i] = elements[parent[i]] * g_label[i]
+    parent = [ident] * N
+    label = [0] * N
+    reached = bytearray(N)
+    reached[ident] = 1
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for a, r in enumerate(right):
+                y = r[x]
+                if not reached[y]:
+                    reached[y] = 1
+                    parent[y] = x
+                    label[y] = a
+                    nxt.append(y)
+        frontier = nxt
 
-    ident = flat_identity(n, p)
+    def right_by(h):
+        """The index list of x -> x * elements[h]."""
+        word = []
+        while h != ident:
+            word.append(label[h])
+            h = parent[h]
+        perm = range(N)
+        for a in reversed(word):
+            r = right[a]
+            perm = [r[i] for i in perm]
+        return perm
 
-    def subgroup(generators):
-        generators = [g for g in set(generators) if g != ident]
-        seen = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in generators:
-                    y = mul(x, g)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return seen
+    def normal_closure_order(seeds):
+        member = bytearray(N)
+        member[ident] = 1
+        elems = [ident]
+        hgens = []
+        perms = []
+
+        def add_generator(h):
+            perm = right_by(h)
+            hgens.append(h)
+            perms.append(perm)
+            frontier = []
+            for x in elems:
+                y = perm[x]
+                if not member[y]:
+                    member[y] = 1
+                    frontier.append(y)
+            while frontier:
+                elems.extend(frontier)
+                nxt = []
+                for x in frontier:
+                    for q in perms:
+                        y = q[x]
+                        if not member[y]:
+                            member[y] = 1
+                            nxt.append(y)
+                frontier = nxt
+
+        for s in seeds:
+            if not member[s]:
+                add_generator(s)
+        for h in hgens:                      # grows while it is walked
+            if len(elems) == N:
+                break
+            for c in conj:
+                if not member[c[h]]:
+                    add_generator(c[h])
+        return len(elems)
 
     # perfect: [G,G] is the normal closure of the generator commutators
-    comms = []
-    for a in gens:
-        for b in gens:
-            comms.append(mul(mul(a, b), mul(inv(a), inv(b))))
-    closure_set = set(comms) | {ident}
-    changed = True
-    while changed:
-        changed = False
-        for g in gens:
-            ginv = inv(g)
-            new = {mul(mul(ginv, x), g) for x in closure_set}
-            if not new <= closure_set:
-                closure_set |= new
-                changed = True
-    derived = subgroup(closure_set)
-    perfect = len(derived) == closure.order
+    comms = [
+        index[flat_mul(flat_mul(a, b, n, p), flat_mul(ai, bi, n, p), n, p)]
+        for a, ai in zip(gens, gen_invs)
+        for b, bi in zip(gens, gen_invs)
+    ]
+    perfect = normal_closure_order(comms) == N
 
-    # centre: elements commuting with every generator
-    center = [x for x in elements if all(mul(x, g) == mul(g, x) for g in gens)]
-    center_set = set(center)
+    # centre: elements fixed by every conjugation
+    center = [i for i in range(N) if all(c[i] == i for c in conj)]
+    quotient_order = N // len(center)
 
-    # conjugacy classes of G/Z on canonical coset representatives; the
-    # element -> representative table makes the quotient BFS loops O(1)
-    rep_table = {}
-    for x in elements:
-        rep_table[x] = min(mul(x, z) for z in center)
-
-    def coset_rep(x):
-        return rep_table[x]
-
-    quotient = sorted(set(rep_table.values()))
-
-    gen_invs = [inv(g) for g in gens]
-    unassigned = set(quotient)
-    unassigned.discard(coset_rep(ident))
-    classes = []
-    while unassigned:
-        seed = min(unassigned)
-        orbit = {seed}
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g, gi in zip(gens, gen_invs):
-                    y = coset_rep(mul(mul(gi, x), g))
-                    if y not in orbit:
-                        orbit.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        classes.append(sorted(orbit))
-        unassigned -= orbit
-
-    def quotient_subgroup(generators):
-        seen = {coset_rep(ident)}
-        frontier = list(seen)
-        gens_q = [g for g in set(generators) if g not in seen]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens_q:
-                    y = coset_rep(mul(x, g))
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return seen
-
+    # one representative per conjugacy class of G/Z: after testing a class,
+    # mark its whole preimage x * Z as done
+    center_perms = [right_by(z) for z in center]
+    seeds_z = [z for z in center if z != ident]
+    done = bytearray(N)
+    for z in center:
+        done[z] = 1
     simple = True
-    for cls in classes:
-        normal_closure = quotient_subgroup(cls)
-        if len(normal_closure) != len(quotient):
+    for rep in range(N):
+        if done[rep]:
+            continue
+        done[rep] = 1
+        orbit = [rep]
+        for x in orbit:                      # grows while it is walked
+            for c in conj:
+                y = c[x]
+                if not done[y]:
+                    done[y] = 1
+                    orbit.append(y)
+        for x in orbit:
+            for zp in center_perms:
+                done[zp[x]] = 1
+        if normal_closure_order([rep] + seeds_z) != N:
             simple = False
             break
 
@@ -445,7 +476,7 @@ def quasisimple_check(closure, cap=4 * 10 ** 5):
         p=p,
         order=closure.order,
         perfect=perfect,
-        center_order=len(center_set),
-        simple_quotient_order=len(quotient),
-        quotient_is_simple=simple and len(quotient) > 1,
+        center_order=len(center),
+        simple_quotient_order=quotient_order,
+        quotient_is_simple=simple and quotient_order > 1,
     )

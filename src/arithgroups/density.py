@@ -14,17 +14,16 @@ from math import comb
 
 from .congruence import (
     DEFAULT_CAP,
-    bfs_closure,
     bfs_closure_flat,
     flat_identity,
     flat_mul,
+    image_record,
     quasisimple_check,
-    reduce_generators,
-    strong_approx_scan,
 )
-from .errors import Truncated
+from .errors import Truncated, UnsupportedDimension
 from .groups import adjoint_matrix, sl_group, tangent_space_at_identity
 from .matrix import Mat, SpanTracker, kernel_basis
+from .primes import primes_upto
 from .rings import QQ, IntegersMod, QuadraticExt
 
 DENSE_EVIDENCE = "DENSE_EVIDENCE"
@@ -350,7 +349,7 @@ class DensityVerdict:
 def density_verdict(G, max_word_len=8):
     """Classify a finitely generated subgroup of SL_2(Q) (evidence only)."""
     if G.n != 2:
-        raise ValueError("the verdict logic is specific to SL_2")
+        raise UnsupportedDimension(f"the verdict logic is specific to SL_2, got n={G.n}")
     eig = _common_eigenvector(G.gens)
     if eig is not None:
         return DensityVerdict(
@@ -404,21 +403,25 @@ def lubotzky_scan(G, prime_bound, cap=DEFAULT_CAP, quasisimple_pmax=13):
 
     For surjective primes the PSL_2(p) quotient order is attached (order/2
     for odd p); small surjective primes also get the exhaustive quasisimple
-    verification of the image.
+    verification of the image.  Each prime is closed once: the records match
+    strong_approx_scan, and primes up to quasisimple_pmax keep their
+    elements for the check.
     """
     verdict = density_verdict(G)
-    scan = strong_approx_scan(G, prime_bound, exponent=1, cap=cap)
     records = []
-    for rec in scan.records:
-        p = rec.m
+    exceptional = []
+    for p in primes_upto(prime_bound):
+        if p in G.S:
+            continue
+        rec, closure = image_record(G, p, 1, cap, keep_elements=p <= quasisimple_pmax)
         psl = None
         quasi = None
         if rec.surjective:
             psl = rec.target_order // 2 if p % 2 else rec.target_order
             if p <= quasisimple_pmax:
-                closure = bfs_closure(reduce_generators(G, p), cap=cap,
-                                      keep_elements=True)
                 quasi = quasisimple_check(closure).quasisimple
+        elif rec.surjective is False:
+            exceptional.append(p)
         records.append(LubotzkyRecord(
             p=p,
             image_order=rec.image_order,
@@ -433,5 +436,5 @@ def lubotzky_scan(G, prime_bound, cap=DEFAULT_CAP, quasisimple_pmax=13):
         verdict=verdict,
         prime_bound=prime_bound,
         records=tuple(records),
-        exceptional_primes=scan.exceptional_primes,
+        exceptional_primes=tuple(exceptional),
     )

@@ -69,3 +69,14 @@ class NonInvertibleDenominator(DomainError):
 
 class Truncated(DomainError):
     pass
+
+
+class UnsupportedDimension(DomainError, ValueError):
+    pass
+
+
+class OutOfRange(ValueError):
+    """An argument outside the range an operation supports.
+
+    Not a DomainError: the CLI reports it as a usage error (exit 2).
+    """

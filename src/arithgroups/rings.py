@@ -12,7 +12,7 @@ All values are immutable and safe to share between tasks.
 
 from fractions import Fraction
 
-from .errors import NotInvertible
+from .errors import NotInvertible, OutOfRange
 from .primes import is_prime
 
 
@@ -72,7 +72,7 @@ class IntegersMod:
 
     def __init__(self, m):
         if m < 2:
-            raise ValueError(f"modulus must be >= 2, got {m}")
+            raise OutOfRange(f"modulus must be >= 2, got {m}")
         self.m = m
         self.is_field = is_prime(m)
 

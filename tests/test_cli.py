@@ -234,3 +234,35 @@ def test_catalog_file_flag(capfd, tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert payload["sum_e_f"] == 2
+
+
+def test_oneforall_cache_key_includes_cap(capfd, tmp_path):
+    cache = tmp_path / "cache"
+    capped = ("cong", "oneforall", "--group", "sanov", "--pmax", "13", "--cap", "100",
+              "--cache-dir", str(cache))
+    cold, _, err = run(capfd, *capped)
+    assert cold == 1 and "Truncated" in err
+    code, _, _ = run(capfd, "cong", "oneforall", "--group", "sanov", "--pmax", "13",
+                     "--cache-dir", str(cache))
+    assert code == 0                 # the uncapped report is now cached
+    warm, _, err = run(capfd, *capped)
+    assert warm == cold and "Truncated" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("cong", "index", "--size", "5", "--mod", "7"),
+    ("cong", "index", "--mod", "2000000"),
+    ("cong", "image", "--group", "sanov", "--mod", "1"),
+])
+def test_argument_range_is_a_usage_error(capfd, argv):
+    code, _, err = run(capfd, *argv)
+    assert code == 2
+    assert err.startswith("usage error:") and "Traceback" not in err
+
+
+def test_lubotzky_scan_rejects_non_sl2_group(capfd, tmp_path):
+    gfile = tmp_path / "sl3.gens"
+    gfile.write_text("1 1 0\n0 1 0\n0 0 1\n\n1 0 0\n0 1 1\n0 0 1\n")
+    code, _, err = run(capfd, "lubotzky", "scan", "--group", str(gfile), "--pmax", "5")
+    assert code == 1
+    assert "error UnsupportedDimension:" in err and "Traceback" not in err

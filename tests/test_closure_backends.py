@@ -1,4 +1,9 @@
-"""The compiled kernel and the pure-Python fallback must agree exactly."""
+"""Each closure engine must match the known orders, and the two engines each other.
+
+The pure-Python engine is always checked against known group orders.  The
+compiled kernel joins those checks when it is built; the direct
+native-against-Python comparisons skip, visibly, when it is not.
+"""
 
 import pytest
 
@@ -15,6 +20,20 @@ CASES = [
     ([(1, 1, 0, 0, 1, 0, 0, 0, 1), (1, 0, 0, 0, 1, 1, 0, 0, 1)], 3, 3),
 ]
 
+KNOWN_ORDERS = {
+    # (n, m): order of the closure of the CASES entry
+    (2, 3): 24,          # |SL_2(Z/3)|
+    (2, 5): 120,         # |SL_2(Z/5)|
+    (2, 12): 1152,       # |SL_2(Z/4)| * |SL_2(Z/3)|
+    (2, 8): 32,          # index 2 in the kernel of SL_2(Z/8) -> SL_2(Z/2), of order 384/6
+    (2, 17): 4896,       # |SL_2(Z/17)|
+    (3, 3): 27,          # upper unitriangular 3x3 over F_3 (Heisenberg group)
+}
+
+TRUNCATION_CASE = ([(1, 1, 0, 1), (1, 0, 1, 1)], 2, 101, 500)   # gens, n, m, cap
+
+needs_native = pytest.mark.skipif(closure._native is None, reason="native kernel not built")
+
 
 def backends():
     out = [("python", bfs_closure_py)]
@@ -25,19 +44,38 @@ def backends():
 
 @pytest.mark.parametrize("gens,n,m", CASES)
 def test_backends_agree(gens, n, m):
-    results = {}
+    known = KNOWN_ORDERS[n, m]
     for name, fn in backends():
         order, truncated, elements = fn(list(gens), n, m, 10 ** 6, True)
-        results[name] = (order, truncated, sorted(elements))
-    vals = list(results.values())
-    assert all(v == vals[0] for v in vals)
+        assert (order, truncated) == (known, False), name
+        assert len(set(elements)) == known, name
 
 
 def test_backends_agree_on_truncation():
+    gens, n, m, cap = TRUNCATION_CASE
     for name, fn in backends():
-        order, truncated, elements = fn([(1, 1, 0, 1), (1, 0, 1, 1)], 2, 101, 500, True)
-        assert truncated and elements is None
-        assert order == 501          # cap + 1 wherever the cap fires
+        order, truncated, elements = fn(list(gens), n, m, cap, True)
+        assert truncated and elements is None, name
+        assert order == cap + 1, name    # cap + 1 wherever the cap fires
+
+
+@needs_native
+@pytest.mark.parametrize("gens,n,m", CASES)
+def test_native_matches_python(gens, n, m):
+    if not closure.fits_native(n, m):
+        pytest.skip("shape too wide for the 64-bit kernel")
+    results = []
+    for fn in (bfs_closure_py, closure._native):
+        order, truncated, elements = fn(list(gens), n, m, 10 ** 6, True)
+        results.append((order, truncated, sorted(map(tuple, elements))))
+    assert results[0] == results[1]
+
+
+@needs_native
+def test_native_matches_python_on_truncation():
+    gens, n, m, cap = TRUNCATION_CASE
+    results = [fn(list(gens), n, m, cap, True) for fn in (bfs_closure_py, closure._native)]
+    assert results[0] == results[1]
 
 
 def test_dispatcher_fallback_for_wide_shapes():

@@ -8,11 +8,13 @@ from conftest import enumerate_sl_n_mod_m, random_sl2z_word
 
 from arithgroups.catalog import builtin_group
 from arithgroups.congruence import (
+    QuasisimpleReport,
     SIntegerGroup,
     bfs_closure,
     bfs_closure_flat,
     canonical_bytes,
     elementary_generators_sl,
+    flat_identity,
     flat_mul,
     is_surjective_image,
     one_for_all_scan,
@@ -263,6 +265,79 @@ def test_quasisimple_examples():
     c2 = bfs_closure(elementary_generators_sl(2, 2), keep_elements=True)
     rep2 = quasisimple_check(c2)
     assert not rep2.quasisimple and rep2.order == 6
+
+
+def brute_quasisimple(closure):
+    """The QuasisimpleReport straight from the definitions, on a full Cayley table.
+
+    [G,G] is generated by all commutators, Z is the set of elements commuting
+    with every element, and G/Z is simple when it is nontrivial and the
+    normal closure of every element outside Z, together with Z, is all of G.
+    """
+    n, m = closure.n, closure.modulus
+    elems = closure.elements
+    N = len(elems)
+    idx = {x: i for i, x in enumerate(elems)}
+    mul = [[idx[flat_mul(a, b, n, m)] for b in elems] for a in elems]
+    e = idx[flat_identity(n, m)]
+    inv = [row.index(e) for row in mul]
+
+    def generated(gens):
+        seen = {e}
+        frontier = [e]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for s in gens:
+                    y = mul[x][s]
+                    if y not in seen:
+                        seen.add(y)
+                        nxt.append(y)
+            frontier = nxt
+        return seen
+
+    derived = generated({mul[mul[x][y]][mul[inv[x]][inv[y]]]
+                         for x in range(N) for y in range(N)})
+    center = {z for z in range(N) if all(mul[z][x] == mul[x][z] for x in range(N))}
+    closures = {}
+    for x in range(N):
+        if x not in center:
+            gens = frozenset(mul[mul[inv[g]][x]][g] for g in range(N)) | center
+            if gens not in closures:
+                closures[gens] = len(generated(gens))
+    return QuasisimpleReport(
+        p=m,
+        order=N,
+        perfect=len(derived) == N,
+        center_order=len(center),
+        simple_quotient_order=N // len(center),
+        quotient_is_simple=N > len(center) and all(c == N for c in closures.values()),
+    )
+
+
+def oracle_closures():
+    out = [pytest.param(elementary_generators_sl(2, p), id=f"SL2(F_{p})") for p in (2, 3, 5, 7)]
+    for name in ("sanov", "sl2z", "triangular"):
+        for p in (3, 5, 7):
+            out.append(pytest.param(reduce_generators(builtin_group(name), p),
+                                    id=f"{name} mod {p}"))
+    out.append(pytest.param(elementary_generators_sl(2, 4), id="SL2(Z/4)"))
+    out.append(pytest.param(elementary_generators_sl(3, 2), id="SL3(F_2)"))
+    ring = IntegersMod(7)
+    out.append(pytest.param([Mat(ring, [[1, 1], [0, 1]]), Mat(ring, [[3, 0], [0, 5]])],
+                            id="Borel mod 7"))
+    # SL_2(F_5) times the scalars of order 4: G/Z = PSL_2(F_5) is simple, G is not perfect
+    ring = IntegersMod(5)
+    out.append(pytest.param(elementary_generators_sl(2, 5) + [Mat(ring, [[2, 0], [0, 2]])],
+                            id="SL2(F_5) with scalars"))
+    return out
+
+
+@pytest.mark.parametrize("gens", oracle_closures())
+def test_quasisimple_check_matches_brute_force(gens):
+    c = bfs_closure(gens, keep_elements=True)
+    assert c.order <= 336
+    assert quasisimple_check(c) == brute_quasisimple(c)
 
 
 def test_quasisimple_cap():

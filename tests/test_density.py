@@ -6,7 +6,9 @@ import pytest
 
 from conftest import random_sl2z_word
 
+from arithgroups import congruence
 from arithgroups.catalog import builtin_group
+from arithgroups.closure import run_closure
 from arithgroups.congruence import (
     SIntegerGroup,
     bfs_closure,
@@ -274,10 +276,25 @@ def test_lubotzky_scan_sanov():
     by_p = {r.p: r for r in rep.records}
     assert by_p[5].psl_quotient_order == 60 and by_p[5].quasisimple
     assert by_p[7].psl_quotient_order == 168 and by_p[7].quasisimple
+    assert by_p[11].psl_quotient_order == 660 and by_p[11].quasisimple
+    assert by_p[13].psl_quotient_order == 1092 and by_p[13].quasisimple
+    assert by_p[17].quasisimple is None          # above the exhaustive-check bound
     assert by_p[3].surjective and by_p[3].quasisimple is False
     for r in rep.records:
         if r.surjective:
             assert r.image_order % r.p == 0   # order divisible by p
+
+
+def test_lubotzky_scan_closes_each_prime_once(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args[2])
+        return run_closure(*args)
+
+    monkeypatch.setattr(congruence, "run_closure", counting)
+    rep = lubotzky_scan(builtin_group("sanov"), 31)
+    assert calls == [r.p for r in rep.records] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
 
 def test_lubotzky_scan_triangular():

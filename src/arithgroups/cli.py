@@ -6,6 +6,8 @@ canonically ordered arrays, or a fixed-width text table via --format text.
 """
 
 import argparse
+import functools
+import hashlib
 import os
 import sys
 from dataclasses import dataclass
@@ -48,6 +50,20 @@ def positive_int(text):
     if value <= 0:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
     return value
+
+
+def int_list_arg(text):
+    try:
+        return [int(c) for c in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text}")
+
+
+def rational_arg(text):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expected an exact rational a/b with b != 0, got {text}")
 
 
 def prime_arg(text):
@@ -160,10 +176,23 @@ def emit(payload, cfg, out_path=None):
         sys.stdout.buffer.flush()
 
 
+@functools.cache
+def source_digest():
+    """sha256 of the package's own .py and .pyx sources, so a code change misses old entries."""
+    digest = hashlib.sha256()
+    package = os.path.dirname(os.path.abspath(__file__))
+    for name in sorted(f for f in os.listdir(package) if f.endswith((".py", ".pyx"))):
+        digest.update(name.encode() + b"\x00")
+        with open(os.path.join(package, name), "rb") as fh:
+            digest.update(fh.read())
+        digest.update(b"\x00")
+    return digest.hexdigest()
+
+
 def cached_scan(cfg, operation, canonical_input, compute, out_path=None):
     """Run a pure scan through the content-addressed cache when enabled."""
     if cfg.cache_dir:
-        cache = ScanCache(cfg.cache_dir, __version__)
+        cache = ScanCache(cfg.cache_dir, f"{__version__}+{source_digest()}")
         key = cache.key(operation + ":" + cfg.fmt, canonical_input)
         hit = cache.get(key)
         if hit is not None:
@@ -232,7 +261,7 @@ def cmd_nf_signature(args, cfg):
 
 
 def cmd_padic_lift(args, cfg):
-    coeffs = [int(c) for c in args.coeffs.split(",")]
+    coeffs = args.coeffs
     r = hensel_lift(coeffs, args.root, args.prime, args.prec)
     x = PadicInt.from_int(r, args.prime, args.prec)
     payload = {
@@ -248,7 +277,7 @@ def cmd_padic_lift(args, cfg):
 
 
 def cmd_padic_eval(args, cfg):
-    value = Fraction(args.value)
+    value = args.value
     t = vp(value, args.prime)
     num = PadicNumber.from_rational(value, args.prime, args.prec)
     payload = {
@@ -481,7 +510,8 @@ def build_parser():
     padic = top.add_parser("padic", help="p-adic arithmetic").add_subparsers(
         dest="sub", required=True)
     p = padic.add_parser("lift", parents=[common])
-    p.add_argument("--coeffs", required=True, help="integer coefficients, constant first")
+    p.add_argument("--coeffs", type=int_list_arg, required=True,
+                   help="integer coefficients, constant first")
     p.add_argument("--prime", type=prime_arg, required=True)
     p.add_argument("--root", type=int, required=True)
     p.add_argument("--prec", type=positive_int, required=True)
@@ -489,7 +519,7 @@ def build_parser():
     p = padic.add_parser("eval", parents=[common])
     p.add_argument("--prime", type=prime_arg, required=True)
     p.add_argument("--prec", type=positive_int, required=True)
-    p.add_argument("--value", required=True, help="exact rational a/b")
+    p.add_argument("--value", type=rational_arg, required=True, help="exact rational a/b")
     p.set_defaults(func=cmd_padic_eval)
 
     group = top.add_parser("group", help="algebraic group presentations").add_subparsers(

@@ -2,7 +2,7 @@
 
 The compiled kernel handles matrices that bit-pack into 64-bit codes; larger
 shapes and builds without the extension fall back to the pure-Python engine.
-Set ARITHGROUPS_PURE=1 to force the fallback (used by the benchmark).
+Set ARITHGROUPS_PURE=1 to force the fallback.
 """
 
 import os

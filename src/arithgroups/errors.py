@@ -45,6 +45,10 @@ class SingularRoot(DomainError):
     pass
 
 
+class NotARoot(DomainError, ValueError):
+    pass
+
+
 class SingularForm(DomainError):
     pass
 

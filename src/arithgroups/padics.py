@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotUnit, PrecisionMismatch, SingularRoot
+from .errors import NotARoot, NotUnit, PrecisionMismatch, SingularRoot
 
 INFINITY = math.inf
 
@@ -172,7 +172,7 @@ def hensel_lift(coeffs, r0, p, precision):
 
     r0 %= p
     if f(r0, p) != 0:
-        raise ValueError(f"{r0} is not a root mod {p}")
+        raise NotARoot(f"{r0} is not a root mod {p}")
     if fprime(r0, p) % p == 0:
         raise SingularRoot(f"f'({r0}) = 0 mod {p}: Newton step undefined")
     k = 1

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from arithgroups import cli
 from arithgroups.cli import dispatch
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -125,6 +126,17 @@ def test_cache_distinguishes_parameters(capfd, tmp_path):
     assert len(list(cache.iterdir())) == 2
 
 
+def test_cache_key_tracks_source_digest(capfd, tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    argv = ("cong", "scan", "--group", "sanov", "--pmax", "7", "--cache-dir", str(cache))
+    assert run(capfd, *argv)[0] == 0
+    assert run(capfd, *argv)[0] == 0
+    assert len(list(cache.iterdir())) == 1      # the second run hit
+    monkeypatch.setattr(cli, "source_digest", lambda: "0" * 64)
+    assert run(capfd, *argv)[0] == 0
+    assert len(list(cache.iterdir())) == 2      # a changed digest missed
+
+
 def test_cache_env_var(capfd, tmp_path, monkeypatch):
     cache = tmp_path / "envcache"
     monkeypatch.setenv("ARITHGROUPS_CACHE_DIR", str(cache))
@@ -205,6 +217,23 @@ def test_padic_cli(capfd):
                        "--value", "7")
     assert code == 0
     assert json.loads(out)["unit_digits"] == [2, 1, 0]
+
+
+def test_padic_lift_of_a_non_root_is_a_domain_error(capfd):
+    code, _, err = run(capfd, "padic", "lift", "--coeffs", "1,0,1", "--prime", "5",
+                       "--root", "1", "--prec", "5")
+    assert code == 1
+    assert "error NotARoot:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("padic", "eval", "--value", "1/0", "--prime", "5", "--prec", "3"),
+    ("padic", "lift", "--coeffs", "1,a", "--prime", "5", "--root", "1", "--prec", "5"),
+])
+def test_padic_malformed_number_is_a_usage_error(capfd, argv):
+    code, _, err = run(capfd, *argv)
+    assert code == 2
+    assert "error: argument --" in err and "Traceback" not in err
 
 
 def test_nf_signature_cli(capfd):

@@ -80,11 +80,13 @@ def test_native_matches_python_on_truncation():
 
 def test_dispatcher_fallback_for_wide_shapes():
     # n^2 * bits(m) > 63 must route to the pure engine and still be exact
-    gens = [(1, 1, 0, 1), (1, 0, 1, 1)]
+    gens = [(1, 1 << 16, 0, 1), (1, 0, 1 << 16, 1)]   # commuting involutions mod 2^17
     m = 1 << 17
     assert not closure.fits_native(2, m)
-    order, truncated, _ = closure.run_closure(gens, 2, 3, 10 ** 4, False)
-    assert order == 24 and not truncated
+    order, truncated, elements = closure.run_closure(gens, 2, m, 10 ** 4, True)
+    assert order == 4 and not truncated
+    assert set(elements) == {(1, 0, 0, 1), (1, 1 << 16, 0, 1), (1, 0, 1 << 16, 1),
+                             (1, 1 << 16, 1 << 16, 1)}
 
 
 def test_force_pure_env(monkeypatch):

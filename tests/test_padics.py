@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from arithgroups.errors import NotUnit, PrecisionMismatch, SingularRoot
+from arithgroups.errors import NotARoot, NotUnit, PrecisionMismatch, SingularRoot
 from arithgroups.padics import (
     INFINITY,
     PadicInt,
@@ -129,6 +129,12 @@ def test_hensel_tower_compatibility():
 def test_hensel_singular_root():
     with pytest.raises(SingularRoot):
         hensel_lift([0, 0, 1], 0, 5, 3)   # x^2 at the double root 0
+
+
+def test_hensel_non_root():
+    with pytest.raises(NotARoot) as info:
+        hensel_lift([1, 0, 1], 1, 5, 5)   # 1 + 1 = 2 != 0 mod 5
+    assert isinstance(info.value, ValueError)   # library callers may still catch ValueError
 
 
 def test_truncation_examples():

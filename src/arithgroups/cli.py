@@ -140,30 +140,24 @@ def _group_canonical(G):
     return f"{G.label}|n={G.n}|{gens}"
 
 
-def _preset_presentation(name):
-    presets = {
-        "sl2": lambda: sl_group(2),
-        "sl3": lambda: sl_group(3),
-        "sl4": lambda: sl_group(4),
-        "sl5": lambda: sl_group(5),
-        "mult": mult_group,
-        "unitriangular2": lambda: unitriangular_group(2),
-        "unitriangular3": lambda: unitriangular_group(3),
-        "sp2": lambda: form_group(Mat(QQ, [[0, 1], [-1, 0]])),
-        "so2": lambda: form_group(Mat(QQ, [[1, 0], [0, 1]])),
-        "so3": lambda: form_group(Mat(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])),
-    }
-    if name not in presets:
-        raise argparse.ArgumentTypeError(
-            f"unknown preset {name!r}; choose from {', '.join(sorted(presets))}"
-        )
-    return presets[name]()
+_PRESETS = {
+    "sl2": lambda: sl_group(2),
+    "sl3": lambda: sl_group(3),
+    "sl4": lambda: sl_group(4),
+    "sl5": lambda: sl_group(5),
+    "mult": mult_group,
+    "unitriangular2": lambda: unitriangular_group(2),
+    "unitriangular3": lambda: unitriangular_group(3),
+    "sp2": lambda: form_group(Mat(QQ, [[0, 1], [-1, 0]])),
+    "so2": lambda: form_group(Mat(QQ, [[1, 0], [0, 1]])),
+    "so3": lambda: form_group(Mat(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])),
+}
 
 
 def _resolve_presentation(args):
     if getattr(args, "file", None):
         return read_presentation(args.file)
-    return _preset_presentation(args.preset)
+    return _PRESETS[args.preset]()
 
 
 def emit(payload, cfg, out_path=None):
@@ -525,20 +519,20 @@ def build_parser():
     group = top.add_parser("group", help="algebraic group presentations").add_subparsers(
         dest="sub", required=True)
     p = group.add_parser("lie", parents=[common])
-    p.add_argument("--preset", default="sl2")
+    p.add_argument("--preset", default="sl2", choices=sorted(_PRESETS))
     p.add_argument("--file", default=None, help="presentation interchange file")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_group_lie)
     p = group.add_parser("ros", parents=[common])
     p.add_argument("--field", required=True)
-    p.add_argument("--preset", default="mult")
+    p.add_argument("--preset", default="mult", choices=sorted(_PRESETS))
     p.add_argument("--file", default=None)
     p.add_argument("--write-presentation", default=None,
                    help="also write the result in the interchange format")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_group_ros)
     p = group.add_parser("reduce", parents=[common])
-    p.add_argument("--preset", default="sl2")
+    p.add_argument("--preset", default="sl2", choices=sorted(_PRESETS))
     p.add_argument("--file", default=None)
     p.add_argument("--prime", type=prime_arg, required=True)
     p.set_defaults(func=cmd_group_reduce)

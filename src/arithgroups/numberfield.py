@@ -221,16 +221,49 @@ def factor_prime(K, p):
     return IdealFactorization(p=p, factors=factors)
 
 
+def _frobenius_residue(m, p):
+    """Coefficients of x^p mod (m, p), constant first, as d ints in [0, p).
+
+    m is the integer coefficient tuple (constant first) of a monic polynomial
+    of degree d >= 1 and p is prime.  Left-to-right square and multiply on
+    plain ints: a square folds its terms x^d .. x^(2d-2) back through a table
+    of those powers mod (m, p), a multiply by x is a shift and one fold, and
+    each step reduces mod p once.
+    """
+    d = len(m) - 1
+    neg = [-c % p for c in m[:d]]  # x^d == neg (mod m, p)
+    high = [neg]  # high[k] = x^(d+k) mod (m, p)
+    for _ in range(d - 2):
+        top = high[-1][-1]
+        high.append([top * neg[0] % p] + [(c + top * n) % p for c, n in zip(high[-1], neg[1:])])
+    r = neg if d == 1 else [0, 1] + [0] * (d - 2)  # x mod m
+    for bit in bin(p)[3:]:
+        sq = [0] * (2 * d - 1)
+        for i, a in enumerate(r):
+            if a:
+                for j, b in enumerate(r):
+                    sq[i + j] += a * b
+        r = sq[:d]
+        for c, row in zip(sq[d:], high):
+            if c:
+                r = [u + c * v for u, v in zip(r, row)]
+        if bit == "1":
+            top = r[-1]
+            r = [top * neg[0]] + [c + top * n for c, n in zip(r, neg[1:])]
+        r = [c % p for c in r]
+    return r
+
+
 def is_split(K, p):
-    """True when (p) splits completely: d distinct factors with e = f = 1."""
+    """True when (p) splits completely: d distinct factors with e = f = 1.
+
+    For p not dividing disc(m) this is the Frobenius test x^p == x (mod m, p),
+    i.e. m divides x^p - x mod p; otherwise it reads the Dedekind factorization.
+    """
     if K.disc % p != 0:
-        # split iff m divides x^p - x mod p, i.e. x^p == x (mod m, p)
-        ring = IntegersMod(p)
-        mbar = Poly(ring, K.min_poly.coeffs)
-        if mbar.degree != K.degree:
-            return False
-        x = Poly(ring, [0, 1])
-        return x.pow_mod(p, mbar) == x % mbar
+        m = K.min_poly.coeffs
+        x = [-m[0] % p] if K.degree == 1 else [0, 1] + [0] * (K.degree - 2)
+        return _frobenius_residue(m, p) == x
     fac = factor_prime(K, p)
     return len(fac.factors) == K.degree and all(
         f.e == 1 and f.f == 1 for f in fac.factors

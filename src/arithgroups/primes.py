@@ -1,6 +1,7 @@
 """Small prime utilities: sieve, deterministic primality, trial factorization."""
 
 from functools import lru_cache
+from itertools import compress
 
 
 def primes_upto(n):
@@ -14,7 +15,7 @@ def primes_upto(n):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
         p += 1
-    return [i for i in range(2, n + 1) if sieve[i]]
+    return list(compress(range(n + 1), sieve))
 
 
 def is_prime(n):

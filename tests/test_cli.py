@@ -295,3 +295,14 @@ def test_lubotzky_scan_rejects_non_sl2_group(capfd, tmp_path):
     code, _, err = run(capfd, "lubotzky", "scan", "--group", str(gfile), "--pmax", "5")
     assert code == 1
     assert "error UnsupportedDimension:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("group", "reduce", "--preset", "nosuch", "--prime", "5"),
+    ("group", "lie", "--preset", "nosuch"),
+    ("group", "ros", "--field", "qi", "--preset", "nosuch"),
+])
+def test_unknown_preset_is_a_usage_error(capfd, argv):
+    code, _, err = run(capfd, *argv)
+    assert code == 2
+    assert "invalid choice: 'nosuch'" in err and "Traceback" not in err

@@ -102,7 +102,7 @@ def test_is_split_examples(catalog):
 
 def test_is_split_matches_factor_data(catalog):
     for K in catalog.values():
-        for p in primes_upto(200):
+        for p in primes_upto(2000):
             fac = factor_prime(K, p)
             split = len(fac.factors) == K.degree and all(
                 f.e == 1 and f.f == 1 for f in fac.factors

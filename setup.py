@@ -1,24 +1,5 @@
-import os
-
 from setuptools import Extension, setup
 
-ext_modules = []
-if os.environ.get("ARITHGROUPS_PURE_BUILD") != "1":
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            [
-                Extension(
-                    "arithgroups._closure",
-                    ["src/arithgroups/_closure.pyx"],
-                    extra_compile_args=["-O3"],
-                )
-            ],
-            compiler_directives={"language_level": "3"},
-        )
-    except ImportError:
-        # pure-Python fallback is selected at import time
-        ext_modules = []
-
-setup(ext_modules=ext_modules)
+# optional: without a C compiler the package installs with the pure-Python engine
+setup(ext_modules=[Extension("arithgroups._closure", ["src/arithgroups/_closure.c"],
+                             extra_compile_args=["-O3"], optional=True)])

@@ -172,10 +172,10 @@ def emit(payload, cfg, out_path=None):
 
 @functools.cache
 def source_digest():
-    """sha256 of the package's own .py and .pyx sources, so a code change misses old entries."""
+    """sha256 of the package's own .py and .c sources, so a code change misses old entries."""
     digest = hashlib.sha256()
     package = os.path.dirname(os.path.abspath(__file__))
-    for name in sorted(f for f in os.listdir(package) if f.endswith((".py", ".pyx"))):
+    for name in sorted(f for f in os.listdir(package) if f.endswith((".py", ".c"))):
         digest.update(name.encode() + b"\x00")
         with open(os.path.join(package, name), "rb") as fh:
             digest.update(fh.read())

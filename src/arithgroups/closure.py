@@ -1,11 +1,9 @@
 """Backend selection for the closure engine.
 
-The compiled kernel handles matrices that bit-pack into 64-bit codes; larger
-shapes and builds without the extension fall back to the pure-Python engine.
-Set ARITHGROUPS_PURE=1 to force the fallback.
+The compiled kernel (_closure.c) handles matrices that bit-pack into 64-bit
+codes; larger shapes and installs without the extension fall back to the
+pure-Python engine.
 """
-
-import os
 
 from .closure_py import bfs_closure_py
 
@@ -19,16 +17,12 @@ def fits_native(n, m):
     return n * n * max(1, (m - 1).bit_length()) <= 63
 
 
-def native_available():
-    return _native is not None and os.environ.get("ARITHGROUPS_PURE") != "1"
-
-
 def backend_name(n=2, m=2):
-    return "native" if (native_available() and fits_native(n, m)) else "python"
+    return "native" if (_native is not None and fits_native(n, m)) else "python"
 
 
 def run_closure(gens, n, m, cap, keep_elements):
     """Dispatch a closure computation; see bfs_closure_py for the contract."""
-    if native_available() and fits_native(n, m):
+    if _native is not None and fits_native(n, m):
         return _native(list(gens), n, m, cap, keep_elements)
     return bfs_closure_py(gens, n, m, cap, keep_elements)

@@ -1,6 +1,6 @@
 """Pure-Python breadth-first closure over Z/m.
 
-Same contract as the compiled kernel in _closure.pyx, but with matrices
+Same contract as the compiled kernel in _closure.c, but with matrices
 encoded as arbitrary-precision ints, so there is no size limit on n or m.
 
 A matrix packs row-major into one int, ``bits`` bits per entry, so row i is
@@ -81,7 +81,7 @@ def bfs_closure_py(gens, n, m, cap, keep_elements):
             products.append(prod)
         # each batch element's products, generator by generator; first sightings only
         new = list(dict.fromkeys(filterfalse(is_seen, chain.from_iterable(zip(*products)))))
-        if len(seen) + len(new) > cap:
+        if new and len(seen) + len(new) > cap:
             # the size at which adding one element at a time passes the cap
             return max(cap, len(seen)) + 1, True, None
         seen.update(new)

@@ -53,6 +53,14 @@ class NumberField:
         m = self.min_poly
         if m.degree == 1:
             return
+        # an irreducible reduction of monic m mod any good prime certifies
+        # irreducibility; tried first, as the divisor loop below costs sqrt(|c0|)
+        for p in _CERT_PRIMES:
+            if self.disc % p == 0:
+                continue
+            ring = IntegersMod(p)
+            if is_irreducible_mod_p(Poly(ring, m.coeffs)):
+                return
         # rational root test (monic: integer roots divide the constant term)
         c0 = m.coeffs[0]
         if c0 == 0:
@@ -68,13 +76,6 @@ class NumberField:
                 raise ReducibleMinPoly(f"rational root {r}")
         if m.degree <= 3:
             return  # no rational root proves irreducibility up to degree 3
-        # an irreducible reduction mod any good prime certifies irreducibility
-        for p in _CERT_PRIMES:
-            if self.disc % p == 0:
-                continue
-            ring = IntegersMod(p)
-            if is_irreducible_mod_p(Poly(ring, m.coeffs)):
-                return
         raise ReducibleMinPoly(
             "no irreducibility certificate found mod "
             + ",".join(str(p) for p in _CERT_PRIMES)

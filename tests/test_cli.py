@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 from pathlib import Path
 
 import pytest
@@ -135,6 +136,17 @@ def test_cache_key_tracks_source_digest(capfd, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "source_digest", lambda: "0" * 64)
     assert run(capfd, *argv)[0] == 0
     assert len(list(cache.iterdir())) == 2      # a changed digest missed
+
+
+def test_source_digest_covers_the_kernel_source(tmp_path, monkeypatch):
+    copy = tmp_path / "arithgroups"
+    shutil.copytree(Path(cli.__file__).parent, copy,
+                    ignore=shutil.ignore_patterns("__pycache__", "*.so"))
+    monkeypatch.setattr(cli, "__file__", str(copy / "cli.py"))
+    before = cli.source_digest.__wrapped__()
+    with open(copy / "_closure.c", "a", encoding="utf-8") as fh:
+        fh.write("/* an edit to the kernel */\n")
+    assert cli.source_digest.__wrapped__() != before
 
 
 def test_cache_env_var(capfd, tmp_path, monkeypatch):

@@ -87,10 +87,3 @@ def test_dispatcher_fallback_for_wide_shapes():
     assert order == 4 and not truncated
     assert set(elements) == {(1, 0, 0, 1), (1, 1 << 16, 0, 1), (1, 0, 1 << 16, 1),
                              (1, 1 << 16, 1 << 16, 1)}
-
-
-def test_force_pure_env(monkeypatch):
-    monkeypatch.setenv("ARITHGROUPS_PURE", "1")
-    assert closure.backend_name() == "python"
-    order, _, _ = closure.run_closure([(1, 1, 0, 1), (1, 0, 1, 1)], 2, 5, 10 ** 4, False)
-    assert order == 120

@@ -242,3 +242,13 @@ def test_min_poly_irreducibility_accepts_catalog(catalog):
     # cheap certificate cannot prove (reducible mod every prime)
     with pytest.raises(ReducibleMinPoly):
         NumberField((1, 0, 0, 0, 1))
+
+
+def test_large_constant_term_builds_through_the_certificate():
+    # an irreducible reduction mod a small prime settles these without trial
+    # division of c0, which would take time in sqrt(|c0|)
+    assert NumberField((10 ** 14 + 1, 0, 1)).signature == (0, 1)
+    assert NumberField((10 ** 12 + 1, 0, 1)).signature == (0, 1)
+    assert NumberField((2 * 10 ** 14 + 1, 0, 0, 1)).signature == (1, 1)
+    with pytest.raises(ReducibleMinPoly, match="rational root -?1000$"):
+        NumberField((-10 ** 6, 0, 1))    # x^2 - 10^6 = (x - 1000)(x + 1000)

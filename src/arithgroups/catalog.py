@@ -7,6 +7,7 @@ lines; generator files hold one matrix per block with exact rational entries.
 from fractions import Fraction
 
 from .congruence import SIntegerGroup
+from .errors import UsageError
 from .matrix import Mat
 from .numberfield import NumberField
 from .rings import QQ
@@ -99,19 +100,6 @@ def read_field_catalog(path):
     return fields
 
 
-def write_field_catalog(fields, path):
-    blocks = []
-    for K in fields:
-        blocks.append("\n".join([
-            f"name={K.name}",
-            "minpoly=" + ",".join(str(c) for c in K.min_poly.coeffs),
-            f"galois={'true' if K.galois else 'false'}",
-            f"maximal={'true' if K.power_basis_maximal else 'false'}",
-        ]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n\n".join(blocks) + "\n")
-
-
 def _parse_bool(text):
     if text.lower() in ("true", "yes", "1"):
         return True
@@ -121,25 +109,39 @@ def _parse_bool(text):
 
 
 def read_generator_file(path):
-    """One matrix per block, rows of whitespace-separated rationals 'a/b'."""
-    mats = []
-    block = []
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if line.startswith("#"):
-                continue
-            if not line:
-                if block:
-                    mats.append(Mat(QQ, block))
-                    block = []
-                continue
-            block.append([Fraction(tok) for tok in line.split()])
-    if block:
-        mats.append(Mat(QQ, block))
-    if not mats:
-        raise ValueError(f"no matrices found in {path}")
-    return mats
+    """One matrix per block, rows of whitespace-separated rationals 'a/b'.
+
+    A file that is not a list of square matrices of one size raises
+    UsageError naming the file.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read generator file {path}: {exc}") from None
+    blocks = [[]]
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if line.startswith("#"):
+            continue
+        if not line:
+            if blocks[-1]:
+                blocks.append([])
+            continue
+        try:
+            blocks[-1].append([Fraction(tok) for tok in line.split()])
+        except (ValueError, ZeroDivisionError):
+            raise UsageError(f"{path}:{lineno}: not a row of rationals a/b: {line!r}") from None
+    blocks = [b for b in blocks if b]
+    if not blocks:
+        raise UsageError(f"no matrices found in {path}")
+    n = len(blocks[0])
+    for i, b in enumerate(blocks, 1):
+        if any(len(row) != len(b) for row in b):
+            raise UsageError(f"{path}: matrix {i} is not square")
+        if len(b) != n:
+            raise UsageError(f"{path}: matrix {i} is {len(b)}x{len(b)}, matrix 1 is {n}x{n}")
+    return [Mat(QQ, b) for b in blocks]
 
 
 def write_generator_file(gens, path):

@@ -17,16 +17,13 @@ from . import __version__
 from .catalog import field_aliases, group_aliases, load_field, load_group
 from .congruence import (
     DEFAULT_CAP,
-    bfs_closure,
-    is_surjective_image,
+    exact_image_record,
     one_for_all_scan,
-    order_sl,
     principal_congruence_index,
-    reduce_generators,
     strong_approx_scan,
 )
 from .density import CRITERION_NOTE, density_verdict, lubotzky_scan
-from .errors import DomainError, OutOfRange, Truncated
+from .errors import DomainError, UsageError
 from .groups import (
     form_group,
     mult_group,
@@ -363,17 +360,14 @@ def cmd_cong_scan(args, cfg):
 
 def cmd_cong_image(args, cfg):
     G = load_group(args.group)
-    closure = bfs_closure(reduce_generators(G, args.mod), cap=cfg.cap)
-    if closure.truncated:
-        raise Truncated(f"closure mod {args.mod} exceeded the cap {cfg.cap}")
-    target = order_sl(G.n, args.mod)
+    rec = exact_image_record(G, args.mod, cfg.cap)
     payload = {
         "group": G.label,
-        "m": args.mod,
-        "image_order": closure.order,
-        "target_order": target,
-        "surjective": closure.order == target,
-        "truncated": False,
+        "m": rec.m,
+        "image_order": rec.image_order,
+        "target_order": rec.target_order,
+        "surjective": rec.surjective,
+        "truncated": rec.truncated,
     }
     emit(payload, cfg)
 
@@ -600,7 +594,7 @@ def dispatch(argv):
     except DomainError as exc:
         print(f"error {exc.name}: {exc}", file=sys.stderr)
         return 1
-    except (KeyError, OutOfRange) as exc:
+    except (KeyError, UsageError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -2,13 +2,15 @@
 
 Generators live in GL_n(Q) with denominators supported on a finite prime set
 S; reduction mod m (coprime to S) gives finite matrix groups whose exact
-orders are computed by breadth-first closure and compared against the full
-SL_n(Z/m) order.  Surjectivity is decided only by exact order equality.
+orders are compared against the full SL_n(Z/m) order.  For squarefree m the
+order comes from a breadth-first closure; when m has a square factor it comes
+from the closure mod rad(m) and the congruence filtration above it
+(filtration_closure).  Surjectivity is decided only by exact order equality.
 """
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from .closure import run_closure
 from .errors import NonInvertibleDenominator, NotInvertible, OutOfRange, Truncated
@@ -144,6 +146,165 @@ def canonical_bytes(flat, m):
     return b"".join(int(x).to_bytes(width, "big") for x in flat)
 
 
+def radical(m):
+    """rad(m), the product of the distinct primes dividing m."""
+    return prod(p for p, _ in factorint(m))
+
+
+def filtration_closure(gens, cap=DEFAULT_CAP):
+    """The exact order of <gens> mod m, enumerating only its image mod rad(m).
+
+    gens: Mat values over IntegersMod(m).  Let r = rad(m) and K the kernel of
+    G mod m -> G mod r, so |G mod m| = |G mod r| * |K|.  The closure engine
+    counts G mod r, so cap bounds that closure and truncated means it passed
+    the cap.  K is generated by the Schreier generators t_x g t_{xg}^-1
+    (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005,
+    section 4.1), t_x a lift of x in G mod r to G mod m.  K lies in the
+    product over p^k || m of the kernels Gamma(p)/Gamma(p^k), whose orders
+    are coprime, so K is the product of its projections K_p; _KernelSifter
+    gives each |K_p|.  No element set is kept.
+    """
+    m = gens[0].ring.m
+    n = gens[0].n
+    r = radical(m)
+    flat = [g.flat() for g in gens]
+    order, truncated, _ = run_closure([tuple(x % r for x in g) for g in flat], n, r, cap, False)
+    if not truncated:
+        dets = [g.det() for g in gens]
+        sifters = [_KernelSifter(n, p, k, dets) for p, k in factorint(m) if k > 1]
+        active = sifters
+        for s in _schreier_generators(flat, [g.inverse().flat() for g in gens], n, m, r):
+            for sifter in active:
+                sifter.add(s)
+            active = [x for x in active if x.missing]
+            if not active:
+                break
+        order *= prod(x.p ** len(x.basis) for x in sifters)
+    return FiniteClosure(modulus=m, n=n, order=order, truncated=truncated,
+                         gen_images=tuple(flat))
+
+
+def _schreier_generators(gens, gen_invs, n, m, r):
+    """Yield the Schreier generators t_x g t_{xg}^-1 mod m that are not the identity.
+
+    A breadth-first walk of G mod r, keyed by images mod r, lifts each x to
+    t_x mod m along its spanning tree and keeps t_x^-1 beside it.  On a tree
+    edge t_{xg} = t_x g, so only the other edges give generators.
+    """
+    ident = flat_identity(n, m)
+    index = {flat_identity(n, r): 0}
+    lifts = [ident]
+    lift_invs = [ident]
+    for t, t_inv in zip(lifts, lift_invs):      # both grow while they are walked
+        for g, g_inv in zip(gens, gen_invs):
+            y = flat_mul(t, g, n, m)
+            key = tuple(v % r for v in y)
+            j = index.get(key)
+            if j is None:
+                index[key] = len(lifts)
+                lifts.append(y)
+                lift_invs.append(flat_mul(g_inv, t_inv, n, m))
+            else:
+                s = flat_mul(y, lift_invs[j], n, m)
+                if s != ident:
+                    yield s
+
+
+class _KernelSifter:
+    """|H| for H in Gamma(p)/Gamma(p^k) in GL_n(Z/p^k), grown one generator at a time.
+
+    H_i = H n Gamma(p^i) gives the congruence filtration, and each quotient
+    H_i/H_(i+1) embeds in M_n(F_p) by I + p^i A -> A mod p.  levels[i] holds
+    elements of level i (congruent to I mod p^i, not mod p^(i+1)) whose images
+    are linearly independent, in semi-echelon form.  Sifting an element
+    divides it by powers of the basis elements of its level until its image
+    is 0, then moves down a level; what is left is new, or is the identity.
+    Each new basis element b also sends b^p (one level lower) and its
+    commutators with the basis through the sieve.  When everything sifts,
+    the basis is an induced polycyclic sequence (Holt, Eick and O'Brien,
+    chapter 8): the basis elements of level >= i generate a subgroup whose
+    quotient by those of level >= i + 1 is elementary abelian with the
+    level-i images as a basis, so |H| = p^len(basis).
+
+    missing counts down to an upper bound on len(basis); at 0 the bound is
+    reached and sifting stops.  A level holds at most n^2 images, and at most
+    n^2 - 1 where det(H) is 1 mod p^(i+1), since det(I + p^i A) = 1 + p^i tr A
+    mod p^(i+1).  det(H) lies in the determinants' p-part, generated by the
+    d^(p-1) for the generator determinants d of the whole group, so it is 1
+    mod p^j for j the least valuation of d^(p-1) - 1 (at most k).
+    """
+
+    def __init__(self, n, p, k, dets):
+        self.n = n
+        self.p = p
+        self.k = k
+        self.q = q = p ** k
+        self.ident = flat_identity(n, q)
+        self.level_of = {p ** i: i for i in range(k + 1)}
+        self.levels = [[] for _ in range(k)]   # (pivot, 1/pivot entry, image, [b^-1, b^-2, ..])
+        self.basis = []                         # (b, b^-1)
+        j = min(self.level_of[gcd(q, pow(d, p - 1, q) - 1)] for d in dets)
+        self.missing = (k - 1) * n * n - (j - 1)
+
+    def add(self, g):
+        """Sift g (mod a multiple of p^k) and close the basis again."""
+        n, p, q = self.n, self.p, self.q
+        work = [tuple(x % q for x in g)]
+        while work and self.missing:
+            found = self._sift(work.pop())
+            if found is None:
+                continue
+            i, image, b = found
+            b_inv = self._inverse(b)
+            pivot = next(j for j, a in enumerate(image) if a)
+            self.levels[i].append((pivot, pow(image[pivot], -1, p), image, [b_inv]))
+            work.append(self._power(b, p))
+            for c, c_inv in self.basis:
+                work.append(flat_mul(flat_mul(b_inv, c_inv, n, q), flat_mul(b, c, n, q), n, q))
+            self.basis.append((b, b_inv))
+            self.missing -= 1
+
+    def _sift(self, h):
+        """(level, image, h) for what is left of h, or None when h sifts to I."""
+        n, p, q = self.n, self.p, self.q
+        while True:
+            diffs = [(x - e) % q for x, e in zip(h, self.ident)]
+            i = self.level_of[gcd(q, *diffs)]
+            if i == self.k:
+                return None
+            step = p ** i
+            image = [d // step % p for d in diffs]
+            for pivot, scale, vec, inv_powers in self.levels[i]:
+                c = image[pivot] * scale % p
+                if c:
+                    image = [(a - c * v) % p for a, v in zip(image, vec)]
+                    while len(inv_powers) < c:
+                        inv_powers.append(flat_mul(inv_powers[-1], inv_powers[0], n, q))
+                    h = flat_mul(h, inv_powers[c - 1], n, q)
+            if any(image):
+                return i, image, h
+
+    def _inverse(self, b):
+        """b^-1 = sum of (I - b)^j for j < k, as (b - I)^k = 0 mod p^k."""
+        n, q = self.n, self.q
+        minus = tuple((e - x) % q for x, e in zip(b, self.ident))
+        inv = term = self.ident
+        for _ in range(self.k - 1):
+            term = flat_mul(term, minus, n, q)
+            inv = tuple((a + t) % q for a, t in zip(inv, term))
+        return inv
+
+    def _power(self, b, e):
+        n, q = self.n, self.q
+        acc = self.ident
+        while e:
+            if e & 1:
+                acc = flat_mul(acc, b, n, q)
+            b = flat_mul(b, b, n, q)
+            e >>= 1
+        return acc
+
+
 def order_sl(n, m):
     """|SL_n(Z/m)|, multiplicative over the prime powers of m.
 
@@ -191,15 +352,21 @@ class ImageRecord:
     quasisimple: object = None
 
 
-def image_record(G, p, exponent, cap, keep_elements=False):
-    """The ImageRecord mod p^exponent and the closure it was read from.
+def image_record(G, m, cap=DEFAULT_CAP, keep_elements=False):
+    """The ImageRecord mod m and the closure it was read from.
 
-    A truncated closure gives a record with no order and no verdict; the
-    caller decides whether that is an error.
+    The range of (n, m) is checked before any closure.  A squarefree m, or a
+    call that keeps the elements, closes G mod m; any other m goes through
+    filtration_closure, where cap bounds the closure mod rad(m).  A truncated
+    closure gives a record with no order and no verdict; the caller decides
+    whether that is an error.
     """
-    m = p ** exponent
-    closure = bfs_closure(reduce_generators(G, m), cap=cap, keep_elements=keep_elements)
     target = order_sl(G.n, m)
+    gens = reduce_generators(G, m)
+    if keep_elements or radical(m) == m:
+        closure = bfs_closure(gens, cap=cap, keep_elements=keep_elements)
+    else:
+        closure = filtration_closure(gens, cap=cap)
     if closure.truncated:
         rec = ImageRecord(m=m, image_order=None, target_order=target,
                           surjective=None, truncated=True)
@@ -209,16 +376,21 @@ def image_record(G, p, exponent, cap, keep_elements=False):
     return rec, closure
 
 
-def is_surjective_image(G, p, k=1, cap=DEFAULT_CAP):
-    """Compare the closure order mod p^k with |SL_n(Z/p^k)| exactly."""
-    if p in G.S:
-        raise ValueError(f"{p} lies in the denominator set S of {G.label}")
-    rec, _ = image_record(G, p, k, cap)
+def exact_image_record(G, m, cap=DEFAULT_CAP):
+    """The ImageRecord mod m; Truncated names the modulus that was enumerated."""
+    rec, _ = image_record(G, m, cap)
     if rec.truncated:
         raise Truncated(
-            f"closure mod {rec.m} exceeded the cap {cap}; raise --cap for an exact answer"
+            f"closure mod {radical(m)} exceeded the cap {cap}; raise --cap for an exact answer"
         )
     return rec
+
+
+def is_surjective_image(G, p, k=1, cap=DEFAULT_CAP):
+    """Compare the image order mod p^k with |SL_n(Z/p^k)| exactly."""
+    if p in G.S:
+        raise ValueError(f"{p} lies in the denominator set S of {G.label}")
+    return exact_image_record(G, p ** k, cap)
 
 
 @dataclass(frozen=True)
@@ -229,16 +401,6 @@ class CongruenceReport:
     exceptional_primes: tuple
     prime_bound: int
     exponent: int
-
-    @property
-    def summary(self):
-        done = [r for r in self.records if not r.truncated]
-        return {
-            "primes_scanned": len(self.records),
-            "surjective": sum(1 for r in done if r.surjective),
-            "exceptional": len(self.exceptional_primes),
-            "truncated": sum(1 for r in self.records if r.truncated),
-        }
 
 
 def strong_approx_scan(G, prime_bound, exponent=1, cap=DEFAULT_CAP):
@@ -252,7 +414,7 @@ def strong_approx_scan(G, prime_bound, exponent=1, cap=DEFAULT_CAP):
     for p in primes_upto(prime_bound):
         if p in G.S:
             continue
-        rec, _ = image_record(G, p, exponent, cap)
+        rec, _ = image_record(G, p ** exponent, cap)
         records.append(rec)
         if rec.surjective is False:
             exceptional.append(p)

@@ -413,7 +413,7 @@ def lubotzky_scan(G, prime_bound, cap=DEFAULT_CAP, quasisimple_pmax=13):
     for p in primes_upto(prime_bound):
         if p in G.S:
             continue
-        rec, closure = image_record(G, p, 1, cap, keep_elements=p <= quasisimple_pmax)
+        rec, closure = image_record(G, p, cap, keep_elements=p <= quasisimple_pmax)
         psl = None
         quasi = None
         if rec.surjective:

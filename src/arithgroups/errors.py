@@ -79,8 +79,12 @@ class UnsupportedDimension(DomainError, ValueError):
     pass
 
 
-class OutOfRange(ValueError):
-    """An argument outside the range an operation supports.
+class UsageError(ValueError):
+    """Bad input from the user, such as a malformed file.
 
     Not a DomainError: the CLI reports it as a usage error (exit 2).
     """
+
+
+class OutOfRange(UsageError):
+    """An argument outside the range an operation supports."""

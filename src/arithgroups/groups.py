@@ -131,9 +131,6 @@ class LieAlgebraData:
     def dim(self):
         return len(self.basis)
 
-    def bracket_coords(self, i, j):
-        return self.structure[i][j]
-
 
 def _closure_structure(basis):
     """Structure constants, or raise when the span is not bracket-closed."""

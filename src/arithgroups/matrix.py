@@ -39,9 +39,6 @@ class Mat:
             raise ValueError("not square")
         return self.nrows
 
-    def is_square(self):
-        return self.nrows == self.ncols
-
     def __eq__(self, other):
         return (
             isinstance(other, Mat)
@@ -107,18 +104,12 @@ class Mat:
             e >>= 1
         return acc
 
-    def transpose(self):
-        return Mat(self.ring, list(zip(*self.rows)))
-
     def trace(self):
         r = self.ring
         acc = r.zero
         for i in range(self.n):
             acc = r.add(acc, self.rows[i][i])
         return acc
-
-    def is_identity(self):
-        return self == Mat.identity(self.ring, self.n)
 
     def flat(self):
         return tuple(x for row in self.rows for x in row)

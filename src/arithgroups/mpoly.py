@@ -104,17 +104,10 @@ class MPoly:
             acc = ring.add(acc, term)
         return acc
 
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
-
     def denominator_lcm(self):
         from math import lcm
 
         return lcm(*(Fraction(c).denominator for c in self.terms.values())) if self.terms else 1
-
-    def clear_denominators(self):
-        d = self.denominator_lcm()
-        return self * d if d != 1 else self
 
     def reduce_mod(self, p):
         """Coefficients reduced mod p; denominators must be prime to p."""

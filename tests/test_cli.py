@@ -318,3 +318,45 @@ def test_unknown_preset_is_a_usage_error(capfd, argv):
     code, _, err = run(capfd, *argv)
     assert code == 2
     assert "invalid choice: 'nosuch'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", [
+    "\n",                                   # empty: one blank line
+    "1 a\n0 1\n",                           # a token that is not a rational
+    "1 1\n0\n",                             # ragged rows
+    "1 1\n0 1\n\n1 0 0\n0 1 0\n0 0 1\n",    # generators of mixed sizes
+], ids=["empty", "bad-token", "ragged", "mixed-sizes"])
+def test_malformed_generator_file_is_a_usage_error(capfd, tmp_path, text):
+    gfile = tmp_path / "bad.gens"
+    gfile.write_text(text)
+    code, out, err = run(capfd, "cong", "image", "--group", str(gfile), "--mod", "5")
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:") and str(gfile) in err and "Traceback" not in err
+
+
+def test_unreadable_generator_file_is_a_usage_error(capfd, tmp_path):
+    (tmp_path / "dir.gens").mkdir()
+    (tmp_path / "latin1.gens").write_bytes(b"\xff 1\n0 1\n")
+    for gfile in (tmp_path / "dir.gens", tmp_path / "latin1.gens"):
+        code, _, err = run(capfd, "cong", "image", "--group", str(gfile), "--mod", "5")
+        assert code == 2
+        assert err.startswith("usage error:") and str(gfile) in err and "Traceback" not in err
+
+
+def test_cong_image_checks_the_range_before_closing(capfd):
+    code, _, err = run(capfd, "cong", "image", "--group", "sanov", "--mod", "2000000",
+                       "--cap", "10")
+    assert code == 2
+    assert err.startswith("usage error:") and "Truncated" not in err
+
+
+def test_cong_image_cap_bounds_the_closure_mod_the_radical(capfd):
+    code, out, _ = run(capfd, "cong", "image", "--group", "sl2z", "--mod", "121",
+                       "--cap", "2000")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["image_order"] == 1756920 and payload["surjective"] is True
+    code, _, err = run(capfd, "cong", "image", "--group", "sl2z", "--mod", "121",
+                       "--cap", "1000")
+    assert code == 1
+    assert "error Truncated: closure mod 11 exceeded the cap 1000" in err

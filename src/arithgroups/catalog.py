@@ -7,7 +7,7 @@ lines; generator files hold one matrix per block with exact rational entries.
 from fractions import Fraction
 
 from .congruence import SIntegerGroup
-from .errors import UsageError
+from .errors import UsageError, read_user_file
 from .matrix import Mat
 from .numberfield import NumberField
 from .rings import QQ
@@ -70,32 +70,41 @@ def load_group(spec):
 
 
 def read_field_catalog(path):
-    """Parse a key=value field catalog; records separated by blank lines."""
+    """Parse a key=value field catalog; records separated by blank lines.
+
+    A record that does not describe a field (a missing key, a non-integer or
+    non-monic minpoly, a flag that is not a boolean) raises UsageError naming
+    the file; a reducible minpoly stays the domain error ReducibleMinPoly.
+    """
     fields = {}
     record = {}
 
     def flush():
         if not record:
             return
-        name = record["name"]
-        coeffs = tuple(int(c) for c in record["minpoly"].split(","))
-        fields[name] = NumberField(
-            coeffs,
-            name=name,
-            galois=_parse_bool(record.get("galois", "false")),
-            power_basis_maximal=_parse_bool(record.get("maximal", "false")),
-        )
+        try:
+            name = record["name"]
+            coeffs = tuple(int(c) for c in record["minpoly"].split(","))
+            fields[name] = NumberField(
+                coeffs,
+                name=name,
+                galois=_parse_bool(record.get("galois", "false")),
+                power_basis_maximal=_parse_bool(record.get("maximal", "false")),
+            )
+        except KeyError as exc:
+            raise UsageError(f"{path}: field record without {exc.args[0]}=") from None
+        except ValueError as exc:
+            raise UsageError(f"{path}: field {record['name']!r}: {exc}") from None
 
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                if not line:
-                    flush()
-                    record = {}
-                continue
-            key, _, val = line.partition("=")
-            record[key.strip()] = val.strip()
+    for raw in read_user_file(path, "field catalog"):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            if not line:
+                flush()
+                record = {}
+            continue
+        key, _, val = line.partition("=")
+        record[key.strip()] = val.strip()
     flush()
     return fields
 
@@ -114,13 +123,8 @@ def read_generator_file(path):
     A file that is not a list of square matrices of one size raises
     UsageError naming the file.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise UsageError(f"cannot read generator file {path}: {exc}") from None
     blocks = [[]]
-    for lineno, raw in enumerate(lines, 1):
+    for lineno, raw in enumerate(read_user_file(path, "generator file"), 1):
         line = raw.strip()
         if line.startswith("#"):
             continue

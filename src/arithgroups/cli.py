@@ -157,14 +157,18 @@ def _resolve_presentation(args):
     return _PRESETS[args.preset]()
 
 
-def emit(payload, cfg, out_path=None):
-    data = render_report(payload, cfg.fmt)
+def write_output(data, out_path):
+    """Write rendered report bytes to out_path, or to stdout when it is None."""
     if out_path:
         with open(out_path, "wb") as fh:
             fh.write(data)
     else:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
+
+
+def emit(payload, cfg, out_path=None):
+    write_output(render_report(payload, cfg.fmt), out_path)
 
 
 @functools.cache
@@ -182,23 +186,16 @@ def source_digest():
 
 def cached_scan(cfg, operation, canonical_input, compute, out_path=None):
     """Run a pure scan through the content-addressed cache when enabled."""
-    if cfg.cache_dir:
-        cache = ScanCache(cfg.cache_dir, f"{__version__}+{source_digest()}")
-        key = cache.key(operation + ":" + cfg.fmt, canonical_input)
-        hit = cache.get(key)
-        if hit is not None:
-            data = hit
-        else:
-            data = render_report(compute(), cfg.fmt)
-            cache.put(key, data)
-        if out_path:
-            with open(out_path, "wb") as fh:
-                fh.write(data)
-        else:
-            sys.stdout.buffer.write(data)
-            sys.stdout.buffer.flush()
+    if not cfg.cache_dir:
+        emit(compute(), cfg, out_path)
         return
-    emit(compute(), cfg, out_path)
+    cache = ScanCache(cfg.cache_dir, f"{__version__}+{source_digest()}")
+    key = cache.key(operation + ":" + cfg.fmt, canonical_input)
+    data = cache.get(key)
+    if data is None:
+        data = render_report(compute(), cfg.fmt)
+        cache.put(key, data)
+    write_output(data, out_path)
 
 
 def cmd_nf_factor(args, cfg):
@@ -222,16 +219,7 @@ def cmd_nf_chebotarev(args, cfg):
     K = load_field(args.field, cfg.catalog)
 
     def compute():
-        rep = chebotarev_scan(K, args.bound)
-        return {
-            "field": rep.field,
-            "bound": rep.bound,
-            "split": rep.split,
-            "total": rep.total,
-            "ratio": rep.ratio,
-            "expected": rep.expected,
-            "sample_only": rep.sample_only,
-        }
+        return jsonable(chebotarev_scan(K, args.bound))
 
     canonical = f"{K.name}|{','.join(str(c) for c in K.min_poly.coeffs)}|X={args.bound}"
     cached_scan(cfg, "nf-chebotarev", canonical, compute, args.out)
@@ -331,21 +319,9 @@ def cmd_group_reduce(args, cfg):
 
 
 def _scan_payload(report):
-    return {
-        "group": report.group,
-        "S": list(report.S),
-        "records": [
-            {
-                "m": r.m,
-                "image_order": r.image_order,
-                "target_order": r.target_order,
-                "surjective": r.surjective,
-                "truncated": r.truncated,
-            }
-            for r in report.records
-        ],
-        "exceptional_primes": list(report.exceptional_primes),
-    }
+    payload = jsonable(report)
+    del payload["prime_bound"], payload["exponent"]
+    return payload
 
 
 def cmd_cong_scan(args, cfg):
@@ -361,15 +337,7 @@ def cmd_cong_scan(args, cfg):
 def cmd_cong_image(args, cfg):
     G = load_group(args.group)
     rec = exact_image_record(G, args.mod, cfg.cap)
-    payload = {
-        "group": G.label,
-        "m": rec.m,
-        "image_order": rec.image_order,
-        "target_order": rec.target_order,
-        "surjective": rec.surjective,
-        "truncated": rec.truncated,
-    }
-    emit(payload, cfg)
+    emit({"group": G.label, **jsonable(rec)}, cfg)
 
 
 def cmd_cong_index(args, cfg):
@@ -390,20 +358,7 @@ def cmd_cong_oneforall(args, cfg):
 
     def compute():
         rows = one_for_all_scan(2, sets, cfg.pmax, bad_set=bad, cap=cfg.cap)
-        return {
-            "pmax": cfg.pmax,
-            "bad_set": sorted(bad),
-            "rows": [
-                {
-                    "label": r.label,
-                    "generating_primes": list(r.generating_primes),
-                    "nongenerating_primes": list(r.nongenerating_primes),
-                    "generates_outside_bad_set": r.generates_outside_bad_set,
-                    "witnesses_implication": r.witnesses_implication,
-                }
-                for r in rows
-            ],
-        }
+        return {"pmax": cfg.pmax, "bad_set": sorted(bad), "rows": jsonable(rows)}
 
     canonical = (
         "|".join(_group_canonical(G) for _, G in sets)
@@ -413,15 +368,7 @@ def cmd_cong_oneforall(args, cfg):
 
 
 def _verdict_payload(v):
-    return {
-        "verdict": v.verdict,
-        "ad_span_dim": v.ad_span_dim,
-        "full_span": v.full_span,
-        "stabilization_length": v.stabilization_length,
-        "infinite_order_witness": jsonable(v.infinite_order_witness),
-        "not_dense_witness": jsonable(v.not_dense_witness),
-        "criterion": CRITERION_NOTE,
-    }
+    return {**jsonable(v), "criterion": CRITERION_NOTE}
 
 
 def cmd_density_check(args, cfg):
@@ -429,9 +376,7 @@ def cmd_density_check(args, cfg):
 
     def compute():
         v = density_verdict(G, max_word_len=cfg.maxlen)
-        payload = {"group": G.label}
-        payload.update(_verdict_payload(v))
-        return payload
+        return {"group": G.label, **_verdict_payload(v)}
 
     canonical = f"{_group_canonical(G)}|maxlen={cfg.maxlen}"
     cached_scan(cfg, "density-check", canonical, compute, args.out)
@@ -442,24 +387,10 @@ def cmd_lubotzky_scan(args, cfg):
 
     def compute():
         rep = lubotzky_scan(G, cfg.pmax, cap=cfg.cap)
-        return {
-            "group": rep.group,
-            "pmax": rep.prime_bound,
-            "verdict": _verdict_payload(rep.verdict),
-            "records": [
-                {
-                    "p": r.p,
-                    "image_order": r.image_order,
-                    "target_order": r.target_order,
-                    "surjective": r.surjective,
-                    "truncated": r.truncated,
-                    "psl_quotient_order": r.psl_quotient_order,
-                    "quasisimple": r.quasisimple,
-                }
-                for r in rep.records
-            ],
-            "exceptional_primes": list(rep.exceptional_primes),
-        }
+        payload = jsonable(rep)
+        payload["pmax"] = payload.pop("prime_bound")
+        payload["verdict"] = _verdict_payload(rep.verdict)
+        return payload
 
     canonical = f"{_group_canonical(G)}|P={cfg.pmax}|cap={cfg.cap}"
     cached_scan(cfg, "lubotzky-scan", canonical, compute, args.out)

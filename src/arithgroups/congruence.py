@@ -239,6 +239,7 @@ class _KernelSifter:
         self.p = p
         self.k = k
         self.q = q = p ** k
+        self.ring = IntegersMod(q)
         self.ident = flat_identity(n, q)
         self.level_of = {p ** i: i for i in range(k + 1)}
         self.levels = [[] for _ in range(k)]   # (pivot, 1/pivot entry, image, [b^-1, b^-2, ..])
@@ -255,10 +256,11 @@ class _KernelSifter:
             if found is None:
                 continue
             i, image, b = found
-            b_inv = self._inverse(b)
+            B = Mat(self.ring, [b[r:r + n] for r in range(0, n * n, n)])
+            b_inv = B.inverse().flat()
             pivot = next(j for j, a in enumerate(image) if a)
             self.levels[i].append((pivot, pow(image[pivot], -1, p), image, [b_inv]))
-            work.append(self._power(b, p))
+            work.append((B ** p).flat())
             for c, c_inv in self.basis:
                 work.append(flat_mul(flat_mul(b_inv, c_inv, n, q), flat_mul(b, c, n, q), n, q))
             self.basis.append((b, b_inv))
@@ -283,26 +285,6 @@ class _KernelSifter:
                     h = flat_mul(h, inv_powers[c - 1], n, q)
             if any(image):
                 return i, image, h
-
-    def _inverse(self, b):
-        """b^-1 = sum of (I - b)^j for j < k, as (b - I)^k = 0 mod p^k."""
-        n, q = self.n, self.q
-        minus = tuple((e - x) % q for x, e in zip(b, self.ident))
-        inv = term = self.ident
-        for _ in range(self.k - 1):
-            term = flat_mul(term, minus, n, q)
-            inv = tuple((a + t) % q for a, t in zip(inv, term))
-        return inv
-
-    def _power(self, b, e):
-        n, q = self.n, self.q
-        acc = self.ident
-        while e:
-            if e & 1:
-                acc = flat_mul(acc, b, n, q)
-            b = flat_mul(b, b, n, q)
-            e >>= 1
-        return acc
 
 
 def order_sl(n, m):
@@ -349,7 +331,6 @@ class ImageRecord:
     target_order: int
     surjective: object       # bool, or None when truncated
     truncated: bool
-    quasisimple: object = None
 
 
 def image_record(G, m, cap=DEFAULT_CAP, keep_elements=False):

@@ -1,4 +1,4 @@
-"""Domain errors shared across modules.
+"""Domain errors shared across modules, and the reader for user files.
 
 Every error carries a stable name (its class name) which the CLI serializes
 verbatim, so renaming a class here is a wire-format change.
@@ -88,3 +88,15 @@ class UsageError(ValueError):
 
 class OutOfRange(UsageError):
     """An argument outside the range an operation supports."""
+
+
+def read_user_file(path, kind):
+    """The lines of a UTF-8 text file the user named; UsageError when it cannot be read.
+
+    kind names the file in the message, as in "cannot read generator file PATH".
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {kind} {path}: {exc}") from None

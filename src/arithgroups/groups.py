@@ -9,10 +9,17 @@ and reductions mod p.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
-from .errors import BadReduction, BracketNotClosed, NotStabilizing, SingularForm
-from .matrix import Mat, kernel_basis, solve_in_span
+from .errors import (
+    BadReduction,
+    BracketNotClosed,
+    NotStabilizing,
+    SingularForm,
+    UsageError,
+    read_user_file,
+)
+from .matrix import Mat, kernel_basis, rref, solve_in_span
 from .mpoly import MPoly, eval_matrix
 from .numberfield import regular_representation
 from .rings import QQ, IntegersMod
@@ -174,40 +181,19 @@ def tangent_space_at_identity(pres):
 
 def verify_jacobi(L):
     """Exact Jacobi identity on every basis triple; returns the triple count."""
-    flat = [tuple(tuple(r) for r in b.rows) for b in L.basis]
-
-    def raw_mul(a, b):
-        n = len(a)
-        return tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-            for i in range(n)
-        )
-
-    def raw_bracket(a, b):
-        ab, ba = raw_mul(a, b), raw_mul(b, a)
-        return tuple(
-            tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(ab, ba)
-        )
-
-    def raw_add(a, b):
-        return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
+    b = L.basis
+    bracket = {(i, j): lie_bracket(b[i], b[j]) for i, j in combinations(range(len(b)), 2)}
     count = 0
-    dim = len(flat)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            bij = raw_bracket(flat[i], flat[j])
-            for k in range(j + 1, dim):
-                s = raw_add(
-                    raw_add(
-                        raw_bracket(bij, flat[k]),
-                        raw_bracket(raw_bracket(flat[j], flat[k]), flat[i]),
-                    ),
-                    raw_bracket(raw_bracket(flat[k], flat[i]), flat[j]),
-                )
-                if any(x != 0 for row in s for x in row):
-                    raise AssertionError(f"Jacobi fails on basis triple ({i},{j},{k})")
-                count += 1
+    for i, j, k in combinations(range(len(b)), 3):
+        # [[b_i, b_j], b_k] + [[b_j, b_k], b_i] + [[b_k, b_i], b_j]
+        s = (
+            lie_bracket(bracket[i, j], b[k])
+            + lie_bracket(bracket[j, k], b[i])
+            - lie_bracket(bracket[i, k], b[j])
+        )
+        if any(x != 0 for x in s.flat()):
+            raise AssertionError(f"Jacobi fails on basis triple ({i},{j},{k})")
+        count += 1
     return count
 
 
@@ -230,22 +216,13 @@ def is_solvable_lie(L):
             for j in range(i + 1, len(mats)):
                 brackets.append(lie_bracket(mats[i], mats[j]))
         vecs = [b.flat() for b in brackets]
-        reduced, _ = _row_space(vecs)
+        reduced, _ = rref(QQ, vecs)
         if len(reduced) == dims[-1]:
             return SolvabilityReport(solvable=False, series_dims=tuple(dims))
         dims.append(len(reduced))
         n = L.n
         mats = [Mat(QQ, [v[i * n : (i + 1) * n] for i in range(n)]) for v in reduced]
         current = reduced
-
-
-def _row_space(vecs):
-    from .matrix import rref
-
-    vecs = [v for v in vecs if any(x != 0 for x in v)]
-    if not vecs:
-        return [], []
-    return rref(QQ, vecs)
 
 
 def adjoint_matrix(g, L):
@@ -421,23 +398,29 @@ def write_presentation(pres, path):
 
 
 def read_presentation(path):
+    """Parse the interchange format; a malformed file raises UsageError naming it."""
+    lines = read_user_file(path, "presentation file")
     n = None
     label = "unnamed"
     polys = []
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
+    try:
+        for raw in lines:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             key, _, val = line.partition("=")
             if key == "n":
                 n = int(val)
+                if n < 1:
+                    raise ValueError(f"matrix size must be >= 1, got n={n}")
             elif key == "label":
                 label = val
             elif key == "poly":
                 if n is None:
                     raise ValueError("polynomial before the matrix size header")
                 polys.append(MPoly.decode(n * n, val))
-    if n is None:
-        raise ValueError("missing matrix size header")
-    return GroupPresentation(n=n, polys=tuple(polys), label=label)
+        if n is None:
+            raise ValueError("missing matrix size header")
+        return GroupPresentation(n=n, polys=tuple(polys), label=label)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"{path}: {exc}") from None

@@ -206,18 +206,6 @@ def _bareiss_det(rows):
     return sign * m[n - 1][n - 1]
 
 
-def mat_mul(a, b):
-    return a * b
-
-
-def mat_det(a):
-    return a.det()
-
-
-def mat_inverse(a):
-    return a.inverse()
-
-
 def rref(ring, rows):
     """Reduced row echelon form over a field; returns (rows, pivot columns)."""
     rows = [list(r) for r in rows]

@@ -195,20 +195,13 @@ class ExtField:
         return self._reduce(tuple(out))
 
     def inv(self, a):
+        from .poly import Poly, poly_xgcd
+
         if all(c == 0 for c in a):
             raise NotInvertible("0 has no inverse")
-        # extended Euclid in F_p[x] against the modulus
-        p = self.p
-        r0, r1 = list(self.modulus), list(a)
-        s0, s1 = [0], [1]
-        while any(c % p for c in r1):
-            q, r = _poly_divmod_modp(r0, r1, p)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub_modp(s0, _poly_mul_modp(q, s1, p), p)
-        lead = next(c % p for c in reversed(r0) if c % p)
-        scale = pow(lead, -1, p)
-        inv = [c * scale % p for c in s0]
-        return self.canon(tuple(inv))
+        ring = IntegersMod(self.p)
+        _, s, _ = poly_xgcd(Poly(ring, a), Poly(ring, self.modulus))
+        return self.canon(s.coeffs)
 
     def is_unit(self, a):
         return any(c % self.p for c in a)
@@ -297,42 +290,3 @@ class QuadraticExt:
 
     def __hash__(self):
         return hash(("QuadExt", self.s, self.t))
-
-
-def _poly_divmod_modp(num, den, p):
-    num = [c % p for c in num]
-    den = [c % p for c in den]
-    while den and den[-1] == 0:
-        den.pop()
-    dlead = pow(den[-1], -1, p)
-    q = [0] * max(1, len(num) - len(den) + 1)
-    r = num[:]
-    while True:
-        while r and r[-1] % p == 0:
-            r.pop()
-        if len(r) < len(den):
-            break
-        shift = len(r) - len(den)
-        c = r[-1] * dlead % p
-        q[shift] = c
-        for i, d in enumerate(den):
-            r[shift + i] = (r[shift + i] - c * d) % p
-    if not r:
-        r = [0]
-    return q, r
-
-
-def _poly_mul_modp(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x % p:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return out
-
-
-def _poly_sub_modp(a, b, p):
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return [(x - y) % p for x, y in zip(a, b)]

@@ -343,6 +343,55 @@ def test_unreadable_generator_file_is_a_usage_error(capfd, tmp_path):
         assert err.startswith("usage error:") and str(gfile) in err and "Traceback" not in err
 
 
+def _user_file(tmp_path, name, text):
+    """tmp_path/name holding text; a directory for "<dir>", nothing for "<missing>"."""
+    path = tmp_path / name
+    if text == "<dir>":
+        path.mkdir()
+    elif text != "<missing>":
+        path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("text", [
+    "name=bad\nminpoly=1,a\n",
+    "name=bad\nminpoly=1,0,2\n",
+    "name=bad\nminpoly=1,0,1\ngalois=maybe\n",
+    "<dir>",
+    "<missing>",
+], ids=["bad-coefficient", "not-monic", "bad-boolean", "directory", "missing"])
+def test_malformed_field_catalog_is_a_usage_error(capfd, tmp_path, text):
+    cat = _user_file(tmp_path, "bad.cat", text)
+    code, out, err = run(capfd, "nf", "signature", "--field", "bad", "--catalog", str(cat))
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:") and str(cat) in err and "Traceback" not in err
+
+
+def test_reducible_catalog_field_stays_a_domain_error(capfd, tmp_path):
+    cat = _user_file(tmp_path, "red.cat", "name=red\nminpoly=-1,0,1\n")
+    code, _, err = run(capfd, "nf", "signature", "--field", "red", "--catalog", str(cat))
+    assert code == 1
+    assert err.startswith("error ReducibleMinPoly:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["group", "lie"],
+    ["group", "reduce", "--prime", "3"],
+    ["group", "ros", "--field", "qi"],
+], ids=["lie", "reduce", "ros"])
+@pytest.mark.parametrize("text", [
+    "n=1\npoly=1,0:abc\n",
+    "poly=1:1\nn=1\n",
+    "n=0\n",
+    "<missing>",
+], ids=["bad-poly", "poly-before-n", "size-zero", "missing"])
+def test_malformed_presentation_file_is_a_usage_error(capfd, tmp_path, argv, text):
+    pres = _user_file(tmp_path, "bad.pres", text)
+    code, out, err = run(capfd, *argv, "--file", str(pres))
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:") and str(pres) in err and "Traceback" not in err
+
+
 def test_cong_image_checks_the_range_before_closing(capfd):
     code, _, err = run(capfd, "cong", "image", "--group", "sanov", "--mod", "2000000",
                        "--cap", "10")

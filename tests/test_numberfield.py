@@ -17,7 +17,7 @@ from arithgroups.numberfield import (
     regular_representation,
     residue_field,
 )
-from arithgroups.poly import Poly
+from arithgroups.poly import Poly, is_irreducible_mod_p
 from arithgroups.primes import primes_upto
 from arithgroups.rings import QQ, ExtField, IntegersMod
 
@@ -192,9 +192,20 @@ def test_residue_field_arithmetic(catalog):
     F9 = residue_field(factor_prime(qi, 3).factors[0])
     x = F9.canon((0, 1))
     assert F9.mul(x, x) == F9.canon((-1, 0))  # x^2 = -1 in F_9
-    for a in F9.elements():
-        if F9.is_unit(a):
-            assert F9.mul(a, F9.inv(a)) == F9.one
+    # F_{p^f} for p in {2, 3, 5, 7} and f in {2, 3}, each from the first
+    # irreducible monic modulus in lexicographic order
+    fields = [F9] + [ExtField(p, modulus) for p, modulus in [
+        (2, (1, 1, 1)), (2, (1, 0, 1, 1)),
+        (3, (1, 0, 2, 1)),
+        (5, (1, 1, 1)), (5, (1, 0, 1, 1)),
+        (7, (1, 0, 1)), (7, (1, 0, 1, 1)),
+    ]]
+    for F in fields:
+        assert is_irreducible_mod_p(Poly(IntegersMod(F.p), F.modulus))
+        units = [a for a in F.elements() if F.is_unit(a)]
+        assert len(units) == F.size() - 1
+        for a in units:
+            assert F.mul(a, F.inv(a)) == F.one
 
 
 def test_crt_qi_5_split(catalog):

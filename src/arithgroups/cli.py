@@ -23,7 +23,7 @@ from .congruence import (
     strong_approx_scan,
 )
 from .density import CRITERION_NOTE, density_verdict, lubotzky_scan
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, write_user_file
 from .groups import (
     form_group,
     mult_group,
@@ -160,8 +160,7 @@ def _resolve_presentation(args):
 def write_output(data, out_path):
     """Write rendered report bytes to out_path, or to stdout when it is None."""
     if out_path:
-        with open(out_path, "wb") as fh:
-            fh.write(data)
+        write_user_file(out_path, data, "output file")
     else:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()

@@ -1,8 +1,11 @@
 """Backend selection for the closure engine.
 
-The compiled kernel (_closure.c) handles matrices that bit-pack into 64-bit
-codes; larger shapes and installs without the extension fall back to the
-pure-Python engine.
+A closure lists every element of a matrix group over Z/m.  It serves the
+callers that need the element set (the quasisimple check, gamma_plus) and is
+the oracle for congruence._chain_order, which counts an image without listing
+it.  The compiled kernel (_closure.c) handles matrices that bit-pack into
+64-bit codes; larger shapes and installs without the extension fall back to
+the pure-Python engine.
 """
 
 from .closure_py import bfs_closure_py

@@ -2,15 +2,19 @@
 
 Generators live in GL_n(Q) with denominators supported on a finite prime set
 S; reduction mod m (coprime to S) gives finite matrix groups whose exact
-orders are compared against the full SL_n(Z/m) order.  For squarefree m the
-order comes from a breadth-first closure; when m has a square factor it comes
-from the closure mod rad(m) and the congruence filtration above it
-(filtration_closure).  Surjectivity is decided only by exact order equality.
+orders are compared against the full SL_n(Z/m) order.  An order alone comes
+from filtration_closure: a Schreier-Sims stabiliser chain counts the image mod
+rad(m) from orbits of vectors, without listing it, and when m has a square
+factor the congruence filtration above rad(m) gives the rest.  Closures that
+keep their elements (the quasisimple check, gamma_plus) stay breadth-first.
+Surjectivity is decided only by exact order equality.
 """
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import islice
 from math import gcd, prod
+from operator import mul
 
 from .closure import run_closure
 from .errors import NonInvertibleDenominator, NotInvertible, OutOfRange, Truncated
@@ -125,6 +129,11 @@ def bfs_closure_flat(gens_flat, n, m, cap=DEFAULT_CAP, keep_elements=False,
 
 
 def flat_mul(a, b, n, m):
+    if n == 2:                      # the common shape, unrolled
+        a0, a1, a2, a3 = a
+        b0, b1, b2, b3 = b
+        return ((a0 * b0 + a1 * b2) % m, (a0 * b1 + a1 * b3) % m,
+                (a2 * b0 + a3 * b2) % m, (a2 * b1 + a3 * b3) % m)
     out = []
     for i in range(n):
         base = i * n
@@ -152,24 +161,24 @@ def radical(m):
 
 
 def filtration_closure(gens, cap=DEFAULT_CAP):
-    """The exact order of <gens> mod m, enumerating only its image mod rad(m).
+    """The exact order of <gens> mod m, counting only its image mod rad(m).
 
     gens: Mat values over IntegersMod(m).  Let r = rad(m) and K the kernel of
-    G mod m -> G mod r, so |G mod m| = |G mod r| * |K|.  The closure engine
-    counts G mod r, so cap bounds that closure and truncated means it passed
-    the cap.  K is generated by the Schreier generators t_x g t_{xg}^-1
-    (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005,
-    section 4.1), t_x a lift of x in G mod r to G mod m.  K lies in the
-    product over p^k || m of the kernels Gamma(p)/Gamma(p^k), whose orders
-    are coprime, so K is the product of its projections K_p; _KernelSifter
-    gives each |K_p|.  No element set is kept.
+    G mod m -> G mod r, so |G mod m| = |G mod r| * |K|.  _chain_order counts
+    G mod r, so cap bounds that count and truncated means it passed the cap.
+    For squarefree m, K is trivial.  Otherwise K is generated by the Schreier
+    generators t_x g t_{xg}^-1 (Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, 2005, section 4.1), t_x a lift of x in G mod r
+    to G mod m.  K lies in the product over p^k || m of the kernels
+    Gamma(p)/Gamma(p^k), whose orders are coprime, so K is the product of its
+    projections K_p; _KernelSifter gives each |K_p|.  No element set is kept.
     """
     m = gens[0].ring.m
     n = gens[0].n
     r = radical(m)
     flat = [g.flat() for g in gens]
-    order, truncated, _ = run_closure([tuple(x % r for x in g) for g in flat], n, r, cap, False)
-    if not truncated:
+    order, truncated = _chain_order([tuple(x % r for x in g) for g in flat], n, r, cap)
+    if not truncated and r != m:
         dets = [g.det() for g in gens]
         sifters = [_KernelSifter(n, p, k, dets) for p, k in factorint(m) if k > 1]
         active = sifters
@@ -182,6 +191,210 @@ def filtration_closure(gens, cap=DEFAULT_CAP):
         order *= prod(x.p ** len(x.basis) for x in sifters)
     return FiniteClosure(modulus=m, n=n, order=order, truncated=truncated,
                          gen_images=tuple(flat))
+
+
+def _chain_order(gens, n, r, cap):
+    """(|G|, False) for G = <gens> in GL_n(Z/r), or (cap + 1, True) once |G| > cap.
+
+    gens: flat tuples with unit determinant mod r.  A deterministic
+    Schreier-Sims stabiliser chain (Sims 1970; Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, 2005, section 4.4) for G acting on
+    row vectors.  The base is the standard vectors, those fixed by the most
+    generators first (ties by index).  Only I fixes them all, so |G| is the
+    product of the basic orbit lengths, and it is found from orbits of at
+    most r^n vectors instead of a listing of G.
+
+    A Schreier generator u_x s u_(xs)^-1 of level i is sifted through levels
+    i+1.. and a residue that does not sift joins the generators of every
+    level from i+1 to the one where it stopped.  The last level's group acts
+    regularly on its orbit, so sifting there is a membership test and its
+    Schreier generators, all I, are never formed.  Each level's group
+    contains the next one's, which fixes the level's base point, so the
+    product of the current orbit lengths is a lower bound on |G| at every
+    step: the count stops once it passes cap, so truncated holds exactly when
+    |G| > cap, as for run_closure.
+    """
+    ident = flat_identity(n, r)
+    gens = list(dict.fromkeys(g for g in gens if g != ident))
+    fixers = [sum(g[i * n:(i + 1) * n] == ident[i * n:(i + 1) * n] for g in gens)
+              for i in range(n)]
+    base = sorted(range(n), key=lambda i: (-fixers[i], i))
+    levels = [_BasicOrbit(b, n, r, tree=i < n - 1) for i, b in enumerate(base)]
+
+    def join(h, first, last):
+        """Give levels first..last the generator h."""
+        h_inv = Mat(IntegersMod(r), [h[i:i + n] for i in range(0, n * n, n)]).inverse().flat()
+        for level in levels[first:last + 1]:
+            level.add_generator(h, h_inv)
+
+    def grow(first, last):
+        # deepest first, so the bound that stops a level counts the levels below it
+        for i in range(last, first - 1, -1):
+            others = prod(len(x.points) for j, x in enumerate(levels) if j != i)
+            if not levels[i].grow(cap // others):
+                return False
+        return True
+
+    for g in gens:      # each joins every level up to the first whose base point it moves
+        join(g, 0, next(i for i, x in enumerate(levels) if x.point(g) != x.points[0]))
+    if not grow(0, n - 1):
+        return cap + 1, True
+    last = levels[-1]
+    i = n - 2
+    while i >= 0:
+        h = levels[i].next_schreier()
+        if h is None:
+            i -= 1
+            continue
+        j = i + 1
+        while j < n - 1:
+            k = levels[j].index.get(levels[j].point(h))
+            if k is None:
+                break
+            h = flat_mul(h, levels[j].inverse_rep(k), n, r)
+            j += 1
+        if j == n - 1 and last.point(h) in last.index:
+            continue
+        join(h, i + 1, j)
+        if not grow(i + 1, j):
+            return cap + 1, True
+        i = min(j, n - 2)
+    return prod(len(x.points) for x in levels), False
+
+
+def _row_action(g, n, r):
+    """x -> x·g on row vectors packed base r (entry j is the digit of r^j)."""
+    if n == 2:                      # the common shape, unrolled
+        a, b, c, d = g
+
+        def act(x):
+            x0, x1 = x % r, x // r
+            return (x0 * a + x1 * c) % r + (x0 * b + x1 * d) % r * r
+        return act
+    cols = [g[j::n] for j in range(n)]
+    powers = [r ** j for j in range(n)]
+
+    def act(x):
+        v = [x // q % r for q in powers]
+        return sum(sum(map(mul, v, col)) % r * q for col, q in zip(cols, powers))
+    return act
+
+
+class _BasicOrbit:
+    """One level of a stabiliser chain: the orbit of the base point e_b.
+
+    Points are row vectors packed base r; the point of a matrix u is row b of
+    u.  The last level (tree=False) keeps only the set of points.  Every other
+    level also keeps a Schreier tree: each point records the point and the
+    generator it was first reached from, and the transversal element u_x
+    (with e_b u_x = x) and its inverse are built along the tree when first
+    asked for, then cached.
+    """
+
+    def __init__(self, b, n, r, tree):
+        self.n, self.r = n, r
+        self.slice = slice(b * n, (b + 1) * n)
+        self.powers = [r ** j for j in range(n)]
+        start = 1 % r * r ** b       # e_b
+        self.points = [start]
+        self.gens = []                  # (g, g^-1, x -> x·g)
+        self.applied = []               # applied[a]: how many points gens[a] has moved
+        self.tree = tree
+        if tree:
+            ident = flat_identity(n, r)
+            self.index = {start: 0}
+            self.parent = [0]
+            self.label = [-1]
+            self.reps = {0: ident}
+            self.inverses = {0: ident}
+            self.formed = [0]           # formed[k]: Schreier generators formed at point k
+            self.cursor = 0             # no point before it has any left to form
+        else:
+            self.index = {start}
+
+    def point(self, u):
+        return sum(map(mul, u[self.slice], self.powers))
+
+    def add_generator(self, g, g_inv):
+        self.gens.append((g, g_inv, _row_action(g, self.n, self.r)))
+        self.applied.append(0)
+        if self.tree:
+            self.cursor = 0
+
+    def grow(self, limit):
+        """Close the orbit under every generator; False once it has more than limit points."""
+        points, index = self.points, self.index
+        pending = True
+        while pending:
+            pending = False
+            for a, (_, _, act) in enumerate(self.gens):
+                start = self.applied[a]
+                if start == len(points):
+                    continue
+                pending = True
+                if self.tree:
+                    for k, x in enumerate(islice(points, start, None), start):
+                        y = act(x)
+                        if y not in index:
+                            index[y] = len(points)
+                            points.append(y)
+                            self.parent.append(k)
+                            self.label.append(a)
+                            self.formed.append(0)
+                            if len(points) > limit:
+                                return False
+                else:
+                    for x in islice(points, start, None):
+                        y = act(x)
+                        if y not in index:
+                            index.add(y)
+                            points.append(y)
+                            if len(points) > limit:
+                                return False
+                self.applied[a] = len(points)
+        return True
+
+    def next_schreier(self):
+        """The next Schreier generator u_x s u_(xs)^-1 not yet formed and not I, or None."""
+        n, r = self.n, self.r
+        points, formed, gens, index = self.points, self.formed, self.gens, self.index
+        parent, label, reps = self.parent, self.label, self.reps
+        while self.cursor < len(points):
+            k = self.cursor
+            x = points[k]
+            for a in range(formed[k], len(gens)):
+                g, _, act = gens[a]
+                j = index[act(x)]
+                if parent[j] == k and label[j] == a:
+                    continue            # a tree edge: u_x s is u_(xs)
+                w = flat_mul(reps.get(k) or self.rep(k), g, n, r)
+                if w != (reps.get(j) or self.rep(j)):
+                    formed[k] = a + 1
+                    return flat_mul(w, self.inverse_rep(j), n, r)
+            formed[k] = len(gens)
+            self.cursor += 1
+        return None
+
+    def rep(self, k):
+        """u_x for the k-th point x."""
+        n, r = self.n, self.r
+        return self._along_tree(k, self.reps, lambda u, g, g_inv: flat_mul(u, g, n, r))
+
+    def inverse_rep(self, k):
+        """u_x^-1 for the k-th point x."""
+        n, r = self.n, self.r
+        return self._along_tree(k, self.inverses, lambda v, g, g_inv: flat_mul(g_inv, v, n, r))
+
+    def _along_tree(self, k, cache, step):
+        path = []
+        while k not in cache:
+            path.append(k)
+            k = self.parent[k]
+        value = cache[k]
+        for c in reversed(path):
+            g, g_inv, _ = self.gens[self.label[c]]
+            value = cache[c] = step(value, g, g_inv)
+        return value
 
 
 def _schreier_generators(gens, gen_invs, n, m, r):
@@ -336,16 +549,16 @@ class ImageRecord:
 def image_record(G, m, cap=DEFAULT_CAP, keep_elements=False):
     """The ImageRecord mod m and the closure it was read from.
 
-    The range of (n, m) is checked before any closure.  A squarefree m, or a
-    call that keeps the elements, closes G mod m; any other m goes through
-    filtration_closure, where cap bounds the closure mod rad(m).  A truncated
-    closure gives a record with no order and no verdict; the caller decides
-    whether that is an error.
+    The range of (n, m) is checked before any closure.  A call that keeps the
+    elements closes G mod m; any other goes through filtration_closure, where
+    cap bounds the order of G mod rad(m).  A truncated closure gives a record
+    with no order and no verdict; the caller decides whether that is an
+    error.
     """
     target = order_sl(G.n, m)
     gens = reduce_generators(G, m)
-    if keep_elements or radical(m) == m:
-        closure = bfs_closure(gens, cap=cap, keep_elements=keep_elements)
+    if keep_elements:
+        closure = bfs_closure(gens, cap=cap, keep_elements=True)
     else:
         closure = filtration_closure(gens, cap=cap)
     if closure.truncated:

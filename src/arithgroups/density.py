@@ -403,9 +403,9 @@ def lubotzky_scan(G, prime_bound, cap=DEFAULT_CAP, quasisimple_pmax=13):
 
     For surjective primes the PSL_2(p) quotient order is attached (order/2
     for odd p); small surjective primes also get the exhaustive quasisimple
-    verification of the image.  Each prime is closed once: the records match
-    strong_approx_scan, and primes up to quasisimple_pmax keep their
-    elements for the check.
+    verification of the image.  Each prime's image is computed once: the
+    records match strong_approx_scan, and primes up to quasisimple_pmax keep
+    their elements for the check.
     """
     verdict = density_verdict(G)
     records = []

@@ -1,4 +1,4 @@
-"""Domain errors shared across modules, and the reader for user files.
+"""Domain errors shared across modules, and the reader and writer for user files.
 
 Every error carries a stable name (its class name) which the CLI serializes
 verbatim, so renaming a class here is a wire-format change.
@@ -100,3 +100,15 @@ def read_user_file(path, kind):
             return fh.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {kind} {path}: {exc}") from None
+
+
+def write_user_file(path, data, kind):
+    """Write bytes to a file the user named; UsageError when it cannot be written.
+
+    kind names the file in the message, as in "cannot write output file PATH".
+    """
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise UsageError(f"cannot write {kind} {path}: {exc}") from None

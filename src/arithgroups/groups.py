@@ -18,6 +18,7 @@ from .errors import (
     SingularForm,
     UsageError,
     read_user_file,
+    write_user_file,
 )
 from .matrix import Mat, kernel_basis, rref, solve_in_span
 from .mpoly import MPoly, eval_matrix
@@ -393,8 +394,7 @@ def write_presentation(pres, path):
     ]
     for P in pres.polys:
         lines.append("poly=" + P.encode())
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_user_file(path, ("\n".join(lines) + "\n").encode("utf-8"), "presentation file")
 
 
 def read_presentation(path):

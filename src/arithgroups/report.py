@@ -12,6 +12,8 @@ import os
 import tempfile
 from fractions import Fraction
 
+from .errors import UsageError
+
 
 def jsonable(obj):
     """Recursively convert report objects to JSON-compatible structures."""
@@ -83,7 +85,10 @@ class ScanCache:
     def __init__(self, directory, version):
         self.directory = directory
         self.version = version
-        os.makedirs(directory, exist_ok=True)
+        try:
+            os.makedirs(directory, exist_ok=True)
+        except OSError as exc:
+            raise UsageError(f"cannot use cache directory {directory}: {exc}") from None
 
     def key(self, operation, canonical_input):
         digest = hashlib.sha256()

@@ -392,6 +392,18 @@ def test_malformed_presentation_file_is_a_usage_error(capfd, tmp_path, argv, tex
     assert err.startswith("usage error:") and str(pres) in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["cong", "scan", "--group", "sanov", "--pmax", "5", "--out"], "<dir>"),
+    (["group", "ros", "--field", "qi", "--preset", "mult", "--write-presentation"], "<dir>"),
+    (["cong", "scan", "--group", "sanov", "--pmax", "5", "--cache-dir"], "a file\n"),
+], ids=["out-directory", "presentation-directory", "cache-dir-file"])
+def test_unwritable_output_path_is_a_usage_error(capfd, tmp_path, argv, text):
+    path = _user_file(tmp_path, "taken", text)
+    code, out, err = run(capfd, *argv, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:") and str(path) in err and "Traceback" not in err
+
+
 def test_cong_image_checks_the_range_before_closing(capfd):
     code, _, err = run(capfd, "cong", "image", "--group", "sanov", "--mod", "2000000",
                        "--cap", "10")

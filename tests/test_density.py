@@ -286,15 +286,24 @@ def test_lubotzky_scan_sanov():
 
 
 def test_lubotzky_scan_closes_each_prime_once(monkeypatch):
-    calls = []
+    closed = []
+    counted = []
+    chain_order = congruence._chain_order
 
-    def counting(*args):
-        calls.append(args[2])
+    def closing(*args):
+        closed.append(args[2])
         return run_closure(*args)
 
-    monkeypatch.setattr(congruence, "run_closure", counting)
+    def counting(*args):
+        counted.append(args[2])
+        return chain_order(*args)
+
+    monkeypatch.setattr(congruence, "run_closure", closing)
+    monkeypatch.setattr(congruence, "_chain_order", counting)
     rep = lubotzky_scan(builtin_group("sanov"), 31)
-    assert calls == [r.p for r in rep.records] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+    # primes up to quasisimple_pmax keep their elements; the others are only counted
+    assert closed == [2, 3, 5, 7, 11, 13]
+    assert closed + counted == [r.p for r in rep.records] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
 
 def test_lubotzky_scan_triangular():

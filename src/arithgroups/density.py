@@ -132,10 +132,9 @@ def gamma_plus(closure):
     unip = _unipotent_flats(closure.elements, closure.n, p)
     if not unip:
         return bfs_closure_flat([flat_identity(closure.n, p)], closure.n, p,
-                                cap=closure.order + 1, keep_elements=True,
-                                element_cap=closure.order + 1)
+                                cap=closure.order + 1, element_cap=closure.order + 1)
     return bfs_closure_flat(unip, closure.n, p, cap=closure.order + 1,
-                            keep_elements=True, element_cap=closure.order + 1)
+                            element_cap=closure.order + 1)
 
 
 def unipotent_closure_subgroup(gens, max_word_len=4, cap=DEFAULT_CAP):
@@ -176,8 +175,7 @@ def unipotent_closure_subgroup(gens, max_word_len=4, cap=DEFAULT_CAP):
             points.add(one_param_point(X, t).flat())
     if not points:
         points = {flat_identity(n, p)}
-    return bfs_closure_flat(sorted(points), n, p, cap=cap,
-                            keep_elements=True, element_cap=cap)
+    return bfs_closure_flat(sorted(points), n, p, cap=cap, element_cap=cap)
 
 
 def _symmetrized(gens):

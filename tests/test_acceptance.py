@@ -166,7 +166,7 @@ def test_criterion_7_lubotzky_dichotomy():
 
 
 def _all_unipotents_sl2(p):
-    c = bfs_closure(elementary_generators_sl(2, p), keep_elements=True)
+    c = bfs_closure(elementary_generators_sl(2, p))
     ring = GF(p)
     out = []
     for flat in c.elements:
@@ -201,12 +201,12 @@ def test_criterion_8_one_parameter_law():
                 for t in range(p):
                     assert points[s] * points[t] == points[(s + t) % p]
     for p in (5, 7, 11, 13):
-        c = bfs_closure(elementary_generators_sl(2, p), keep_elements=True)
+        c = bfs_closure(elementary_generators_sl(2, p))
         assert gamma_plus(c).order == c.order == order_sl(2, p)
     for p in (5, 7, 11):
         pair = [Mat(GF(p), [[1, 1], [0, 1]]), Mat(GF(p), [[1, 0], [1, 1]])]
         u = unipotent_closure_subgroup(pair, max_word_len=2)
-        gp = gamma_plus(bfs_closure(pair, keep_elements=True))
+        gp = gamma_plus(bfs_closure(pair))
         assert u.order == gp.order and set(u.element_set()) == set(gp.element_set())
     elapsed = time.time() - t0
     assert elapsed < 60, f"took {elapsed:.1f}s"

@@ -57,7 +57,7 @@ def test_reduce_generators_examples():
 
 def test_bfs_closure_identity_only():
     ring = IntegersMod(7)
-    c = bfs_closure([Mat.identity(ring, 2)], keep_elements=True)
+    c = bfs_closure([Mat.identity(ring, 2)])
     assert c.order == 1 and not c.truncated
 
 
@@ -65,14 +65,14 @@ def test_bfs_closure_identity_only():
 def test_bfs_closure_sl2_small_oracle(m, expected):
     brute = enumerate_sl_n_mod_m(2, m)       # oracle: enumerate all det-1 matrices
     assert len(brute) == expected
-    c = bfs_closure(elementary_generators_sl(2, m), keep_elements=True)
+    c = bfs_closure(elementary_generators_sl(2, m))
     assert c.order == expected
     assert set(c.elements) == set(brute)
 
 
 def test_closure_closed_under_product_and_inverse():
     rng = random.Random(43)
-    c = bfs_closure(elementary_generators_sl(2, 5), keep_elements=True)
+    c = bfs_closure(elementary_generators_sl(2, 5))
     elems = list(c.elements)
     eset = set(elems)
     for _ in range(100):
@@ -117,7 +117,7 @@ def test_elementary_generators_shape():
     assert [g.rows for g in gens] == [((1, 1), (0, 1)), ((1, 0), (1, 1))]
     gens3 = elementary_generators_sl(3, 2)
     assert len(gens3) == 6
-    c = bfs_closure(gens3, keep_elements=True)
+    c = bfs_closure(gens3)
     brute = enumerate_sl_n_mod_m(3, 2)       # oracle: 512 candidate matrices
     assert c.order == len(brute) == 168
 
@@ -251,18 +251,18 @@ def test_reduction_functorial_on_random_words():
 @pytest.mark.parametrize("p", [3, 5])
 def test_image_mod_p_is_truncation_of_image_mod_p2(p):
     sanov = builtin_group("sanov")
-    c1 = bfs_closure(reduce_generators(sanov, p), keep_elements=True)
-    c2 = bfs_closure(reduce_generators(sanov, p * p), keep_elements=True)
+    c1 = bfs_closure(reduce_generators(sanov, p))
+    c2 = bfs_closure(reduce_generators(sanov, p * p))
     reduced = {tuple(x % p for x in flat) for flat in c2.elements}
     assert reduced == set(c1.elements)
 
 
 def test_quasisimple_examples():
     for p, psl in ((5, 60), (7, 168)):
-        c = bfs_closure(elementary_generators_sl(2, p), keep_elements=True)
+        c = bfs_closure(elementary_generators_sl(2, p))
         rep = quasisimple_check(c)
         assert rep.quasisimple and rep.simple_quotient_order == psl
-    c2 = bfs_closure(elementary_generators_sl(2, 2), keep_elements=True)
+    c2 = bfs_closure(elementary_generators_sl(2, 2))
     rep2 = quasisimple_check(c2)
     assert not rep2.quasisimple and rep2.order == 6
 
@@ -335,13 +335,13 @@ def oracle_closures():
 
 @pytest.mark.parametrize("gens", oracle_closures())
 def test_quasisimple_check_matches_brute_force(gens):
-    c = bfs_closure(gens, keep_elements=True)
+    c = bfs_closure(gens)
     assert c.order <= 336
     assert quasisimple_check(c) == brute_quasisimple(c)
 
 
 def test_quasisimple_cap():
-    c = bfs_closure(elementary_generators_sl(2, 13), keep_elements=True)
+    c = bfs_closure(elementary_generators_sl(2, 13))
     with pytest.raises(Truncated):
         quasisimple_check(c, cap=100)
 
@@ -356,5 +356,5 @@ def test_canonical_bytes_is_injective_and_stable():
 
 def test_closure_order_only_mode_drops_elements():
     c = bfs_closure_flat([(1, 1, 0, 1), (1, 0, 1, 1)], 2, 5,
-                         keep_elements=True, element_cap=10)
+                         element_cap=10)
     assert c.order == 120 and c.elements is None

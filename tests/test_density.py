@@ -92,7 +92,7 @@ def test_one_param_requires_p_greater_than_n():
 
 @pytest.mark.parametrize("p,order", [(5, 120), (7, 336)])
 def test_gamma_plus_full_sl2(p, order):
-    c = bfs_closure(elementary_generators_sl(2, p), keep_elements=True)
+    c = bfs_closure(elementary_generators_sl(2, p))
     assert c.order == order
     gp = gamma_plus(c)
     assert gp.order == order
@@ -101,7 +101,7 @@ def test_gamma_plus_full_sl2(p, order):
 def test_gamma_plus_of_diagonal_group_is_trivial():
     ring = GF(7)
     diag = Mat(ring, [[3, 0], [0, 5]])   # 3*5 = 1 mod 7
-    c = bfs_closure([diag], keep_elements=True)
+    c = bfs_closure([diag])
     assert c.order == 6                   # cyclic of order p-1
     gp = gamma_plus(c)
     assert gp.order == 1
@@ -110,7 +110,7 @@ def test_gamma_plus_of_diagonal_group_is_trivial():
 def test_unipotent_closure_examples():
     pair = [Mat(GF(7), [[1, 1], [0, 1]]), Mat(GF(7), [[1, 0], [1, 1]])]
     u = unipotent_closure_subgroup(pair, max_word_len=2)
-    full = bfs_closure(pair, keep_elements=True)
+    full = bfs_closure(pair)
     gp = gamma_plus(full)
     assert u.order == 336 == gp.order
     assert set(u.element_set()) == set(gp.element_set())
@@ -127,7 +127,7 @@ def test_unipotent_closure_examples():
 def test_nori_equality_sl2(p):
     pair = [Mat(GF(p), [[1, 1], [0, 1]]), Mat(GF(p), [[1, 0], [1, 1]])]
     u = unipotent_closure_subgroup(pair, max_word_len=2)
-    gp = gamma_plus(bfs_closure(pair, keep_elements=True))
+    gp = gamma_plus(bfs_closure(pair))
     assert u.order == gp.order == order_sl(2, p)
 
 
@@ -147,7 +147,7 @@ def test_nori_equality_sl3_subgroups(p):
     ]
     for gens in cases:
         u = unipotent_closure_subgroup(gens, max_word_len=3)
-        gp = gamma_plus(bfs_closure(gens, keep_elements=True))
+        gp = gamma_plus(bfs_closure(gens))
         assert u.order == gp.order
         assert set(u.element_set()) == set(gp.element_set())
 

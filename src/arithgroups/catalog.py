@@ -1,16 +1,55 @@
-"""Built-in field and group aliases plus the on-disk catalog formats.
+"""Built-in field and group aliases, the on-disk catalog formats and SIntegerGroup.
 
 Field catalog records are line-oriented key=value blocks separated by blank
 lines; generator files hold one matrix per block with exact rational entries.
+
+This module is on the path of every CLI command, a cache hit included, so it
+imports no compute module at load time: numberfield is imported by the
+functions that build a field.
 """
 
 from fractions import Fraction
 
-from .congruence import SIntegerGroup
-from .errors import UsageError, read_user_file
+from .errors import NotInvertible, UsageError, read_user_file
 from .matrix import Mat
-from .numberfield import NumberField
+from .primes import prime_support
 from .rings import QQ
+
+DEFAULT_CAP = 2 * 10 ** 6
+
+
+class SIntegerGroup:
+    """A finitely generated subgroup of GL_n(Z_S) given by its generators."""
+
+    def __init__(self, gens, label="group"):
+        mats = []
+        for g in gens:
+            mats.append(g if isinstance(g, Mat) else Mat(QQ, g))
+        if not mats:
+            raise ValueError("need at least one generator")
+        n = mats[0].n
+        if any(m.n != n for m in mats):
+            raise ValueError("generators must share one size")
+        support = set()
+        for g in mats:
+            for row in g.rows:
+                for x in row:
+                    support |= prime_support(Fraction(x).denominator)
+        for g in mats:
+            d = Fraction(g.det())
+            if d == 0:
+                raise NotInvertible(f"generator of {label} is singular")
+            if not (prime_support(d.numerator) | prime_support(d.denominator)) <= support:
+                raise NotInvertible(
+                    f"generator determinant {d} is not a unit in Z_S with S={sorted(support)}"
+                )
+        self.label = label
+        self.n = n
+        self.gens = tuple(mats)
+        self.S = frozenset(support)
+
+    def __repr__(self):
+        return f"SIntegerGroup({self.label}, n={self.n}, S={sorted(self.S)})"
 
 _BUILTIN_FIELD_RECORDS = {
     # name: (min poly, constant first; galois; power basis maximal)
@@ -29,6 +68,8 @@ _BUILTIN_GROUPS = {
 
 
 def builtin_field(name):
+    from .numberfield import NumberField
+
     coeffs, galois, maximal = _BUILTIN_FIELD_RECORDS[name]
     return NumberField(coeffs, name=name, galois=galois, power_basis_maximal=maximal)
 
@@ -76,6 +117,8 @@ def read_field_catalog(path):
     non-monic minpoly, a flag that is not a boolean) raises UsageError naming
     the file; a reducible minpoly stays the domain error ReducibleMinPoly.
     """
+    from .numberfield import NumberField
+
     fields = {}
     record = {}
 

@@ -3,6 +3,11 @@
 Exit codes: 0 success, 1 domain error (the module error name is serialized
 verbatim), 2 usage error.  Reports are byte-stable: JSON with sorted keys and
 canonically ordered arrays, or a fixed-width text table via --format text.
+
+Each command imports the compute modules it runs inside its own function (for a
+cached scan, inside the compute() it hands to cached_scan), so that
+`--version` and a cache hit load only argv parsing, the catalog, the matrix
+layer and the cache.
 """
 
 import argparse
@@ -10,34 +15,12 @@ import functools
 import hashlib
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
-from .catalog import field_aliases, group_aliases, load_field, load_group
-from .congruence import (
-    DEFAULT_CAP,
-    exact_image_record,
-    one_for_all_scan,
-    principal_congruence_index,
-    strong_approx_scan,
-)
-from .density import CRITERION_NOTE, density_verdict, lubotzky_scan
+from .catalog import DEFAULT_CAP, field_aliases, group_aliases, load_field, load_group
 from .errors import DomainError, UsageError, write_user_file
-from .groups import (
-    form_group,
-    mult_group,
-    reduce_mod_p,
-    restriction_of_scalars,
-    sl_group,
-    tangent_space_at_identity,
-    unitriangular_group,
-    write_presentation,
-    read_presentation,
-)
 from .matrix import Mat
-from .numberfield import chebotarev_scan, factor_prime
-from .padics import PadicInt, PadicNumber, hensel_lift, vp
 from .report import ScanCache, jsonable, render_report
 from .rings import QQ
 
@@ -72,15 +55,16 @@ def prime_arg(text):
     return value
 
 
-@dataclass
 class RunConfig:
-    pmax: int = 31
-    exp: int = 1
-    cap: int = DEFAULT_CAP
-    maxlen: int = 8
-    catalog: str = None
-    fmt: str = "json"
-    cache_dir: str = None
+    def __init__(self, pmax=31, exp=1, cap=DEFAULT_CAP, maxlen=8, catalog=None,
+                 fmt="json", cache_dir=None):
+        self.pmax = pmax
+        self.exp = exp
+        self.cap = cap
+        self.maxlen = maxlen
+        self.catalog = catalog
+        self.fmt = fmt
+        self.cache_dir = cache_dir
 
     def validate(self):
         if self.pmax < 2:
@@ -137,24 +121,27 @@ def _group_canonical(G):
     return f"{G.label}|n={G.n}|{gens}"
 
 
+# each preset builds its presentation from the groups module it is given
 _PRESETS = {
-    "sl2": lambda: sl_group(2),
-    "sl3": lambda: sl_group(3),
-    "sl4": lambda: sl_group(4),
-    "sl5": lambda: sl_group(5),
-    "mult": mult_group,
-    "unitriangular2": lambda: unitriangular_group(2),
-    "unitriangular3": lambda: unitriangular_group(3),
-    "sp2": lambda: form_group(Mat(QQ, [[0, 1], [-1, 0]])),
-    "so2": lambda: form_group(Mat(QQ, [[1, 0], [0, 1]])),
-    "so3": lambda: form_group(Mat(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])),
+    "sl2": lambda groups: groups.sl_group(2),
+    "sl3": lambda groups: groups.sl_group(3),
+    "sl4": lambda groups: groups.sl_group(4),
+    "sl5": lambda groups: groups.sl_group(5),
+    "mult": lambda groups: groups.mult_group(),
+    "unitriangular2": lambda groups: groups.unitriangular_group(2),
+    "unitriangular3": lambda groups: groups.unitriangular_group(3),
+    "sp2": lambda groups: groups.form_group(Mat(QQ, [[0, 1], [-1, 0]])),
+    "so2": lambda groups: groups.form_group(Mat(QQ, [[1, 0], [0, 1]])),
+    "so3": lambda groups: groups.form_group(Mat(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])),
 }
 
 
 def _resolve_presentation(args):
+    from . import groups
+
     if getattr(args, "file", None):
-        return read_presentation(args.file)
-    return _PRESETS[args.preset]()
+        return groups.read_presentation(args.file)
+    return _PRESETS[args.preset](groups)
 
 
 def write_output(data, out_path):
@@ -198,6 +185,8 @@ def cached_scan(cfg, operation, canonical_input, compute, out_path=None):
 
 
 def cmd_nf_factor(args, cfg):
+    from .numberfield import factor_prime
+
     K = load_field(args.field, cfg.catalog)
     fac = factor_prime(K, args.prime)
     payload = {
@@ -218,6 +207,8 @@ def cmd_nf_chebotarev(args, cfg):
     K = load_field(args.field, cfg.catalog)
 
     def compute():
+        from .numberfield import chebotarev_scan
+
         return jsonable(chebotarev_scan(K, args.bound))
 
     canonical = f"{K.name}|{','.join(str(c) for c in K.min_poly.coeffs)}|X={args.bound}"
@@ -239,6 +230,8 @@ def cmd_nf_signature(args, cfg):
 
 
 def cmd_padic_lift(args, cfg):
+    from .padics import PadicInt, hensel_lift
+
     coeffs = args.coeffs
     r = hensel_lift(coeffs, args.root, args.prime, args.prec)
     x = PadicInt.from_int(r, args.prime, args.prec)
@@ -255,6 +248,8 @@ def cmd_padic_lift(args, cfg):
 
 
 def cmd_padic_eval(args, cfg):
+    from .padics import PadicNumber, vp
+
     value = args.value
     t = vp(value, args.prime)
     num = PadicNumber.from_rational(value, args.prime, args.prec)
@@ -272,6 +267,8 @@ def cmd_padic_eval(args, cfg):
 
 
 def cmd_group_lie(args, cfg):
+    from .groups import tangent_space_at_identity
+
     pres = _resolve_presentation(args)
     L = tangent_space_at_identity(pres)
     payload = {
@@ -288,6 +285,8 @@ def cmd_group_lie(args, cfg):
 
 
 def cmd_group_ros(args, cfg):
+    from .groups import restriction_of_scalars, write_presentation
+
     K = load_field(args.field, cfg.catalog)
     base = _resolve_presentation(args)
     ros = restriction_of_scalars(base, K)
@@ -306,6 +305,8 @@ def cmd_group_ros(args, cfg):
 
 
 def cmd_group_reduce(args, cfg):
+    from .groups import reduce_mod_p
+
     pres = _resolve_presentation(args)
     red = reduce_mod_p(pres, args.prime)
     payload = {
@@ -327,6 +328,8 @@ def cmd_cong_scan(args, cfg):
     G = load_group(args.group)
 
     def compute():
+        from .congruence import strong_approx_scan
+
         return _scan_payload(strong_approx_scan(G, cfg.pmax, cfg.exp, cfg.cap))
 
     canonical = f"{_group_canonical(G)}|P={cfg.pmax}|k={cfg.exp}|cap={cfg.cap}"
@@ -334,12 +337,16 @@ def cmd_cong_scan(args, cfg):
 
 
 def cmd_cong_image(args, cfg):
+    from .congruence import exact_image_record
+
     G = load_group(args.group)
     rec = exact_image_record(G, args.mod, cfg.cap)
     emit({"group": G.label, **jsonable(rec)}, cfg)
 
 
 def cmd_cong_index(args, cfg):
+    from .congruence import principal_congruence_index
+
     payload = {
         "n": args.size,
         "m": args.mod,
@@ -356,6 +363,8 @@ def cmd_cong_oneforall(args, cfg):
     bad = frozenset(int(x) for x in args.bad.split(",")) if args.bad else frozenset()
 
     def compute():
+        from .congruence import one_for_all_scan
+
         rows = one_for_all_scan(2, sets, cfg.pmax, bad_set=bad, cap=cfg.cap)
         return {"pmax": cfg.pmax, "bad_set": sorted(bad), "rows": jsonable(rows)}
 
@@ -367,6 +376,8 @@ def cmd_cong_oneforall(args, cfg):
 
 
 def _verdict_payload(v):
+    from .density import CRITERION_NOTE
+
     return {**jsonable(v), "criterion": CRITERION_NOTE}
 
 
@@ -374,6 +385,8 @@ def cmd_density_check(args, cfg):
     G = load_group(args.group)
 
     def compute():
+        from .density import density_verdict
+
         v = density_verdict(G, max_word_len=cfg.maxlen)
         return {"group": G.label, **_verdict_payload(v)}
 
@@ -385,6 +398,8 @@ def cmd_lubotzky_scan(args, cfg):
     G = load_group(args.group)
 
     def compute():
+        from .density import lubotzky_scan
+
         rep = lubotzky_scan(G, cfg.pmax, cap=cfg.cap)
         payload = jsonable(rep)
         payload["pmax"] = payload.pop("prime_bound")

@@ -16,48 +16,14 @@ from itertools import islice
 from math import gcd, prod
 from operator import mul
 
+from .catalog import DEFAULT_CAP, SIntegerGroup
 from .closure import run_closure
-from .errors import NonInvertibleDenominator, NotInvertible, OutOfRange, Truncated
+from .errors import NonInvertibleDenominator, OutOfRange, Truncated
 from .matrix import Mat
 from .primes import factorint, prime_support, primes_upto
-from .rings import QQ, IntegersMod
+from .rings import IntegersMod
 
-DEFAULT_CAP = 2 * 10 ** 6
 ELEMENT_RETENTION_CAP = 10 ** 5
-
-
-class SIntegerGroup:
-    """A finitely generated subgroup of GL_n(Z_S) given by its generators."""
-
-    def __init__(self, gens, label="group"):
-        mats = []
-        for g in gens:
-            mats.append(g if isinstance(g, Mat) else Mat(QQ, g))
-        if not mats:
-            raise ValueError("need at least one generator")
-        n = mats[0].n
-        if any(m.n != n for m in mats):
-            raise ValueError("generators must share one size")
-        support = set()
-        for g in mats:
-            for row in g.rows:
-                for x in row:
-                    support |= prime_support(Fraction(x).denominator)
-        for g in mats:
-            d = Fraction(g.det())
-            if d == 0:
-                raise NotInvertible(f"generator of {label} is singular")
-            if not (prime_support(d.numerator) | prime_support(d.denominator)) <= support:
-                raise NotInvertible(
-                    f"generator determinant {d} is not a unit in Z_S with S={sorted(support)}"
-                )
-        self.label = label
-        self.n = n
-        self.gens = tuple(mats)
-        self.S = frozenset(support)
-
-    def __repr__(self):
-        return f"SIntegerGroup({self.label}, n={self.n}, S={sorted(self.S)})"
 
 
 def reduce_generators(G, m):

@@ -3,13 +3,14 @@
 JSON reports sort keys and keep arrays in canonical (ascending) order as
 produced by the scan functions, so identical inputs render identical bytes.
 Rationals serialize as exact "a/b" strings.
+
+A cache hit reads its bytes back without rendering, so dataclasses and
+tempfile are imported only where a report is built or an entry written.
 """
 
-import dataclasses
 import hashlib
 import json
 import os
-import tempfile
 from fractions import Fraction
 
 from .errors import UsageError
@@ -17,7 +18,9 @@ from .errors import UsageError
 
 def jsonable(obj):
     """Recursively convert report objects to JSON-compatible structures."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+    if hasattr(type(obj), "__dataclass_fields__"):  # a dataclass instance
+        import dataclasses
+
         return {k: jsonable(v) for k, v in dataclasses.asdict(obj).items()}
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
@@ -111,13 +114,18 @@ class ScanCache:
             return None
 
     def put(self, key, payload):
+        """Store payload under key; UsageError naming the directory when it cannot be written."""
+        import tempfile
+
         # write-temp-then-rename keeps concurrent writers atomic
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        tmp = None
         try:
+            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
             with os.fdopen(fd, "wb") as fh:
                 fh.write(payload)
             os.replace(tmp, self.path(key))
-        except BaseException:
-            if os.path.exists(tmp):
+        except OSError as exc:
+            raise UsageError(f"cannot write to cache directory {self.directory}: {exc}") from None
+        finally:
+            if tmp is not None and os.path.exists(tmp):
                 os.unlink(tmp)
-            raise

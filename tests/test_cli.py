@@ -1,6 +1,7 @@
 import json
 import os
 import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -421,3 +422,35 @@ def test_cong_image_cap_bounds_the_closure_mod_the_radical(capfd):
                        "--cap", "1000")
     assert code == 1
     assert "error Truncated: closure mod 11 exceeded the cap 1000" in err
+
+
+def _raise_permission_error(*args, **kwargs):
+    raise PermissionError(13, "Permission denied")
+
+
+@pytest.mark.parametrize("module, attr", [
+    (tempfile, "mkstemp"),
+    (os, "replace"),
+], ids=["temp-file", "rename"])
+def test_unwritable_cache_directory_is_a_usage_error(capfd, tmp_path, monkeypatch, module, attr):
+    # root may write into a read-only directory, so the failing call is patched in
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setattr(module, attr, _raise_permission_error)
+    code, out, err = run(capfd, "cong", "scan", "--group", "sanov", "--pmax", "5",
+                         "--cache-dir", str(cache))
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:") and str(cache) in err and "Traceback" not in err
+    assert list(cache.iterdir()) == []          # the temporary file is gone too
+
+
+def test_singular_generator_file_fails_on_every_run_and_caches_nothing(capfd, tmp_path):
+    gfile = tmp_path / "singular.gens"
+    gfile.write_text("1 1\n1 1\n")
+    cache = tmp_path / "cache"
+    for _ in range(2):
+        code, out, err = run(capfd, "cong", "scan", "--group", str(gfile), "--pmax", "7",
+                             "--cache-dir", str(cache))
+        assert code == 1 and out == ""
+        assert err.startswith("error NotInvertible:") and "Traceback" not in err
+    assert not cache.exists() or list(cache.iterdir()) == []

@@ -4,7 +4,8 @@ A presentation is a matrix size n plus polynomials in the n^2 coordinates
 x_ij (flattened row-major) whose common zeros inside GL_n form the group.
 From it we compute the tangent space at the identity with its bracket
 structure, adjoint matrices, restriction of scalars along a number field,
-and reductions mod p.
+and reductions mod p.  numberfield is imported only by the two functions
+that restrict scalars, so the density checks do not load it.
 """
 
 from dataclasses import dataclass
@@ -22,7 +23,6 @@ from .errors import (
 )
 from .matrix import Mat, kernel_basis, rref, solve_in_span
 from .mpoly import MPoly, eval_matrix
-from .numberfield import regular_representation
 from .rings import QQ, IntegersMod
 
 
@@ -262,6 +262,8 @@ def restriction_of_scalars(G, K):
     linear functionals cutting the image of the regular representation on
     every block.
     """
+    from .numberfield import regular_representation
+
     n, d = G.n, K.degree
     N = n * d
     NV = N * N
@@ -338,6 +340,8 @@ def _primitive(vec):
 
 def ros_point(K, entries):
     """Blockwise embedding M_n(k) -> M_{nd}(Q) by the regular representation."""
+    from .numberfield import regular_representation
+
     n = len(entries)
     d = K.degree
     N = n * d

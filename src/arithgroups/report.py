@@ -112,6 +112,8 @@ class ScanCache:
                 return fh.read()
         except FileNotFoundError:
             return None
+        except OSError as exc:
+            raise UsageError(f"cannot read cache directory {self.directory}: {exc}") from None
 
     def put(self, key, payload):
         """Store payload under key; UsageError naming the directory when it cannot be written."""

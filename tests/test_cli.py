@@ -444,6 +444,18 @@ def test_unwritable_cache_directory_is_a_usage_error(capfd, tmp_path, monkeypatc
     assert list(cache.iterdir()) == []          # the temporary file is gone too
 
 
+def test_unreadable_cache_entry_is_a_usage_error(capfd, tmp_path):
+    cache = tmp_path / "cache"
+    argv = ("cong", "scan", "--group", "sanov", "--pmax", "5", "--cache-dir", str(cache))
+    assert run(capfd, *argv)[0] == 0
+    [entry] = cache.iterdir()
+    entry.unlink()
+    entry.mkdir()                               # the entry's path is now a directory
+    code, out, err = run(capfd, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:") and str(cache) in err and "Traceback" not in err
+
+
 def test_singular_generator_file_fails_on_every_run_and_caches_nothing(capfd, tmp_path):
     gfile = tmp_path / "singular.gens"
     gfile.write_text("1 1\n1 1\n")

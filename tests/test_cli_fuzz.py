@@ -43,8 +43,8 @@ generator_files = st.one_of(
 )
 # a group is an alias, or None for the generated file
 groups = st.one_of(st.sampled_from(group_aliases()), st.none())
-small = st.integers(1, 13).map(str)           # --pmax 1 is a usage error
-caps = st.integers(1, 2000).map(str)
+pmaxes = st.integers(1, 13).map(str)          # --pmax 1 is a usage error
+limits = st.integers(1, 2000).map(str)         # --cap and --bound
 
 
 @st.composite
@@ -52,19 +52,19 @@ def commands(draw):
     group = draw(groups)
     kind = draw(st.sampled_from(("cong-scan", "oneforall", "lubotzky", "density", "chebotarev")))
     if kind == "cong-scan":
-        argv = ["cong", "scan", "--group", group, "--pmax", draw(small),
-                "--cap", draw(caps)]
+        argv = ["cong", "scan", "--group", group, "--pmax", draw(pmaxes),
+                "--cap", draw(limits)]
     elif kind == "oneforall":
         argv = ["cong", "oneforall", "--group", group, "--group", draw(st.sampled_from(group_aliases())),
-                "--pmax", draw(small), "--cap", draw(caps), "--bad", "2"]
+                "--pmax", draw(pmaxes), "--cap", draw(limits), "--bad", "2"]
     elif kind == "lubotzky":
-        argv = ["lubotzky", "scan", "--group", group, "--pmax", draw(small),
-                "--cap", draw(caps)]
+        argv = ["lubotzky", "scan", "--group", group, "--pmax", draw(pmaxes),
+                "--cap", draw(limits)]
     elif kind == "density":
         argv = ["density", "check", "--group", group, "--maxlen", draw(st.integers(1, 3).map(str))]
     else:
         argv = ["nf", "chebotarev", "--field", draw(st.sampled_from(field_aliases())),
-                "--bound", draw(caps)]
+                "--bound", draw(limits)]
     return argv + ["--format", draw(st.sampled_from(("json", "text")))]
 
 

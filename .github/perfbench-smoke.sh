@@ -1,8 +1,7 @@
 #!/bin/sh
-# One short traced perfbench pass of each workload, on whichever closure engine the
-# tree has (pure Python, or the native kernel once it is built).  Run from the
-# repository root.  A closure hook that is gone makes a command fail, and a TRACED
-# function that is gone (which perfbench would count as zero calls) fails the first check.
+# One short traced perfbench pass of each workload.  Run from the repository root.
+# A closure hook that is gone makes a command fail, and a TRACED function that is
+# gone (which perfbench would count as zero calls) fails the first check.
 set -e
 out="${TMPDIR:-/tmp}"
 PYTHONPATH=src:perfbench python3 -c 'import importlib, trace_child; missing = [f"{m}.{f}" for m, f in trace_child.TRACED if not hasattr(importlib.import_module(f"arithgroups.{m}"), f)]; assert not missing, f"perfbench traces functions the tree lacks: {missing}"'

@@ -87,15 +87,26 @@ def builtin_group(name):
     return SIntegerGroup(gens, label=name)
 
 
-def load_field(spec, catalog_path=None):
-    """Resolve a field alias or read it from a catalog file."""
+def resolve_field(spec, catalog_path=None):
+    """(name, min-poly coefficients, build) for a field alias or catalog name.
+
+    A catalog file is read, and its fields built and so validated, first.  A
+    built-in alias is built only when build() is called, so a caller that
+    needs just the name and coefficients (a cache key) loads no numberfield.
+    """
     if catalog_path:
         catalog = read_field_catalog(catalog_path)
         if spec in catalog:
-            return catalog[spec]
+            K = catalog[spec]
+            return K.name, K.min_poly.coeffs, lambda: K
     if spec in _BUILTIN_FIELD_RECORDS:
-        return builtin_field(spec)
+        return spec, _BUILTIN_FIELD_RECORDS[spec][0], lambda: builtin_field(spec)
     raise KeyError(f"unknown field {spec!r}; aliases: {', '.join(field_aliases())}")
+
+
+def load_field(spec, catalog_path=None):
+    """Resolve a field alias or read it from a catalog file."""
+    return resolve_field(spec, catalog_path)[2]()
 
 
 def load_group(spec):

@@ -18,7 +18,14 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .catalog import DEFAULT_CAP, field_aliases, group_aliases, load_field, load_group
+from .catalog import (
+    DEFAULT_CAP,
+    field_aliases,
+    group_aliases,
+    load_field,
+    load_group,
+    resolve_field,
+)
 from .errors import DomainError, UsageError, write_user_file
 from .matrix import Mat
 from .report import ScanCache, jsonable, render_report
@@ -159,10 +166,10 @@ def emit(payload, cfg, out_path=None):
 
 @functools.cache
 def source_digest():
-    """sha256 of the package's own .py and .c sources, so a code change misses old entries."""
+    """sha256 of the package's own .py sources, so a code change misses old entries."""
     digest = hashlib.sha256()
     package = os.path.dirname(os.path.abspath(__file__))
-    for name in sorted(f for f in os.listdir(package) if f.endswith((".py", ".c"))):
+    for name in sorted(f for f in os.listdir(package) if f.endswith(".py")):
         digest.update(name.encode() + b"\x00")
         with open(os.path.join(package, name), "rb") as fh:
             digest.update(fh.read())
@@ -204,14 +211,14 @@ def cmd_nf_factor(args, cfg):
 
 
 def cmd_nf_chebotarev(args, cfg):
-    K = load_field(args.field, cfg.catalog)
+    name, coeffs, build = resolve_field(args.field, cfg.catalog)
 
     def compute():
         from .numberfield import chebotarev_scan
 
-        return jsonable(chebotarev_scan(K, args.bound))
+        return jsonable(chebotarev_scan(build(), args.bound))
 
-    canonical = f"{K.name}|{','.join(str(c) for c in K.min_poly.coeffs)}|X={args.bound}"
+    canonical = f"{name}|{','.join(str(c) for c in coeffs)}|X={args.bound}"
     cached_scan(cfg, "nf-chebotarev", canonical, compute, args.out)
 
 
@@ -365,7 +372,7 @@ def cmd_cong_oneforall(args, cfg):
     def compute():
         from .congruence import one_for_all_scan
 
-        rows = one_for_all_scan(2, sets, cfg.pmax, bad_set=bad, cap=cfg.cap)
+        rows = one_for_all_scan(sets, cfg.pmax, bad_set=bad, cap=cfg.cap)
         return {"pmax": cfg.pmax, "bad_set": sorted(bad), "rows": jsonable(rows)}
 
     canonical = (

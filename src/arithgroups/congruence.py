@@ -604,7 +604,7 @@ class OneForAllRow:
     witnesses_implication: bool
 
 
-def one_for_all_scan(n, sample_sets, prime_bound, bad_set=frozenset(), cap=DEFAULT_CAP):
+def one_for_all_scan(sample_sets, prime_bound, bad_set=frozenset(), cap=DEFAULT_CAP):
     """For each sample set, the primes p <= bound where its image generates.
 
     A set witnesses the one-for-all implication when it generates at some

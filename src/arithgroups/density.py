@@ -121,6 +121,28 @@ def _unipotent_flats(elements, n, p):
     return out
 
 
+def _generated_subgroup(candidates, n, p, cap):
+    """Closure of the candidate flats mod p, keeping its elements up to cap.
+
+    A candidate becomes a generator only when it lies outside the subgroup
+    closed so far, which is then re-closed: the Schreier-style rule of
+    quasisimple_check.  By Lagrange each addition at least doubles the
+    subgroup, so at most log2 |H| candidates are closed over, not all of them.
+    """
+    ident = flat_identity(n, p)
+    gens = []
+    members = {ident}
+    closure = None
+    for flat in candidates:
+        if flat not in members:
+            gens.append(flat)
+            closure = bfs_closure_flat(gens, n, p, cap=cap, element_cap=cap)
+            if closure.truncated:
+                break
+            members = set(closure.elements)
+    return closure or bfs_closure_flat([ident], n, p, cap=cap, element_cap=cap)
+
+
 def gamma_plus(closure):
     """Subgroup generated by all unipotent elements of a finite closure."""
     p = closure.modulus
@@ -130,11 +152,7 @@ def gamma_plus(closure):
     if closure.elements is None:
         raise Truncated("gamma_plus needs the full element set")
     unip = _unipotent_flats(closure.elements, closure.n, p)
-    if not unip:
-        return bfs_closure_flat([flat_identity(closure.n, p)], closure.n, p,
-                                cap=closure.order + 1, element_cap=closure.order + 1)
-    return bfs_closure_flat(unip, closure.n, p, cap=closure.order + 1,
-                            element_cap=closure.order + 1)
+    return _generated_subgroup(unip, closure.n, p, closure.order + 1)
 
 
 def unipotent_closure_subgroup(gens, max_word_len=4, cap=DEFAULT_CAP):
@@ -173,9 +191,7 @@ def unipotent_closure_subgroup(gens, max_word_len=4, cap=DEFAULT_CAP):
         X = OneParamSubgroup.from_matrix(g)
         for t in range(p):
             points.add(one_param_point(X, t).flat())
-    if not points:
-        points = {flat_identity(n, p)}
-    return bfs_closure_flat(sorted(points), n, p, cap=cap, element_cap=cap)
+    return _generated_subgroup(sorted(points), n, p, cap)
 
 
 def _symmetrized(gens):

@@ -142,11 +142,11 @@ def test_cache_key_tracks_source_digest(capfd, tmp_path, monkeypatch):
 def test_source_digest_covers_the_kernel_source(tmp_path, monkeypatch):
     copy = tmp_path / "arithgroups"
     shutil.copytree(Path(cli.__file__).parent, copy,
-                    ignore=shutil.ignore_patterns("__pycache__", "*.so"))
+                    ignore=shutil.ignore_patterns("__pycache__"))
     monkeypatch.setattr(cli, "__file__", str(copy / "cli.py"))
     before = cli.source_digest.__wrapped__()
-    with open(copy / "_closure.c", "a", encoding="utf-8") as fh:
-        fh.write("/* an edit to the kernel */\n")
+    with open(copy / "closure.py", "a", encoding="utf-8") as fh:
+        fh.write("# an edit to the closure engine\n")
     assert cli.source_digest.__wrapped__() != before
 
 

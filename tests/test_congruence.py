@@ -208,7 +208,6 @@ def test_one_for_all_scan():
     ident = SIntegerGroup([Mat.identity(QQ, 2)], label="identity")
     single = builtin_group("transvection")
     rows = one_for_all_scan(
-        2,
         [("sanov", sanov), ("identity", ident), ("transvection", single)],
         31,
         bad_set={2},

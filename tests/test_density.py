@@ -12,6 +12,7 @@ from arithgroups.closure import run_closure
 from arithgroups.congruence import (
     SIntegerGroup,
     bfs_closure,
+    bfs_closure_flat,
     elementary_generators_sl,
     order_sl,
     reduce_generators,
@@ -21,6 +22,7 @@ from arithgroups.density import (
     INCONCLUSIVE,
     NOT_DENSE,
     OneParamSubgroup,
+    _generated_subgroup,
     ad_span,
     density_verdict,
     gamma_plus,
@@ -105,6 +107,19 @@ def test_gamma_plus_of_diagonal_group_is_trivial():
     assert c.order == 6                   # cyclic of order p-1
     gp = gamma_plus(c)
     assert gp.order == 1
+
+
+@pytest.mark.parametrize("n,p", [(2, 5), (2, 7), (3, 2)])
+def test_generated_subgroup_matches_closing_over_every_candidate(n, p):
+    rng = random.Random(n * 100 + p)
+    pool = bfs_closure(elementary_generators_sl(n, p)).elements
+    for _ in range(20):
+        candidates = rng.sample(pool, rng.randint(1, 6))
+        for cap in (len(pool), 10):
+            want = bfs_closure_flat(candidates, n, p, cap=cap, element_cap=cap)
+            got = _generated_subgroup(candidates, n, p, cap)
+            assert (got.order, got.truncated, got.elements) == (
+                want.order, want.truncated, want.elements)
 
 
 def test_unipotent_closure_examples():

@@ -16,8 +16,6 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 COMPUTE_MODULES = {
     "arithgroups.closure",
-    "arithgroups.closure_py",
-    "arithgroups._closure",
     "arithgroups.congruence",
     "arithgroups.density",
     "arithgroups.groups",
@@ -60,12 +58,23 @@ def test_version_loads_no_compute_module(tmp_path):
     assert not modules & COMPUTE_MODULES
 
 
-def test_warm_cache_hit_loads_no_compute_module(tmp_path):
-    argv = ("cong", "scan", "--group", "sanov", "--pmax", "31",
-            "--cache-dir", str(tmp_path / "cache"))
+def assert_warm_hit_loads_no_compute_module(tmp_path, argv, computing_module):
     cold_out, cold_modules = loaded_modules(tmp_path, *argv)
-    assert "arithgroups.congruence" in cold_modules      # the miss computed the scan
+    assert computing_module in cold_modules      # the miss computed the scan
     warm_out, warm_modules = loaded_modules(tmp_path, *argv)
     assert warm_out == cold_out
     assert {"arithgroups.catalog", "arithgroups.report"} <= warm_modules
     assert not warm_modules & COMPUTE_MODULES
+
+
+def test_warm_cache_hit_loads_no_compute_module(tmp_path):
+    argv = ("cong", "scan", "--group", "sanov", "--pmax", "31",
+            "--cache-dir", str(tmp_path / "cache"))
+    assert_warm_hit_loads_no_compute_module(tmp_path, argv, "arithgroups.congruence")
+
+
+def test_warm_chebotarev_hit_on_a_field_alias_loads_no_compute_module(tmp_path):
+    # the cache key comes from the alias's catalog record, not from a built field
+    argv = ("nf", "chebotarev", "--field", "qi", "--bound", "10000",
+            "--cache-dir", str(tmp_path / "cache"))
+    assert_warm_hit_loads_no_compute_module(tmp_path, argv, "arithgroups.numberfield")

@@ -26,7 +26,7 @@ from .catalog import (
     load_group,
     resolve_field,
 )
-from .errors import DomainError, UsageError, write_user_file
+from .errors import DomainError, UsageError, read_user_file, write_user_file
 from .matrix import Mat
 from .report import ScanCache, jsonable, render_report
 from .rings import QQ
@@ -83,39 +83,43 @@ class RunConfig:
         return self
 
 
+# config file key (and argparse dest of the option) -> RunConfig attribute
+CONFIG_KEYS = {"pmax": "pmax", "exp": "exp", "cap": "cap", "maxlen": "maxlen",
+               "format": "fmt", "catalog": "catalog", "cache_dir": "cache_dir"}
+INT_CONFIG_KEYS = ("pmax", "exp", "cap", "maxlen")
+
+
 def load_config_file(path):
+    """The key=value pairs of a config file; UsageError naming the file and line otherwise."""
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
+    for number, raw in enumerate(read_user_file(path, "config file"), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, val = (x.strip() for x in line.partition("="))
+        where = f"config file {path} line {number}"
+        if not eq or key not in CONFIG_KEYS:
+            raise UsageError(f"{where}: expected key=value with key one of "
+                             f"{', '.join(CONFIG_KEYS)}, got {line!r}")
+        if key in INT_CONFIG_KEYS:
+            try:
+                val = positive_int(val)
+            except (ValueError, argparse.ArgumentTypeError):
+                raise UsageError(f"{where}: {key} must be a positive integer, got {val!r}") from None
+        values[key] = val
     return values
 
 
 def build_config(args):
     cfg = RunConfig()
     if getattr(args, "config", None):
-        values = load_config_file(args.config)
-        for key in ("pmax", "exp", "cap", "maxlen"):
-            if key in values:
-                setattr(cfg, key, int(values[key]))
-        if "format" in values:
-            cfg.fmt = values["format"]
-        if "catalog" in values:
-            cfg.catalog = values["catalog"]
-        if "cache_dir" in values:
-            cfg.cache_dir = values["cache_dir"]
+        for key, val in load_config_file(args.config).items():
+            setattr(cfg, CONFIG_KEYS[key], val)
     env_cache = os.environ.get("ARITHGROUPS_CACHE_DIR")
     if env_cache:
         cfg.cache_dir = cfg.cache_dir or env_cache
-    for key, attr in (
-        ("pmax", "pmax"), ("exp", "exp"), ("cap", "cap"), ("maxlen", "maxlen"),
-        ("format", "fmt"), ("catalog", "catalog"), ("cache_dir", "cache_dir"),
-    ):
-        val = getattr(args, key.replace("-", "_"), None)
+    for key, attr in CONFIG_KEYS.items():
+        val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, attr, val)
     return cfg.validate()
@@ -367,7 +371,7 @@ def cmd_cong_oneforall(args, cfg):
     for spec in args.group:
         G = load_group(spec)
         sets.append((G.label, G))
-    bad = frozenset(int(x) for x in args.bad.split(",")) if args.bad else frozenset()
+    bad = frozenset(args.bad or ())
 
     def compute():
         from .congruence import one_for_all_scan
@@ -506,7 +510,7 @@ def build_parser():
                    help="repeatable: alias or generator file")
     p.add_argument("--pmax", type=positive_int, default=None)
     p.add_argument("--cap", type=positive_int, default=None)
-    p.add_argument("--bad", default=None, help="comma-separated bad prime set")
+    p.add_argument("--bad", type=int_list_arg, default=None, help="comma-separated bad prime set")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_cong_oneforall)
 

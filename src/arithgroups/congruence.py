@@ -177,9 +177,18 @@ def _chain_order(gens, n, r, cap):
     product of the current orbit lengths is a lower bound on |G| at every
     step: the count stops once it passes cap, so truncated holds exactly when
     |G| > cap, as for run_closure.
+
+    G lies in {g : det g in D} for D the subgroup of (Z/r)^* its generators'
+    determinants generate, and det maps GL_n(Z/r) onto (Z/r)^* with kernel
+    SL_n(Z/r), so |G| <= |SL_n(Z/r)| * |D|.  Once the lower bound meets that
+    upper bound after a grow, |G| is known and no more Schreier generators are
+    formed: at a prime where SL_2(Z) is onto, none is formed at all.
     """
     ident = flat_identity(n, r)
     gens = list(dict.fromkeys(g for g in gens if g != ident))
+    ring = IntegersMod(r) if gens else None      # r >= 2 whenever a generator is not I
+    dets = {Mat(ring, [g[i:i + n] for i in range(0, n * n, n)]).det() for g in gens}
+    bound = _sl_order(n, r) * _unit_subgroup_order(dets, r)
     fixers = [sum(g[i * n:(i + 1) * n] == ident[i * n:(i + 1) * n] for g in gens)
               for i in range(n)]
     base = sorted(range(n), key=lambda i: (-fixers[i], i))
@@ -187,7 +196,7 @@ def _chain_order(gens, n, r, cap):
 
     def join(h, first, last):
         """Give levels first..last the generator h."""
-        h_inv = Mat(IntegersMod(r), [h[i:i + n] for i in range(0, n * n, n)]).inverse().flat()
+        h_inv = Mat(ring, [h[i:i + n] for i in range(0, n * n, n)]).inverse().flat()
         for level in levels[first:last + 1]:
             level.add_generator(h, h_inv)
 
@@ -199,12 +208,15 @@ def _chain_order(gens, n, r, cap):
                 return False
         return True
 
+    def orbits():
+        return prod(len(x.points) for x in levels)
+
     for g in gens:      # each joins every level up to the first whose base point it moves
         join(g, 0, next(i for i, x in enumerate(levels) if x.point(g) != x.points[0]))
     if not grow(0, n - 1):
         return cap + 1, True
     last = levels[-1]
-    i = n - 2
+    i = n - 2 if orbits() < bound else -1
     while i >= 0:
         h = levels[i].next_schreier()
         if h is None:
@@ -222,8 +234,21 @@ def _chain_order(gens, n, r, cap):
         join(h, i + 1, j)
         if not grow(i + 1, j):
             return cap + 1, True
-        i = min(j, n - 2)
-    return prod(len(x.points) for x in levels), False
+        i = min(j, n - 2) if orbits() < bound else -1
+    return orbits(), False
+
+
+def _unit_subgroup_order(units, r):
+    """|<units>| in (Z/r)^*: the units closed under multiplication mod r."""
+    seen = [1 % r]
+    index = set(seen)
+    for x in seen:              # grows while it is walked
+        for u in units:
+            y = x * u % r
+            if y not in index:
+                index.add(y)
+                seen.append(y)
+    return len(seen)
 
 
 def _row_action(g, n, r):
@@ -469,17 +494,20 @@ class _KernelSifter:
 
 
 def order_sl(n, m):
-    """|SL_n(Z/m)|, multiplicative over the prime powers of m.
-
-    For a prime power p^k the order is p^((k-1)(n^2-1)) * |SL_n(F_p)| with
-    |SL_n(F_p)| = p^(n(n-1)/2) * prod_{i=2..n} (p^i - 1).
-    """
+    """|SL_n(Z/m)| for 2 <= n <= 4 and 1 <= m <= 10^6; OutOfRange outside them."""
     if not 2 <= n <= 4:
         raise OutOfRange(f"order formula kept to 2 <= n <= 4 at desk scale, got n={n}")
     if not 1 <= m <= 10 ** 6:
         raise OutOfRange(f"modulus must lie in 1..10^6, got {m}")
-    if m == 1:
-        return 1
+    return _sl_order(n, m)
+
+
+def _sl_order(n, m):
+    """|SL_n(Z/m)| for any n >= 1 and m >= 1, multiplicative over the prime powers of m.
+
+    For a prime power p^k the order is p^((k-1)(n^2-1)) * |SL_n(F_p)| with
+    |SL_n(F_p)| = p^(n(n-1)/2) * prod_{i=2..n} (p^i - 1).
+    """
     total = 1
     for p, k in factorint(m):
         base = p ** (n * (n - 1) // 2)

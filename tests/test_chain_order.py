@@ -3,7 +3,9 @@
 ``congruence._chain_order`` must give exactly the (order, truncated) pair the
 breadth-first closure gives: on random generator sets over Z/m, squarefree
 or not, at caps that do and do not truncate, and on the named cases where
-the base order, the cap or a trivial group matters.
+the base order, the cap or a trivial group matters.  The chain stops once
+its orbits reach |SL_n(Z/r)| * |<det g_i>|; the named cases cover groups that
+reach that bound, groups that never do, and the edge cases of the bound.
 """
 
 from math import gcd
@@ -14,6 +16,7 @@ from arithgroups.catalog import builtin_group
 from arithgroups.closure import run_closure
 from arithgroups.congruence import (
     DEFAULT_CAP,
+    _BasicOrbit,
     _chain_order,
     flat_identity,
     order_sl,
@@ -96,3 +99,73 @@ def test_trivial_group(n, m):
     want = run_closure([ident], n, m, 10, False)[:2]
     assert _chain_order([ident], n, m, 10) == want == (1, False)
     assert _chain_order([ident], n, m, 1) == (1, False)
+
+
+def flat_gens(alias, m):
+    return [g.flat() for g in reduce_generators(builtin_group(alias), m)]
+
+
+def closure_order(gens, n, m, cap=DEFAULT_CAP):
+    return run_closure(gens, n, m, cap, False)[:2]
+
+
+@pytest.fixture
+def schreier_calls(monkeypatch):
+    """A list that gains one entry per _BasicOrbit.next_schreier call."""
+    calls = []
+    real = _BasicOrbit.next_schreier
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(_BasicOrbit, "next_schreier", counted)
+    return calls
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_sl2z_meets_the_bound_at_the_first_grow(p, schreier_calls):
+    gens = flat_gens("sl2z", p)
+    assert _chain_order(gens, 2, p, DEFAULT_CAP) == closure_order(gens, 2, p) == (order_sl(2, p), False)
+    assert schreier_calls == []
+
+
+def test_sl2z_mod_47_forms_no_schreier_generator(schreier_calls):
+    gens = flat_gens("sl2z", 47)
+    assert _chain_order(gens, 2, 47, 10 ** 12) == (order_sl(2, 47), False) == (103776, False)
+    assert schreier_calls == []
+
+
+@pytest.mark.parametrize("gens, p, want", [
+    ([(1, 1, 0, 1), (0, 6, 1, 0), (3, 0, 0, 1)], 7, 2016),
+    # the orbits multiply to |SL_2(F_3)| = 24 at a check, before G is counted in full
+    ([(1, 0, 1, 1), (0, 2, 2, 2)], 3, 48),
+], ids=["mod7", "mod3"])
+def test_determinants_widen_the_bound(gens, p, want):
+    # the determinants generate (Z/p)^*, so the bound is |GL_2(F_p)|, not |SL_2(F_p)|
+    assert _chain_order(gens, 2, p, DEFAULT_CAP) == closure_order(gens, 2, p) == (want, False)
+
+
+@pytest.mark.parametrize("gens, n, m, want", [
+    ([(3,)], 1, 7, 6),                          # SL_1 is trivial: G = <det g_i> = (Z/7)^*
+    ([(0, 0, 0, 0)], 2, 1, 1),
+    ("sl2z", 2, 30, order_sl(2, 30)),           # composite squarefree
+    ("sl2z", 2, 9, order_sl(2, 9)),             # a chain over Z/9, with no filtration
+    # I + E_01 in GL_5 and an element of order 4 mod 1000003: past order_sl's range, no OutOfRange
+    ([tuple(int(i == j or (i, j) == (0, 1)) for i in range(5) for j in range(5))], 5, 3, 3),
+    ([(0, 1000002, 1, 0)], 2, 1000003, 4),
+], ids=["n1", "r1", "r30", "m9", "n5", "r1000003"])
+def test_bound_edge_cases(gens, n, m, want):
+    if isinstance(gens, str):
+        gens = flat_gens(gens, m)
+    assert _chain_order(gens, n, m, DEFAULT_CAP) == closure_order(gens, n, m) == (want, False)
+
+
+@pytest.mark.parametrize("alias, p", [("sanov", 2), ("transvection", 13)])
+def test_groups_below_the_bound(alias, p, schreier_calls):
+    gens = flat_gens(alias, p)
+    order, truncated = _chain_order(gens, 2, p, DEFAULT_CAP)
+    assert (order, truncated) == closure_order(gens, 2, p)
+    assert not truncated and order < order_sl(2, p)
+    if alias == "transvection":         # the chain still forms and sifts Schreier generators
+        assert schreier_calls

@@ -174,6 +174,21 @@ def test_config_validation(capfd, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("text, line", [
+    ("pmx=7\n", 1),                 # a misspelt key would otherwise run the default pmax
+    ("# comment\n\npmax\n", 3),     # no '='
+    ("format=text\ncap=abc\n", 2),  # not an integer
+    ("maxlen=0\n", 1),              # --maxlen 0 is a usage error too
+], ids=["unknown-key", "no-equals", "not-an-integer", "not-positive"])
+def test_malformed_config_line_is_a_usage_error(capfd, tmp_path, text, line):
+    cfg = tmp_path / "typo.conf"
+    cfg.write_text(text)
+    code, out, err = run(capfd, "cong", "scan", "--group", "sanov", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith(f"usage error: config file {cfg} line {line}: "), err
+    assert "Traceback" not in err
+
+
 def test_group_file_loading(capfd, tmp_path):
     gfile = tmp_path / "halfgroup.gens"
     gfile.write_text("1 1/2\n0 1\n\n1 0\n1 1\n")
@@ -264,6 +279,20 @@ def test_oneforall_cli(capfd):
     rows = {r["label"]: r for r in payload["rows"]}
     assert rows["sanov"]["witnesses_implication"] is True
     assert rows["transvection"]["witnesses_implication"] is False
+
+
+@pytest.mark.parametrize("bad", ["x", "2,,3"])
+def test_oneforall_malformed_bad_set_is_a_usage_error(capfd, bad):
+    code, out, err = run(capfd, "cong", "oneforall", "--group", "sanov", "--pmax", "7", "--bad", bad)
+    assert code == 2 and out == ""
+    assert "argument --bad: expected comma-separated integers" in err
+    assert "Traceback" not in err
+
+
+def test_oneforall_omitted_bad_set_is_empty(capfd):
+    code, out, _ = run(capfd, "cong", "oneforall", "--group", "sanov", "--pmax", "7")
+    assert code == 0
+    assert json.loads(out)["bad_set"] == []
 
 
 def test_catalog_file_flag(capfd, tmp_path):

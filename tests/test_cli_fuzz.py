@@ -1,12 +1,13 @@
 """Fuzz the CLI contract over the cached commands and `cong image`.
 
-For any aliases, small 2x2 and 3x3 generator files (singular and malformed
-ones included), small --pmax/--cap/--maxlen/--bound/--mod values and either
---format:
+For any aliases, small 2x2, 3x3 and 4x4 generator files (singular and
+malformed ones included), small --pmax/--cap/--maxlen/--bound/--mod values,
+valid and malformed --bad sets and --config files, and either --format:
 
 - the exit code is 0, 1 or 2, and stderr never holds a traceback;
-- `density check` and `lubotzky scan` on a 3x3 group exit 1 with
-  UnsupportedDimension;
+- a malformed --bad set or config file is a usage error (exit 2);
+- otherwise `density check` and `lubotzky scan` on a group with n >= 3 exit 1
+  with UnsupportedDimension;
 - a run with no cache, a cold run into a fresh cache directory and a warm run
   from it give the same stdout, stderr and exit code.
 """
@@ -50,15 +51,25 @@ def matrix_files(n):
     matrix = st.lists(st.sampled_from(ENTRIES), min_size=n * n, max_size=n * n)
     if n == 3:      # most random 3x3 matrices are singular mod S: draw det-1 ones too
         matrix = st.one_of(matrix, matrix.map(lambda e: _unitriangular(3, e)))
+    elif n == 4:    # det 1 only, so that the chain runs at n = 4
+        matrix = matrix.map(lambda e: _unitriangular(4, e))
     return st.lists(matrix, min_size=1, max_size=2).map(
         lambda ms: "\n".join(_matrix_text(n, e) for e in ms))
 
 
-generator_files = st.one_of(matrix_files(2), matrix_files(3), st.sampled_from(MALFORMED))
+generator_files = st.one_of(matrix_files(2), matrix_files(3), matrix_files(4),
+                            st.sampled_from(MALFORMED))
 # a group is an alias, or None for the generated file
 groups = st.one_of(st.sampled_from(group_aliases()), st.none())
 pmaxes = st.integers(1, 13).map(str)          # --pmax 1 is a usage error
 limits = st.integers(1, 2000).map(str)         # --cap and --bound
+GOOD_BAD_SETS = ("2", "2,3", "3,5,7")
+MALFORMED_BAD_SETS = ("x", "2,,3", "", "1.5")
+GOOD_CONFIGS = ("pmax=7\n", "# scan settings\n\ncap=500\n", "format=text\n", "maxlen = 2\nexp=1\n")
+# lines that do not parse; a value such as format=yaml can be overridden by an option
+MALFORMED_CONFIGS = ("pmx=7\n", "pmax\n", "=7\n", "cap=abc\n")
+# a config is None (no --config) or its file's text
+configs = st.one_of(st.none(), st.sampled_from(GOOD_CONFIGS + MALFORMED_CONFIGS))
 
 
 @st.composite
@@ -74,7 +85,8 @@ def commands(draw):
                 "--cap", draw(limits)]
     elif kind == "oneforall":
         argv = ["cong", "oneforall", "--group", group, "--group", draw(st.sampled_from(group_aliases())),
-                "--pmax", draw(pmaxes), "--cap", draw(limits), "--bad", "2"]
+                "--pmax", draw(pmaxes), "--cap", draw(limits),
+                "--bad", draw(st.sampled_from(GOOD_BAD_SETS + MALFORMED_BAD_SETS))]
     elif kind == "lubotzky":
         argv = ["lubotzky", "scan", "--group", group, "--pmax", draw(pmaxes),
                 "--cap", draw(limits)]
@@ -109,21 +121,30 @@ def group_size(spec):
 
 
 @hypothesis.settings(max_examples=100, deadline=None)
-@hypothesis.given(commands(), generator_files)
-def test_cli_contract_holds_with_and_without_the_cache(argv, gens_text):
+@hypothesis.given(commands(), generator_files, configs)
+def test_cli_contract_holds_with_and_without_the_cache(argv, gens_text, config_text):
     with tempfile.TemporaryDirectory() as work:
         gfile = os.path.join(work, "drawn.gens")
         with open(gfile, "w", encoding="utf-8") as fh:
             fh.write(gens_text)
         argv = [gfile if a is None else a for a in argv]
+        if config_text is not None:
+            cfile = os.path.join(work, "drawn.conf")
+            with open(cfile, "w", encoding="utf-8") as fh:
+                fh.write(config_text)
+            argv += ["--config", cfile]
         uncached = run_cli(argv)
         code, _, err = uncached
         n = group_size(argv[3]) if argv[2] == "--group" else None
         hypothesis.event(f"{argv[0]} {argv[1]}, n={n}: exit {code}")
         assert code in (0, 1, 2), err
         assert "Traceback" not in err
+        malformed = (config_text in MALFORMED_CONFIGS
+                     or "--bad" in argv and argv[argv.index("--bad") + 1] in MALFORMED_BAD_SETS)
+        if malformed:
+            assert code == 2, err
         pmax_ok = "--pmax" not in argv or argv[argv.index("--pmax") + 1] != "1"
-        if argv[0] in ("density", "lubotzky") and n == 3 and pmax_ok:
+        if argv[0] in ("density", "lubotzky") and (n or 0) >= 3 and pmax_ok and not malformed:
             assert code == 1 and err.startswith("error UnsupportedDimension:"), err
         cached = argv + ["--cache-dir", os.path.join(work, "cache")]
         assert run_cli(cached) == uncached        # cold: computes and stores

@@ -26,7 +26,7 @@ from .catalog import (
     load_group,
     resolve_field,
 )
-from .errors import DomainError, UsageError, read_user_file, write_user_file
+from .errors import DomainError, OutOfRange, UsageError, read_user_file, write_user_file
 from .matrix import Mat
 from .report import ScanCache, jsonable, render_report
 from .rings import QQ
@@ -62,6 +62,10 @@ def prime_arg(text):
     return value
 
 
+# the largest pmax: order_sl's modulus range, so every prime of a scan has a target order
+MAX_PMAX = 10 ** 6
+
+
 class RunConfig:
     def __init__(self, pmax=31, exp=1, cap=DEFAULT_CAP, maxlen=8, catalog=None,
                  fmt="json", cache_dir=None):
@@ -76,6 +80,8 @@ class RunConfig:
     def validate(self):
         if self.pmax < 2:
             raise ValueError("pmax must be >= 2")
+        if self.pmax > MAX_PMAX:
+            raise OutOfRange(f"pmax must be <= 10^6, got {self.pmax}")
         if self.cap < 1:
             raise ValueError("cap must be >= 1")
         if self.fmt not in ("json", "text"):

@@ -8,8 +8,9 @@ disc(m) or when the caller asserted that the power basis is maximal.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 
-from .errors import DivisionByZero, ReducibleMinPoly, Unverified
+from .errors import DivisionByZero, OutOfRange, ReducibleMinPoly, Unverified
 from .matrix import Mat
 from .poly import (
     Poly,
@@ -20,10 +21,12 @@ from .poly import (
     poly_xgcd,
     sturm_real_root_count,
 )
-from .primes import primes_upto
+from .primes import is_prime, primes_upto
 from .rings import QQ, ExtField, IntegersMod
 
 _CERT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+# the largest chebotarev_scan bound: its sieve takes bound + 1 bytes
+MAX_BOUND = 10 ** 8
 
 
 class NumberField:
@@ -39,7 +42,7 @@ class NumberField:
             raise ValueError("minimal polynomial must be monic")
         self.min_poly = m
         self.degree = m.degree
-        self.disc = discriminant(m)
+        self.disc = int(discriminant(m))
         if self.disc == 0:
             raise ReducibleMinPoly("zero discriminant: repeated root")
         self.name = name or "Q[x]/(" + _poly_str(m) + ")"
@@ -54,26 +57,19 @@ class NumberField:
         if m.degree == 1:
             return
         # an irreducible reduction of monic m mod any good prime certifies
-        # irreducibility; tried first, as the divisor loop below costs sqrt(|c0|)
+        # irreducibility; tried first, as it is cheaper than the root search
         for p in _CERT_PRIMES:
             if self.disc % p == 0:
                 continue
             ring = IntegersMod(p)
             if is_irreducible_mod_p(Poly(ring, m.coeffs)):
                 return
-        # rational root test (monic: integer roots divide the constant term)
-        c0 = m.coeffs[0]
-        if c0 == 0:
+        # rational root test (monic: every rational root is an integer)
+        if m.coeffs[0] == 0:
             raise ReducibleMinPoly("x divides the minimal polynomial")
-        cands = set()
-        d = 1
-        while d * d <= abs(c0):
-            if c0 % d == 0:
-                cands.update({d, -d, abs(c0) // d, -(abs(c0) // d)})
-            d += 1
-        for r in cands:
-            if m.eval(r) == 0:
-                raise ReducibleMinPoly(f"rational root {r}")
+        roots = _integer_roots(m, self.disc)
+        if roots:
+            raise ReducibleMinPoly(f"rational root {roots[0]}")
         if m.degree <= 3:
             return  # no rational root proves irreducibility up to degree 3
         raise ReducibleMinPoly(
@@ -101,6 +97,33 @@ class NumberField:
 
     def __hash__(self):
         return hash(self.min_poly)
+
+
+def _integer_roots(m, disc):
+    """The integer roots, ascending, of a monic integer Poly m with disc(m) != 0.
+
+    Modulo the least prime p not dividing disc every root is simple, so each
+    lifts uniquely by Newton's method to p^k > 2 * (1 + max |c_i|), which is
+    past twice Cauchy's bound on |root|.  Every integer root is then the
+    symmetric residue of one lift, so the time is polynomial in the size of
+    the coefficients.
+    """
+    from .padics import hensel_lift
+
+    p = next(q for q in count(2) if disc % q and is_prime(q))
+    bound = 1 + max(abs(c) for c in m.coeffs[:-1])
+    k = 1
+    while p ** k <= 2 * bound:
+        k += 1
+    mod = p ** k
+    roots = []
+    for a in range(p):
+        if m.eval(a) % p == 0:
+            r = hensel_lift(m.coeffs, a, p, k)
+            r = r - mod if r > mod // 2 else r
+            if m.eval(r) == 0:
+                roots.append(r)
+    return sorted(roots)
 
 
 class NFElement:
@@ -258,10 +281,21 @@ def _frobenius_residue(m, p):
 def is_split(K, p):
     """True when (p) splits completely: d distinct factors with e = f = 1.
 
-    For p not dividing disc(m) this is the Frobenius test x^p == x (mod m, p),
-    i.e. m divides x^p - x mod p; otherwise it reads the Dedekind factorization.
+    For odd p not dividing disc(m), Stickelberger's theorem gives
+    (disc(m)/p) = (-1)^(d - r), with r the number of irreducible factors of
+    m mod p.  Complete splitting needs r = d, so a non-square disc(m) mod p
+    proves p not split, and at d <= 2 a square proves it split.  The primes
+    the character leaves open, and p = 2, take the Frobenius test
+    x^p == x (mod m, p), i.e. m divides x^p - x mod p.  A p dividing disc(m)
+    reads the Dedekind factorization.
     """
-    if K.disc % p != 0:
+    disc = K.disc  # an int, so the three-argument pow applies
+    if disc % p != 0:
+        if p != 2:
+            if pow(disc % p, (p - 1) // 2, p) != 1:
+                return False
+            if K.degree <= 2:
+                return True
         m = K.min_poly.coeffs
         x = [-m[0] % p] if K.degree == 1 else [0, 1] + [0] * (K.degree - 2)
         return _frobenius_residue(m, p) == x
@@ -286,8 +320,11 @@ def chebotarev_scan(K, bound):
     """Count completely split primes p <= bound with p not dividing disc(m).
 
     The limiting ratio 1/d is a theorem only for Galois fields; scans over
-    fields not flagged Galois are marked sample_only.
+    fields not flagged Galois are marked sample_only.  A bound above
+    MAX_BOUND raises OutOfRange before the sieve is allocated.
     """
+    if bound > MAX_BOUND:
+        raise OutOfRange(f"bound must be <= 10^8, got {bound}")
     split = 0
     total = 0
     for p in primes_upto(bound):

@@ -331,6 +331,50 @@ def test_argument_range_is_a_usage_error(capfd, argv):
     assert err.startswith("usage error:") and "Traceback" not in err
 
 
+@pytest.fixture
+def no_sieve(monkeypatch):
+    """Fail any scan that gets as far as sieving its primes."""
+    from arithgroups import congruence, density, numberfield
+
+    def refuse(n):
+        raise AssertionError(f"sieve of {n} allocated")
+
+    for module in (congruence, density, numberfield):
+        monkeypatch.setattr(module, "primes_upto", refuse)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("nf", "chebotarev", "--field", "qi", "--bound", "10000000000"), "bound must be <= 10^8"),
+    (("nf", "chebotarev", "--field", "qi", "--bound", "100000001"), "bound must be <= 10^8"),
+    (("cong", "scan", "--group", "sl2z", "--pmax", "10000000000"), "pmax must be <= 10^6"),
+    (("cong", "scan", "--group", "sl2z", "--pmax", "1000001"), "pmax must be <= 10^6"),
+    (("cong", "oneforall", "--group", "sanov", "--pmax", "1000001"), "pmax must be <= 10^6"),
+    (("lubotzky", "scan", "--group", "sanov", "--pmax", "1000001"), "pmax must be <= 10^6"),
+])
+def test_huge_scan_range_is_a_usage_error(capfd, no_sieve, argv, message):
+    code, out, err = run(capfd, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: " + message), err
+
+
+def test_huge_pmax_in_config_is_a_usage_error(capfd, no_sieve, tmp_path):
+    cfg = tmp_path / "big.conf"
+    cfg.write_text("pmax=10000000000\n")
+    code, out, err = run(capfd, "cong", "scan", "--group", "sl2z", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: pmax must be <= 10^6"), err
+
+
+def test_scan_range_limits_are_inclusive(monkeypatch):
+    from arithgroups import numberfield
+    from arithgroups.catalog import builtin_field
+
+    assert cli.RunConfig(pmax=cli.MAX_PMAX).validate().pmax == 10 ** 6
+    monkeypatch.setattr(numberfield, "primes_upto", lambda n: [])
+    rep = numberfield.chebotarev_scan(builtin_field("qi"), numberfield.MAX_BOUND)
+    assert (rep.bound, rep.total) == (10 ** 8, 0)
+
+
 def test_lubotzky_scan_rejects_non_sl2_group(capfd, tmp_path):
     gfile = tmp_path / "sl3.gens"
     gfile.write_text("1 1 0\n0 1 0\n0 0 1\n\n1 0 0\n0 1 1\n0 0 1\n")

@@ -1,8 +1,10 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from arithgroups import numberfield
 from arithgroups.catalog import builtin_field, field_aliases
 from arithgroups.errors import DivisionByZero, ReducibleMinPoly, Unverified
 from arithgroups.matrix import Mat
@@ -17,7 +19,7 @@ from arithgroups.numberfield import (
     regular_representation,
     residue_field,
 )
-from arithgroups.poly import Poly, is_irreducible_mod_p
+from arithgroups.poly import Poly, discriminant, factor_poly_mod_p, is_irreducible_mod_p
 from arithgroups.primes import primes_upto
 from arithgroups.rings import QQ, ExtField, IntegersMod
 
@@ -256,10 +258,102 @@ def test_min_poly_irreducibility_accepts_catalog(catalog):
 
 
 def test_large_constant_term_builds_through_the_certificate():
-    # an irreducible reduction mod a small prime settles these without trial
-    # division of c0, which would take time in sqrt(|c0|)
+    # an irreducible reduction mod a small prime settles these before any
+    # search for an integer root
     assert NumberField((10 ** 14 + 1, 0, 1)).signature == (0, 1)
     assert NumberField((10 ** 12 + 1, 0, 1)).signature == (0, 1)
     assert NumberField((2 * 10 ** 14 + 1, 0, 0, 1)).signature == (1, 1)
     with pytest.raises(ReducibleMinPoly, match="rational root -?1000$"):
         NumberField((-10 ** 6, 0, 1))    # x^2 - 10^6 = (x - 1000)(x + 1000)
+
+
+def test_large_integer_root_is_found_fast():
+    # (x - 10^30)(x^2 + 1) is reducible mod every prime, so no certificate
+    # applies; trial division of c0 would run for about 10^15 steps
+    m = Poly(QQ, [-10 ** 30, 1]) * Poly(QQ, [1, 0, 1])
+    start = time.perf_counter()
+    with pytest.raises(ReducibleMinPoly, match=f"rational root {10 ** 30}$"):
+        NumberField(m.coeffs)
+    assert time.perf_counter() - start < 1.0
+    m = Poly(QQ, [3, 1]) * Poly(QQ, [-7, 0, 1]) * Poly(QQ, [2, 0, 0, 1])
+    with pytest.raises(ReducibleMinPoly, match="rational root -3$"):
+        NumberField(m.coeffs)    # degree 6: a rational root still decides
+
+
+def test_stickelberger_parity():
+    # (disc(m)/p) = (-1)^(d - r) for odd p not dividing disc(m), r the number
+    # of irreducible factors of m mod p: checked here apart from is_split
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    odd_primes = primes_upto(1000)[1:]
+
+    @st.composite
+    def monic_and_odd_prime(draw):
+        d = draw(st.integers(1, 6))
+        m = tuple(draw(st.lists(st.integers(-30, 30), min_size=d, max_size=d))) + (1,)
+        return m, draw(st.sampled_from(odd_primes))
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(monic_and_odd_prime())
+    def check(case):
+        m, p = case
+        d = len(m) - 1
+        disc = discriminant(Poly(QQ, m))
+        hypothesis.assume(disc % p != 0)
+        r = len(factor_poly_mod_p(Poly(IntegersMod(p), m)))
+        assert pow(disc % p, (p - 1) // 2, p) == (1 if (d - r) % 2 == 0 else p - 1)
+
+    check()
+
+
+def random_fields(seed, count):
+    rng = random.Random(seed)
+    fields = []
+    while len(fields) < count:
+        d = len(fields) % 6 + 1
+        coeffs = tuple(rng.randint(-9, 9) for _ in range(d)) + (1,)
+        try:
+            fields.append(NumberField(coeffs))
+        except ReducibleMinPoly:
+            pass
+    return fields
+
+
+def test_is_split_matches_dedekind_on_random_fields():
+    # every p <= 2000: p = 2, the ramified primes, the primes the quadratic
+    # character decides and those it leaves to the Frobenius test
+    for K in random_fields(12, 12):
+        for p in primes_upto(2000):
+            fac = factor_prime(K, p)
+            split = len(fac.factors) == K.degree and all(
+                f.e == 1 and f.f == 1 for f in fac.factors
+            )
+            assert is_split(K, p) == split, (K, p)
+
+
+def test_frobenius_test_runs_only_where_the_character_is_silent(catalog, monkeypatch):
+    calls = []
+    residue = numberfield._frobenius_residue
+    monkeypatch.setattr(numberfield, "_frobenius_residue",
+                        lambda m, p: calls.append(p) or residue(m, p))
+    primes = primes_upto(10 ** 4)
+    expected = {
+        "qi": [],
+        "qsqrt2": [],
+        # disc = -108: (-108/p) = (-3/p) = 1 exactly for p = 1 mod 3; 2 and 3 ramify
+        "qcbrt2": [p for p in primes if p % 3 == 1],
+        # disc = 125: (125/p) = (p/5) = 1 exactly for p = +-1 mod 5; and p = 2
+        "zeta5": [2] + [p for p in primes if p % 5 in (1, 4)],
+    }
+    for name, want in expected.items():
+        calls.clear()
+        chebotarev_scan(catalog[name], 10 ** 4)
+        assert calls == want, name
+
+
+def test_chebotarev_counts_at_1e5(catalog):
+    pinned = {"qi": (4783, 9591), "qsqrt2": (4783, 9591),
+              "qcbrt2": (1559, 9590), "zeta5": (2387, 9591)}
+    for name, counts in pinned.items():
+        rep = chebotarev_scan(catalog[name], 10 ** 5)
+        assert (rep.split, rep.total) == counts, name

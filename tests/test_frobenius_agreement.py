@@ -1,7 +1,9 @@
 """The plain-int Frobenius residue against the generic Poly routine.
 
 ``is_split`` decides an unramified prime by comparing x^p mod (m, p) with
-x mod m.  The helper that computes x^p on int lists must return the same d
+x mod m, but only at p = 2 and at the odd primes that the quadratic character
+of disc(m) leaves open: those where disc(m) is a square mod p and the degree
+is at least 3.  The helper that computes x^p on int lists must return the same d
 coefficients as ``Poly.pow_mod`` over GF(p) for any monic integer m, reducible
 or not, and any prime p, including p = 2, 3 and p below the degree of m.
 """

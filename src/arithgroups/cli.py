@@ -78,15 +78,21 @@ class RunConfig:
         self.cache_dir = cache_dir
 
     def validate(self):
-        if self.pmax < 2:
-            raise ValueError("pmax must be >= 2")
-        if self.pmax > MAX_PMAX:
-            raise OutOfRange(f"pmax must be <= 10^6, got {self.pmax}")
-        if self.cap < 1:
-            raise ValueError("cap must be >= 1")
-        if self.fmt not in ("json", "text"):
-            raise ValueError(f"unknown format {self.fmt!r}")
+        for attr in ("pmax", "cap", "fmt"):
+            check_setting(attr, getattr(self, attr))
         return self
+
+
+def check_setting(attr, value):
+    """ValueError when a value of a RunConfig attribute is out of range."""
+    if attr == "pmax" and value < 2:
+        raise ValueError("pmax must be >= 2")
+    if attr == "pmax" and value > MAX_PMAX:
+        raise OutOfRange(f"pmax must be <= 10^6, got {value}")
+    if attr == "cap" and value < 1:
+        raise ValueError("cap must be >= 1")
+    if attr == "fmt" and value not in ("json", "text"):
+        raise ValueError(f"unknown format {value!r}")
 
 
 # config file key (and argparse dest of the option) -> RunConfig attribute
@@ -112,6 +118,10 @@ def load_config_file(path):
                 val = positive_int(val)
             except (ValueError, argparse.ArgumentTypeError):
                 raise UsageError(f"{where}: {key} must be a positive integer, got {val!r}") from None
+        try:
+            check_setting(CONFIG_KEYS[key], val)
+        except ValueError as exc:
+            raise UsageError(f"{where}: {exc}") from None
         values[key] = val
     return values
 

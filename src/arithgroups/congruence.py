@@ -66,7 +66,8 @@ def bfs_closure(gens, cap=DEFAULT_CAP, element_cap=ELEMENT_RETENTION_CAP):
 
     gens: Mat values over IntegersMod(m), or flat tuples plus a modulus via
     bfs_closure_flat.  Elements are retained sorted (canonical order) when
-    the order stays within element_cap.
+    the order stays within element_cap; element_cap=0 keeps none, for a
+    caller that reads only the order.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -78,7 +79,7 @@ def bfs_closure(gens, cap=DEFAULT_CAP, element_cap=ELEMENT_RETENTION_CAP):
 
 
 def bfs_closure_flat(gens_flat, n, m, cap=DEFAULT_CAP, element_cap=ELEMENT_RETENTION_CAP):
-    order, truncated, elements = run_closure(list(gens_flat), n, m, cap, True)
+    order, truncated, elements = run_closure(list(gens_flat), n, m, cap, element_cap > 0)
     if elements is not None and order > element_cap:
         elements = None
     return FiniteClosure(

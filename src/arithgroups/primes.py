@@ -2,20 +2,38 @@
 
 from functools import lru_cache
 from itertools import compress
+from math import isqrt
+
+
+# integers sieved at a time: wide enough that the per-window loop over the
+# sieving primes costs little at 10^7, small beside a scan's other memory
+WINDOW = 1 << 18
+
+
+def iter_primes(n):
+    """The primes <= n, ascending, sieved one WINDOW of integers at a time.
+
+    Memory stays at one window of bytes and the primes up to sqrt(n), so a
+    caller that only iterates never holds all the primes up to n.
+    """
+    if n < 2:
+        return
+    base = list(iter_primes(isqrt(n)))
+    for lo in range(2, n + 1, WINDOW):
+        hi = min(lo + WINDOW, n + 1)
+        sieve = bytearray([1]) * (hi - lo)
+        for p in base:
+            if p * p >= hi:
+                break
+            start = max(p * p, -(-lo // p) * p)  # the first multiple to strike
+            if start < hi:
+                sieve[start - lo :: p] = bytes((hi - 1 - start) // p + 1)
+        yield from compress(range(lo, hi), sieve)
 
 
 def primes_upto(n):
-    """All primes <= n, ascending (simple sieve)."""
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    p = 2
-    while p * p <= n:
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-        p += 1
-    return list(compress(range(n + 1), sieve))
+    """All primes <= n, ascending, as a list."""
+    return list(iter_primes(n))
 
 
 def is_prime(n):

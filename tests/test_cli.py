@@ -179,7 +179,11 @@ def test_config_validation(capfd, tmp_path):
     ("# comment\n\npmax\n", 3),     # no '='
     ("format=text\ncap=abc\n", 2),  # not an integer
     ("maxlen=0\n", 1),              # --maxlen 0 is a usage error too
-], ids=["unknown-key", "no-equals", "not-an-integer", "not-positive"])
+    ("pmax=1\n", 1),                # range checks name the line too
+    ("cap=5\npmax=10000000000\n", 2),
+    ("# report\nformat=xml\n", 2),
+], ids=["unknown-key", "no-equals", "not-an-integer", "not-positive",
+        "pmax-below-2", "pmax-above-1e6", "unknown-format"])
 def test_malformed_config_line_is_a_usage_error(capfd, tmp_path, text, line):
     cfg = tmp_path / "typo.conf"
     cfg.write_text(text)
@@ -339,8 +343,9 @@ def no_sieve(monkeypatch):
     def refuse(n):
         raise AssertionError(f"sieve of {n} allocated")
 
-    for module in (congruence, density, numberfield):
-        monkeypatch.setattr(module, "primes_upto", refuse)
+    for module, sieve in ((congruence, "primes_upto"), (density, "primes_upto"),
+                          (numberfield, "iter_primes")):
+        monkeypatch.setattr(module, sieve, refuse)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -362,7 +367,7 @@ def test_huge_pmax_in_config_is_a_usage_error(capfd, no_sieve, tmp_path):
     cfg.write_text("pmax=10000000000\n")
     code, out, err = run(capfd, "cong", "scan", "--group", "sl2z", "--config", str(cfg))
     assert code == 2 and out == ""
-    assert err.startswith("usage error: pmax must be <= 10^6"), err
+    assert err.startswith(f"usage error: config file {cfg} line 1: pmax must be <= 10^6"), err
 
 
 def test_scan_range_limits_are_inclusive(monkeypatch):
@@ -370,7 +375,7 @@ def test_scan_range_limits_are_inclusive(monkeypatch):
     from arithgroups.catalog import builtin_field
 
     assert cli.RunConfig(pmax=cli.MAX_PMAX).validate().pmax == 10 ** 6
-    monkeypatch.setattr(numberfield, "primes_upto", lambda n: [])
+    monkeypatch.setattr(numberfield, "iter_primes", lambda n: iter(()))
     rep = numberfield.chebotarev_scan(builtin_field("qi"), numberfield.MAX_BOUND)
     assert (rep.bound, rep.total) == (10 ** 8, 0)
 

@@ -10,19 +10,32 @@ valid and malformed --bad sets and --config files, and either --format:
   with UnsupportedDimension;
 - a run with no cache, a cold run into a fresh cache directory and a warm run
   from it give the same stdout, stderr and exit code.
+
+And for `nf chebotarev` over valid and malformed --catalog files, whose
+fields of degree 3 and 4 send primes through the batched Frobenius test:
+
+- a malformed catalog is a usage error (exit 2), a reducible minimal
+  polynomial the domain error ReducibleMinPoly (exit 1);
+- a scan counts the same split primes as `is_split`, prime by prime;
+- with --out, the file holds exactly the bytes the run prints without it,
+  with no cache, cold and warm; an --out path that cannot be written is a
+  usage error.
 """
 
 import contextlib
 import io
+import json
 import os
 import tempfile
 import traceback
 
 import pytest
 
-from arithgroups.catalog import field_aliases, group_aliases, load_group
+from arithgroups.catalog import field_aliases, group_aliases, load_group, read_field_catalog
 from arithgroups.cli import dispatch
 from arithgroups.errors import DomainError, UsageError
+from arithgroups.numberfield import is_split
+from arithgroups.primes import primes_upto
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -149,3 +162,89 @@ def test_cli_contract_holds_with_and_without_the_cache(argv, gens_text, config_t
         cached = argv + ["--cache-dir", os.path.join(work, "cache")]
         assert run_cli(cached) == uncached        # cold: computes and stores
         assert run_cli(cached) == uncached        # warm: reads what was stored
+
+
+# catalog records by name; the cubics and quartics leave primes to the Frobenius test
+CATALOG_RECORDS = {
+    "gauss": "name=gauss\nminpoly=1,0,1\ngalois=true\nmaximal=true\n",
+    "cbrt3": "name=cbrt3\nminpoly=-3,0,0,1\n",
+    "cyclic7": "name=cyclic7\nminpoly=-1,-2,1,1\ngalois=yes\n",   # disc 49, a square
+    "plastic": "name=plastic\nminpoly=-1,-1,0,1\n",
+    "qrt2": "name=qrt2\nminpoly=-2,0,0,0,1\n",
+    "quartic229": "name=quartic229\nminpoly=1,1,0,0,1\nmaximal=1\n",
+}
+MALFORMED_RECORDS = {
+    "nopoly": "name=nopoly\ngalois=true\n",
+    "frac": "name=frac\nminpoly=1/2,0,1\n",
+    "nonmonic": "name=nonmonic\nminpoly=-2,0,2\n",
+    "flag": "name=flag\nminpoly=-2,0,1\ngalois=maybe\n",
+    "": "minpoly=-2,0,1\n",                        # no name=
+}
+REDUCIBLE_RECORDS = {"split": "name=split\nminpoly=-1,0,1\n"}
+ALL_RECORDS = {**CATALOG_RECORDS, **MALFORMED_RECORDS, **REDUCIBLE_RECORDS}
+
+
+@st.composite
+def chebotarev_runs(draw):
+    """(catalog record names, --field, --bound, --format, --out).
+
+    The catalog has 1 to 3 valid records, and in a third of the draws one
+    malformed or reducible record at a drawn position.
+    """
+    names = list(dict.fromkeys(draw(st.lists(st.sampled_from(sorted(CATALOG_RECORDS)),
+                                             min_size=1, max_size=3))))
+    bad = draw(st.sampled_from([None, None] + sorted(MALFORMED_RECORDS) + sorted(REDUCIBLE_RECORDS)))
+    if bad is not None:
+        names.insert(draw(st.integers(0, len(names))), bad)
+    field = draw(st.one_of(st.sampled_from(names), st.sampled_from(field_aliases() + ["nosuch"])))
+    bound = str(draw(st.integers(1, 2000)))
+    fmt = draw(st.sampled_from(("json", "text")))
+    out = draw(st.sampled_from(("report.out", os.path.join("missing", "report.out"))))
+    return names, field, bound, fmt, out
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(chebotarev_runs())
+@hypothesis.example((["cyclic7"], "cyclic7", "2000", "json", "report.out"))
+@hypothesis.example((["qrt2", "plastic"], "qrt2", "1999", "text", "report.out"))
+def test_chebotarev_catalog_and_out_file(run):
+    names, field, bound, fmt, out = run
+    with tempfile.TemporaryDirectory() as work:
+        catalog = os.path.join(work, "fields.cat")
+        with open(catalog, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(ALL_RECORDS[name] for name in names))
+        argv = ["nf", "chebotarev", "--field", field, "--bound", bound,
+                "--catalog", catalog, "--format", fmt]
+        printed = run_cli(argv)
+        code, stdout, err = printed
+        hypothesis.event(f"exit {code}")
+        assert code in (0, 1, 2) and "Traceback" not in err, err
+        # records are read in order, and the first bad one ends the run
+        bad = next((name for name in names if name not in CATALOG_RECORDS), None)
+        if bad in MALFORMED_RECORDS:
+            assert code == 2 and err.startswith(f"usage error: {catalog}: "), err
+        elif bad in REDUCIBLE_RECORDS:
+            assert code == 1 and err.startswith("error ReducibleMinPoly:"), err
+        elif field == "nosuch":
+            assert code == 2 and err.startswith("usage error: "), err
+        else:
+            assert code == 0, err
+        if code == 0 and field in names and fmt == "json":
+            K = read_field_catalog(catalog)[field]
+            unramified = [p for p in primes_upto(int(bound)) if K.disc % p]
+            assert json.loads(stdout)["split"] == sum(is_split(K, p) for p in unramified)
+        path = os.path.join(work, out)
+        written = argv + ["--out", path]
+        cached = written + ["--cache-dir", os.path.join(work, "cache")]
+        for args in (written, cached, cached):        # no cache, cold, warm
+            result = run_cli(args)
+            if code != 0:
+                assert result == printed
+            elif os.path.isdir(os.path.dirname(path)):
+                assert result == (0, b"", "")
+                with open(path, "rb") as fh:
+                    assert fh.read() == stdout
+                os.remove(path)
+            else:
+                assert result[:2] == (2, b"")
+                assert result[2].startswith(f"usage error: cannot write output file {path}")

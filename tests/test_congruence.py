@@ -130,9 +130,9 @@ def test_closure_crt_multiplicativity():
                 done.append((m1, m2))
     assert done
     for m1, m2 in done:
-        o1 = bfs_closure(elementary_generators_sl(2, m1)).order
-        o2 = bfs_closure(elementary_generators_sl(2, m2)).order
-        o12 = bfs_closure(elementary_generators_sl(2, m1 * m2)).order
+        o1 = bfs_closure(elementary_generators_sl(2, m1), element_cap=0).order
+        o2 = bfs_closure(elementary_generators_sl(2, m2), element_cap=0).order
+        o12 = bfs_closure(elementary_generators_sl(2, m1 * m2), element_cap=0).order
         assert o12 == o1 * o2
 
 

@@ -1,16 +1,19 @@
-"""The plain-int Frobenius residue against the generic Poly routine.
+"""The batched plain-int Frobenius residues against the generic Poly routine.
 
-``is_split`` decides an unramified prime by comparing x^p mod (m, p) with
-x mod m, but only at p = 2 and at the odd primes that the quadratic character
-of disc(m) leaves open: those where disc(m) is a square mod p and the degree
-is at least 3.  The helper that computes x^p on int lists must return the same d
-coefficients as ``Poly.pow_mod`` over GF(p) for any monic integer m, reducible
-or not, and any prime p, including p = 2, 3 and p below the degree of m.
+``is_split`` and ``chebotarev_scan`` decide an unramified prime by comparing
+x^p mod (m, p) with x mod m, but only at p = 2 and at the odd primes that the
+quadratic character of disc(m) leaves open: those where disc(m) is a square
+mod p and the degree is at least 3.  The scan computes x^p for a batch of
+distinct primes at once, by one powering mod their product.  For any monic
+integer m, reducible or not, and any batch of primes, including 2, 3, 5 and
+primes below the degree of m, every residue must be the d coefficients that
+``Poly.pow_mod`` gives over GF(p), and the one the prime gets in a batch of
+its own.
 """
 
 import pytest
 
-from arithgroups.numberfield import _frobenius_residue
+from arithgroups.numberfield import _frobenius_residues
 from arithgroups.poly import Poly
 from arithgroups.primes import primes_upto
 from arithgroups.rings import IntegersMod
@@ -29,19 +32,24 @@ def reference_residue(m, p):
 
 
 @st.composite
-def monic_and_prime(draw):
+def monic_and_primes(draw):
     d = draw(st.integers(1, 6))
     m = tuple(draw(st.lists(st.integers(-50, 50), min_size=d, max_size=d))) + (1,)
-    p = draw(st.one_of(st.sampled_from([2, 3, 5]), st.sampled_from(PRIMES)))
-    return m, p
+    prime = st.one_of(st.sampled_from([2, 3, 5]), st.sampled_from(PRIMES))
+    primes = draw(st.lists(prime, min_size=1, max_size=40, unique=True))
+    return m, primes
 
 
 @hypothesis.settings(max_examples=300, deadline=None)
-@hypothesis.given(monic_and_prime())
-@hypothesis.example(((1, 0, 0, 0, 0, 0, 1), 2))
-@hypothesis.example(((-1, 1, 0, 0, 0, 1), 3))
-@hypothesis.example(((3, 1), 2))
-@hypothesis.example(((1, -2, 1), 5))
+@hypothesis.given(monic_and_primes())
+@hypothesis.example(((1, 0, 0, 0, 0, 0, 1), [2]))
+@hypothesis.example(((-1, 1, 0, 0, 0, 1), [3, 2, 5]))
+@hypothesis.example(((3, 1), [2, 1999]))
+@hypothesis.example(((1, -2, 1), [5, 7, 3]))
 def test_frobenius_residue_matches_pow_mod(case):
-    m, p = case
-    assert _frobenius_residue(m, p) == reference_residue(m, p)
+    m, primes = case
+    batch = _frobenius_residues(m, primes)
+    assert len(batch) == len(primes)
+    for p, residue in zip(primes, batch):
+        assert residue == reference_residue(m, p), p
+        assert residue == _frobenius_residues(m, [p])[0], p

@@ -321,21 +321,25 @@ def random_fields(seed, count):
 
 def test_is_split_matches_dedekind_on_random_fields():
     # every p <= 2000: p = 2, the ramified primes, the primes the quadratic
-    # character decides and those it leaves to the Frobenius test
+    # character decides and those it leaves to the Frobenius test; the scan,
+    # which tests the open primes in batches, must count the same primes
     for K in random_fields(12, 12):
+        split_unramified = 0
         for p in primes_upto(2000):
             fac = factor_prime(K, p)
             split = len(fac.factors) == K.degree and all(
                 f.e == 1 and f.f == 1 for f in fac.factors
             )
             assert is_split(K, p) == split, (K, p)
+            split_unramified += split and K.disc % p != 0
+        assert chebotarev_scan(K, 2000).split == split_unramified, K
 
 
 def test_frobenius_test_runs_only_where_the_character_is_silent(catalog, monkeypatch):
-    calls = []
-    residue = numberfield._frobenius_residue
-    monkeypatch.setattr(numberfield, "_frobenius_residue",
-                        lambda m, p: calls.append(p) or residue(m, p))
+    calls = []   # every prime passed to the batched Frobenius powering, in order
+    residues = numberfield._frobenius_residues
+    monkeypatch.setattr(numberfield, "_frobenius_residues",
+                        lambda m, primes: calls.extend(primes) or residues(m, primes))
     primes = primes_upto(10 ** 4)
     expected = {
         "qi": [],

@@ -4,16 +4,15 @@ Field catalog records are line-oriented key=value blocks separated by blank
 lines; generator files hold one matrix per block with exact rational entries.
 
 This module is on the path of every CLI command, a cache hit included, so it
-imports no compute module at load time: numberfield is imported by the
-functions that build a field.
+imports no compute module and not the matrix layer at load time: numberfield
+is imported by the functions that build a field, and matrix, rings and primes
+by those that build a group.  read_group gives a group's exact rows without
+building it.
 """
 
 from fractions import Fraction
 
 from .errors import NotInvertible, UsageError, read_user_file
-from .matrix import Mat
-from .primes import prime_support
-from .rings import QQ
 
 DEFAULT_CAP = 2 * 10 ** 6
 
@@ -22,6 +21,10 @@ class SIntegerGroup:
     """A finitely generated subgroup of GL_n(Z_S) given by its generators."""
 
     def __init__(self, gens, label="group"):
+        from .matrix import Mat
+        from .primes import prime_support
+        from .rings import QQ
+
         mats = []
         for g in gens:
             mats.append(g if isinstance(g, Mat) else Mat(QQ, g))
@@ -83,8 +86,7 @@ def group_aliases():
 
 
 def builtin_group(name):
-    gens = [Mat(QQ, rows) for rows in _BUILTIN_GROUPS[name]]
-    return SIntegerGroup(gens, label=name)
+    return SIntegerGroup(_BUILTIN_GROUPS[name], label=name)
 
 
 def resolve_field(spec, catalog_path=None):
@@ -109,16 +111,26 @@ def load_field(spec, catalog_path=None):
     return resolve_field(spec, catalog_path)[2]()
 
 
-def load_group(spec):
-    """Resolve a group alias or read generators from a file."""
+def read_group(spec):
+    """(label, rows) of a group alias or generator file, without building the group.
+
+    rows holds one matrix per generator as lists of exact int or Fraction
+    entries.  A malformed file raises UsageError and an unknown name KeyError;
+    only SIntegerGroup(rows, label) raises the group's domain errors.
+    """
     if spec in _BUILTIN_GROUPS:
-        return builtin_group(spec)
+        return spec, _BUILTIN_GROUPS[spec]
     import os
 
     if os.path.exists(spec):
-        label = os.path.splitext(os.path.basename(spec))[0]
-        return SIntegerGroup(read_generator_file(spec), label=label)
+        return os.path.splitext(os.path.basename(spec))[0], read_generator_file(spec)
     raise KeyError(f"unknown group {spec!r}; aliases: {', '.join(group_aliases())}")
+
+
+def load_group(spec):
+    """Resolve a group alias or read generators from a file."""
+    label, rows = read_group(spec)
+    return SIntegerGroup(rows, label)
 
 
 def read_field_catalog(path):
@@ -174,8 +186,8 @@ def _parse_bool(text):
 def read_generator_file(path):
     """One matrix per block, rows of whitespace-separated rationals 'a/b'.
 
-    A file that is not a list of square matrices of one size raises
-    UsageError naming the file.
+    Returns the matrices as lists of Fraction rows.  A file that is not a list
+    of square matrices of one size raises UsageError naming the file.
     """
     blocks = [[]]
     for lineno, raw in enumerate(read_user_file(path, "generator file"), 1):
@@ -199,7 +211,7 @@ def read_generator_file(path):
             raise UsageError(f"{path}: matrix {i} is not square")
         if len(b) != n:
             raise UsageError(f"{path}: matrix {i} is {len(b)}x{len(b)}, matrix 1 is {n}x{n}")
-    return [Mat(QQ, b) for b in blocks]
+    return blocks
 
 
 def write_generator_file(gens, path):

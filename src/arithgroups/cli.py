@@ -6,13 +6,13 @@ canonically ordered arrays, or a fixed-width text table via --format text.
 
 Each command imports the compute modules it runs inside its own function (for a
 cached scan, inside the compute() it hands to cached_scan), so that
-`--version` and a cache hit load only argv parsing, the catalog, the matrix
-layer and the cache.
+`--version` and a cache hit load only argv parsing, the catalog and the cache.
+A cached scan reads its groups as exact rows and builds them inside compute(),
+so a hit loads no matrix layer either.
 """
 
 import argparse
 import functools
-import hashlib
 import os
 import sys
 from fractions import Fraction
@@ -20,16 +20,16 @@ from fractions import Fraction
 from . import __version__
 from .catalog import (
     DEFAULT_CAP,
+    SIntegerGroup,
     field_aliases,
     group_aliases,
     load_field,
     load_group,
+    read_group,
     resolve_field,
 )
 from .errors import DomainError, OutOfRange, UsageError, read_user_file, write_user_file
-from .matrix import Mat
 from .report import ScanCache, jsonable, render_report
-from .rings import QQ
 
 
 def positive_int(text):
@@ -141,11 +141,28 @@ def build_config(args):
     return cfg.validate()
 
 
-def _group_canonical(G):
+def _group_canonical(label, rows):
+    """The cache-key text of the group read_group returned as (label, rows)."""
     gens = ";".join(
-        ",".join(str(Fraction(x)) for x in g.flat()) for g in G.gens
+        ",".join(str(Fraction(x)) for row in g for x in row) for g in rows
     )
-    return f"{G.label}|n={G.n}|{gens}"
+    return f"{label}|n={len(rows[0])}|{gens}"
+
+
+def _build_groups(groups):
+    """Build each (label, rows) group in turn, for the domain error one of them raises."""
+    for label, rows in groups:
+        SIntegerGroup(rows, label)
+
+
+def _form_preset(gram):
+    def build(groups):
+        from .matrix import Mat
+        from .rings import QQ
+
+        return groups.form_group(Mat(QQ, gram))
+
+    return build
 
 
 # each preset builds its presentation from the groups module it is given
@@ -157,9 +174,9 @@ _PRESETS = {
     "mult": lambda groups: groups.mult_group(),
     "unitriangular2": lambda groups: groups.unitriangular_group(2),
     "unitriangular3": lambda groups: groups.unitriangular_group(3),
-    "sp2": lambda groups: groups.form_group(Mat(QQ, [[0, 1], [-1, 0]])),
-    "so2": lambda groups: groups.form_group(Mat(QQ, [[1, 0], [0, 1]])),
-    "so3": lambda groups: groups.form_group(Mat(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])),
+    "sp2": _form_preset([[0, 1], [-1, 0]]),
+    "so2": _form_preset([[1, 0], [0, 1]]),
+    "so3": _form_preset([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
 }
 
 
@@ -187,6 +204,8 @@ def emit(payload, cfg, out_path=None):
 @functools.cache
 def source_digest():
     """sha256 of the package's own .py sources, so a code change misses old entries."""
+    import hashlib
+
     digest = hashlib.sha256()
     package = os.path.dirname(os.path.abspath(__file__))
     for name in sorted(f for f in os.listdir(package) if f.endswith(".py")):
@@ -197,14 +216,24 @@ def source_digest():
     return digest.hexdigest()
 
 
-def cached_scan(cfg, operation, canonical_input, compute, out_path=None):
-    """Run a pure scan through the content-addressed cache when enabled."""
+def cached_scan(cfg, operation, canonical_input, compute, out_path=None, groups=()):
+    """Run a pure scan through the content-addressed cache when enabled.
+
+    groups are the (label, rows) that compute() builds.  A hit builds none of
+    them: an entry is written only after a run that built them.  When the
+    cache cannot be set up or read, they are built before its usage error is
+    raised, so that a group's domain error wins, as on an uncached run.
+    """
     if not cfg.cache_dir:
         emit(compute(), cfg, out_path)
         return
-    cache = ScanCache(cfg.cache_dir, f"{__version__}+{source_digest()}")
-    key = cache.key(operation + ":" + cfg.fmt, canonical_input)
-    data = cache.get(key)
+    try:
+        cache = ScanCache(cfg.cache_dir, f"{__version__}+{source_digest()}")
+        key = cache.key(operation + ":" + cfg.fmt, canonical_input)
+        data = cache.get(key)
+    except UsageError:
+        _build_groups(groups)
+        raise
     if data is None:
         data = render_report(compute(), cfg.fmt)
         cache.put(key, data)
@@ -352,15 +381,16 @@ def _scan_payload(report):
 
 
 def cmd_cong_scan(args, cfg):
-    G = load_group(args.group)
+    label, rows = read_group(args.group)
 
     def compute():
         from .congruence import strong_approx_scan
 
+        G = SIntegerGroup(rows, label)
         return _scan_payload(strong_approx_scan(G, cfg.pmax, cfg.exp, cfg.cap))
 
-    canonical = f"{_group_canonical(G)}|P={cfg.pmax}|k={cfg.exp}|cap={cfg.cap}"
-    cached_scan(cfg, "cong-scan", canonical, compute, args.out)
+    canonical = f"{_group_canonical(label, rows)}|P={cfg.pmax}|k={cfg.exp}|cap={cfg.cap}"
+    cached_scan(cfg, "cong-scan", canonical, compute, args.out, [(label, rows)])
 
 
 def cmd_cong_image(args, cfg):
@@ -383,23 +413,28 @@ def cmd_cong_index(args, cfg):
 
 
 def cmd_cong_oneforall(args, cfg):
-    sets = []
+    groups = []
     for spec in args.group:
-        G = load_group(spec)
-        sets.append((G.label, G))
+        try:
+            groups.append(read_group(spec))
+        except (KeyError, UsageError):
+            _build_groups(groups)       # an earlier group's domain error comes first
+            raise
     bad = frozenset(args.bad or ())
 
     def compute():
         from .congruence import one_for_all_scan
 
-        rows = one_for_all_scan(sets, cfg.pmax, bad_set=bad, cap=cfg.cap)
-        return {"pmax": cfg.pmax, "bad_set": sorted(bad), "rows": jsonable(rows)}
+        # every group is built before the first scan, so its domain error wins over a Truncated
+        sets = [(label, SIntegerGroup(rows, label)) for label, rows in groups]
+        table = one_for_all_scan(sets, cfg.pmax, bad_set=bad, cap=cfg.cap)
+        return {"pmax": cfg.pmax, "bad_set": sorted(bad), "rows": jsonable(table)}
 
     canonical = (
-        "|".join(_group_canonical(G) for _, G in sets)
+        "|".join(_group_canonical(label, rows) for label, rows in groups)
         + f"|P={cfg.pmax}|bad={sorted(bad)}|cap={cfg.cap}"
     )
-    cached_scan(cfg, "cong-oneforall", canonical, compute, args.out)
+    cached_scan(cfg, "cong-oneforall", canonical, compute, args.out, groups)
 
 
 def _verdict_payload(v):
@@ -409,32 +444,32 @@ def _verdict_payload(v):
 
 
 def cmd_density_check(args, cfg):
-    G = load_group(args.group)
+    label, rows = read_group(args.group)
 
     def compute():
         from .density import density_verdict
 
-        v = density_verdict(G, max_word_len=cfg.maxlen)
-        return {"group": G.label, **_verdict_payload(v)}
+        v = density_verdict(SIntegerGroup(rows, label), max_word_len=cfg.maxlen)
+        return {"group": label, **_verdict_payload(v)}
 
-    canonical = f"{_group_canonical(G)}|maxlen={cfg.maxlen}"
-    cached_scan(cfg, "density-check", canonical, compute, args.out)
+    canonical = f"{_group_canonical(label, rows)}|maxlen={cfg.maxlen}"
+    cached_scan(cfg, "density-check", canonical, compute, args.out, [(label, rows)])
 
 
 def cmd_lubotzky_scan(args, cfg):
-    G = load_group(args.group)
+    label, rows = read_group(args.group)
 
     def compute():
         from .density import lubotzky_scan
 
-        rep = lubotzky_scan(G, cfg.pmax, cap=cfg.cap)
+        rep = lubotzky_scan(SIntegerGroup(rows, label), cfg.pmax, cap=cfg.cap)
         payload = jsonable(rep)
         payload["pmax"] = payload.pop("prime_bound")
         payload["verdict"] = _verdict_payload(rep.verdict)
         return payload
 
-    canonical = f"{_group_canonical(G)}|P={cfg.pmax}|cap={cfg.cap}"
-    cached_scan(cfg, "lubotzky-scan", canonical, compute, args.out)
+    canonical = f"{_group_canonical(label, rows)}|P={cfg.pmax}|cap={cfg.cap}"
+    cached_scan(cfg, "lubotzky-scan", canonical, compute, args.out, [(label, rows)])
 
 
 def build_parser():

@@ -10,7 +10,7 @@ keep their elements (the quasisimple check, gamma_plus) stay breadth-first.
 Surjectivity is decided only by exact order equality.
 """
 
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from fractions import Fraction
 from itertools import islice
 from math import gcd, prod
@@ -46,14 +46,15 @@ def reduce_generators(G, m):
     return out
 
 
-@dataclass(frozen=True)
-class FiniteClosure:
-    modulus: int
-    n: int
-    order: int
-    truncated: bool
-    gen_images: tuple          # flat tuples mod modulus
-    elements: tuple = None     # sorted flat tuples, or None in order-only mode
+class FiniteClosure(namedtuple("FiniteClosure", [
+        "modulus", "n", "order", "truncated", "gen_images", "elements"], defaults=(None,))):
+    """A closure mod modulus.
+
+    gen_images are the generators as flat tuples mod modulus; elements are the
+    sorted flat tuples, or None in order-only mode.
+    """
+
+    __slots__ = ()
 
     def element_set(self):
         if self.elements is None:
@@ -534,13 +535,11 @@ def elementary_generators_sl(n, m):
     return gens
 
 
-@dataclass(frozen=True)
-class ImageRecord:
-    m: int
-    image_order: object      # int, or None when truncated
-    target_order: int
-    surjective: object       # bool, or None when truncated
-    truncated: bool
+class ImageRecord(namedtuple("ImageRecord", [
+        "m", "image_order", "target_order", "surjective", "truncated"])):
+    """The image mod m against |SL_n(Z/m)|; image_order and surjective are None when truncated."""
+
+    __slots__ = ()
 
 
 def image_record(G, m, cap=DEFAULT_CAP, keep_elements=False):
@@ -584,14 +583,9 @@ def is_surjective_image(G, p, k=1, cap=DEFAULT_CAP):
     return exact_image_record(G, p ** k, cap)
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
-    group: str
-    S: tuple
-    records: tuple
-    exceptional_primes: tuple
-    prime_bound: int
-    exponent: int
+class CongruenceReport(namedtuple("CongruenceReport", [
+        "group", "S", "records", "exceptional_primes", "prime_bound", "exponent"])):
+    __slots__ = ()
 
 
 def strong_approx_scan(G, prime_bound, exponent=1, cap=DEFAULT_CAP):
@@ -624,13 +618,10 @@ def principal_congruence_index(n, m):
     return order_sl(n, m)
 
 
-@dataclass(frozen=True)
-class OneForAllRow:
-    label: str
-    generating_primes: tuple
-    nongenerating_primes: tuple
-    generates_outside_bad_set: bool
-    witnesses_implication: bool
+class OneForAllRow(namedtuple("OneForAllRow", [
+        "label", "generating_primes", "nongenerating_primes", "generates_outside_bad_set",
+        "witnesses_implication"])):
+    __slots__ = ()
 
 
 def one_for_all_scan(sample_sets, prime_bound, bad_set=frozenset(), cap=DEFAULT_CAP):
@@ -662,14 +653,10 @@ def one_for_all_scan(sample_sets, prime_bound, bad_set=frozenset(), cap=DEFAULT_
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class QuasisimpleReport:
-    p: int
-    order: int
-    perfect: bool
-    center_order: int
-    simple_quotient_order: int
-    quotient_is_simple: bool
+class QuasisimpleReport(namedtuple("QuasisimpleReport", [
+        "p", "order", "perfect", "center_order", "simple_quotient_order",
+        "quotient_is_simple"])):
+    __slots__ = ()
 
     @property
     def quasisimple(self):

@@ -8,7 +8,7 @@ documented sufficient criterion, never a guess; anything unresolved comes
 back INCONCLUSIVE.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
@@ -64,11 +64,10 @@ def is_unipotent(g):
     return flag, nu
 
 
-@dataclass(frozen=True)
-class OneParamSubgroup:
-    p: int
-    base: Mat
-    nu: int
+class OneParamSubgroup(namedtuple("OneParamSubgroup", ["p", "base", "nu"])):
+    """t -> base^t for a unipotent Mat base over F_p with nilpotency index nu."""
+
+    __slots__ = ()
 
     @staticmethod
     def from_matrix(g):
@@ -344,20 +343,25 @@ def _witness_search(gens, max_len=8, visited_cap=10000):
     return None
 
 
-@dataclass(frozen=True)
-class DensityVerdict:
-    verdict: str
-    ad_span_dim: int
-    full_span: bool
-    stabilization_length: int
-    infinite_order_witness: object   # dict or None
-    not_dense_witness: object        # (field description, vector) or None
+class DensityVerdict(namedtuple("DensityVerdict", [
+        "verdict", "ad_span_dim", "full_span", "stabilization_length",
+        "infinite_order_witness", "not_dense_witness"])):
+    """A density verdict and its evidence.
 
-    def __post_init__(self):
-        if self.full_span:
-            assert self.ad_span_dim == 9
-        if self.verdict == DENSE_EVIDENCE:
-            assert self.full_span and self.infinite_order_witness is not None
+    infinite_order_witness is a dict or None; not_dense_witness is a
+    (field description, vector) pair or None.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, verdict, ad_span_dim, full_span, stabilization_length,
+                infinite_order_witness, not_dense_witness):
+        if full_span:
+            assert ad_span_dim == 9
+        if verdict == DENSE_EVIDENCE:
+            assert full_span and infinite_order_witness is not None
+        return super().__new__(cls, verdict, ad_span_dim, full_span, stabilization_length,
+                               infinite_order_witness, not_dense_witness)
 
 
 def density_verdict(G, max_word_len=8):
@@ -392,24 +396,23 @@ def density_verdict(G, max_word_len=8):
     )
 
 
-@dataclass(frozen=True)
-class LubotzkyRecord:
-    p: int
-    image_order: object
-    target_order: int
-    surjective: object
-    truncated: bool
-    psl_quotient_order: object
-    quasisimple: object
+class LubotzkyRecord(namedtuple("LubotzkyRecord", [
+        "p", "image_order", "target_order", "surjective", "truncated", "psl_quotient_order",
+        "quasisimple"])):
+    """The image mod p, with the PSL_2(p) quotient order and the quasisimple check.
+
+    image_order and surjective are None when truncated; psl_quotient_order
+    and quasisimple are None when not computed.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LubotzkyReport:
-    group: str
-    verdict: DensityVerdict
-    prime_bound: int
-    records: tuple
-    exceptional_primes: tuple
+class LubotzkyReport(namedtuple("LubotzkyReport", [
+        "group", "verdict", "prime_bound", "records", "exceptional_primes"])):
+    """A dichotomy report; verdict is the group's DensityVerdict."""
+
+    __slots__ = ()
 
 
 def lubotzky_scan(G, prime_bound, cap=DEFAULT_CAP, quasisimple_pmax=13):

@@ -8,7 +8,7 @@ and reductions mod p.  numberfield is imported only by the two functions
 that restrict scalars, so the density checks do not load it.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -31,17 +31,15 @@ def var_index(i, j, n):
     return i * n + j
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
-    n: int
-    polys: tuple
-    label: str
+class GroupPresentation(namedtuple("GroupPresentation", ["n", "polys", "label"])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        ident = Mat.identity(QQ, self.n).flat()
-        for P in self.polys:
+    def __new__(cls, n, polys, label):
+        ident = Mat.identity(QQ, n).flat()
+        for P in polys:
             if P.eval(ident) != 0:
-                raise ValueError(f"identity violates a defining polynomial of {self.label}")
+                raise ValueError(f"identity violates a defining polynomial of {label}")
+        return super().__new__(cls, n, polys, label)
 
     def satisfied_by(self, mat, ring=QQ):
         """True when every defining polynomial vanishes on the matrix."""
@@ -129,11 +127,14 @@ def lie_bracket(A, B):
     return A * B - B * A
 
 
-@dataclass(frozen=True)
-class LieAlgebraData:
-    n: int
-    basis: tuple            # Mat over Q
-    structure: tuple        # structure[i][j] = coords of [b_i, b_j] in the basis
+class LieAlgebraData(namedtuple("LieAlgebraData", ["n", "basis", "structure"])):
+    """A Lie algebra of n x n matrices.
+
+    basis is a tuple of Mat over Q; structure[i][j] holds the coordinates of
+    [b_i, b_j] in the basis.
+    """
+
+    __slots__ = ()
 
     @property
     def dim(self):
@@ -198,10 +199,10 @@ def verify_jacobi(L):
     return count
 
 
-@dataclass(frozen=True)
-class SolvabilityReport:
-    solvable: bool
-    series_dims: tuple      # dimensions of the derived series, starting at dim L
+class SolvabilityReport(namedtuple("SolvabilityReport", ["solvable", "series_dims"])):
+    """series_dims are the dimensions of the derived series, starting at dim L."""
+
+    __slots__ = ()
 
 
 def is_solvable_lie(L):
@@ -245,13 +246,15 @@ def adjoint_matrix(g, L):
     return Mat(QQ, [[cols[j][i] for j in range(dim)] for i in range(dim)])
 
 
-@dataclass(frozen=True)
-class RosPresentation:
-    presentation: GroupPresentation
-    field: object
-    base: GroupPresentation
-    family_matrix: tuple      # d^2 equations per base polynomial
-    family_linear: tuple      # linear span equations, one per (block, functional)
+class RosPresentation(namedtuple("RosPresentation", [
+        "presentation", "field", "base", "family_matrix", "family_linear"])):
+    """A restriction of scalars of the GroupPresentation base along field.
+
+    family_matrix holds d^2 equations per base polynomial; family_linear the
+    linear span equations, one per (block, functional).
+    """
+
+    __slots__ = ()
 
 
 def restriction_of_scalars(G, K):
@@ -355,12 +358,8 @@ def ros_point(K, entries):
     return Mat(QQ, out)
 
 
-@dataclass(frozen=True)
-class ReducedPresentation:
-    n: int
-    p: int
-    polys: tuple
-    good_reduction: bool
+class ReducedPresentation(namedtuple("ReducedPresentation", ["n", "p", "polys", "good_reduction"])):
+    __slots__ = ()
 
     def satisfied_by(self, mat):
         ring = IntegersMod(self.p)

@@ -7,7 +7,7 @@ and use fraction-free (Bareiss) elimination.
 """
 
 from .errors import NotInvertible
-from .rings import QQ, IntegersMod
+from .rings import IntegersMod
 
 
 class Mat:

@@ -6,7 +6,7 @@ order, so factorizations carry a `verified` flag: true when p does not divide
 disc(m) or when the caller asserted that the power basis is maximal.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import count
 from math import prod
@@ -18,7 +18,6 @@ from .poly import (
     discriminant,
     factor_poly_mod_p,
     is_irreducible_mod_p,
-    poly_gcd,
     poly_xgcd,
     sturm_real_root_count,
 )
@@ -215,19 +214,14 @@ def regular_representation(h):
     return Mat(QQ, [[cols[j][i] for j in range(d)] for i in range(d)])
 
 
-@dataclass(frozen=True)
-class PrimeIdealFactor:
-    p: int
-    e: int
-    f: int
-    factor_poly: Poly
-    verified: bool
+class PrimeIdealFactor(namedtuple("PrimeIdealFactor", ["p", "e", "f", "factor_poly", "verified"])):
+    """A prime above p with ramification e, residue degree f and its factor Poly of m mod p."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IdealFactorization:
-    p: int
-    factors: tuple
+class IdealFactorization(namedtuple("IdealFactorization", ["p", "factors"])):
+    __slots__ = ()
 
     @property
     def verified(self):
@@ -340,15 +334,11 @@ def is_split(K, p):
     )
 
 
-@dataclass(frozen=True)
-class ChebotarevReport:
-    field: str
-    bound: int
-    split: int
-    total: int
-    ratio: Fraction
-    expected: Fraction
-    sample_only: bool
+class ChebotarevReport(namedtuple("ChebotarevReport", [
+        "field", "bound", "split", "total", "ratio", "expected", "sample_only"])):
+    """ratio and expected are Fractions."""
+
+    __slots__ = ()
 
 
 def chebotarev_scan(K, bound):
@@ -452,13 +442,8 @@ def _lift_factor_system(K, p, n):
     return fac, lifted
 
 
-@dataclass(frozen=True)
-class CrtReport:
-    p: int
-    n: int
-    total_size: int
-    component_sizes: tuple
-    bijective: bool
+class CrtReport(namedtuple("CrtReport", ["p", "n", "total_size", "component_sizes", "bijective"])):
+    __slots__ = ()
 
 
 def crt_check(K, p, n, enumeration_cap=2 * 10 ** 6):

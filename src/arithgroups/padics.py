@@ -6,7 +6,7 @@ and return canonical digit tuples, so values are immutable and comparable.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import NotARoot, NotUnit, PrecisionMismatch, SingularRoot
@@ -30,19 +30,17 @@ def vp(x, p):
     return t
 
 
-@dataclass(frozen=True)
-class PadicInt:
-    p: int
-    precision: int
-    digits: tuple
+class PadicInt(namedtuple("PadicInt", ["p", "precision", "digits"])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.precision < 1:
+    def __new__(cls, p, precision, digits):
+        if precision < 1:
             raise ValueError("precision must be >= 1")
-        if len(self.digits) != self.precision:
+        if len(digits) != precision:
             raise ValueError("digit count must equal the precision")
-        if any(not (0 <= d < self.p) for d in self.digits):
+        if any(not (0 <= d < p) for d in digits):
             raise ValueError("digits must lie in [0, p)")
+        return super().__new__(cls, p, precision, digits)
 
     @staticmethod
     def from_int(value, p, precision):
@@ -129,12 +127,14 @@ def padic_inv(x):
     return PadicInt.from_int(pow(x.value(), -1, mod), x.p, x.precision)
 
 
-@dataclass(frozen=True)
-class PadicNumber:
-    """p^t * u with u a unit PadicInt, or the distinguished zero."""
+class PadicNumber(namedtuple("PadicNumber", ["valuation", "unit"])):
+    """p^t * u with u a unit PadicInt, or the distinguished zero.
 
-    valuation: object  # int, or INFINITY for zero
-    unit: object       # PadicInt or None for zero
+    valuation is an int, or INFINITY for zero; unit is a PadicInt, or None
+    for zero.
+    """
+
+    __slots__ = ()
 
     @staticmethod
     def from_rational(value, p, precision):

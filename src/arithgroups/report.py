@@ -4,12 +4,11 @@ JSON reports sort keys and keep arrays in canonical (ascending) order as
 produced by the scan functions, so identical inputs render identical bytes.
 Rationals serialize as exact "a/b" strings.
 
-A cache hit reads its bytes back without rendering, so dataclasses and
-tempfile are imported only where a report is built or an entry written.
+A cache hit reads its bytes back without rendering, so json is imported only
+where a report is rendered, hashlib where a key is formed and tempfile where
+an entry is written.
 """
 
-import hashlib
-import json
 import os
 from fractions import Fraction
 
@@ -18,10 +17,8 @@ from .errors import UsageError
 
 def jsonable(obj):
     """Recursively convert report objects to JSON-compatible structures."""
-    if hasattr(type(obj), "__dataclass_fields__"):  # a dataclass instance
-        import dataclasses
-
-        return {k: jsonable(v) for k, v in dataclasses.asdict(obj).items()}
+    if hasattr(obj, "_asdict"):  # a record, before the tuple it also is
+        return {k: jsonable(v) for k, v in obj._asdict().items()}
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, dict):
@@ -36,6 +33,8 @@ def jsonable(obj):
 
 
 def render_json(payload):
+    import json
+
     return (json.dumps(jsonable(payload), sort_keys=True, indent=2) + "\n").encode()
 
 
@@ -65,6 +64,8 @@ def render_text(payload):
 
 
 def _scalar(v):
+    import json
+
     if isinstance(v, dict):
         return json.dumps(v, sort_keys=True)
     if isinstance(v, list):
@@ -94,6 +95,8 @@ class ScanCache:
             raise UsageError(f"cannot use cache directory {directory}: {exc}") from None
 
     def key(self, operation, canonical_input):
+        import hashlib
+
         digest = hashlib.sha256()
         digest.update(self.version.encode())
         digest.update(b"\x00")

@@ -2,11 +2,13 @@ import json
 import os
 import shutil
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from arithgroups import cli
+from arithgroups.catalog import group_aliases, load_group, read_group
 from arithgroups.cli import dispatch
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -544,3 +546,36 @@ def test_singular_generator_file_fails_on_every_run_and_caches_nothing(capfd, tm
         assert code == 1 and out == ""
         assert err.startswith("error NotInvertible:") and "Traceback" not in err
     assert not cache.exists() or list(cache.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["cong", "scan", "--group", "{file}", "--pmax", "7"],
+    ["cong", "oneforall", "--group", "sanov", "--group", "{file}", "--pmax", "7"],
+    ["cong", "oneforall", "--group", "{file}", "--group", "nosuch", "--pmax", "7"],
+    ["density", "check", "--group", "{file}"],
+    ["lubotzky", "scan", "--group", "{file}", "--pmax", "7"],
+], ids=["cong-scan", "oneforall", "oneforall-then-unknown", "density", "lubotzky"])
+def test_singular_group_error_wins_over_a_cache_error(capfd, tmp_path, argv):
+    # a hit builds no group, so a cache that cannot be used must not hide
+    # the domain error that the uncached run reports
+    gfile = _user_file(tmp_path, "singular.gens", "1 1\n1 1\n")
+    argv = [str(gfile) if a == "{file}" else a for a in argv]
+    uncached = run(capfd, *argv)
+    assert uncached[0] == 1 and uncached[1] == ""
+    assert uncached[2].startswith("error NotInvertible:")
+    taken = _user_file(tmp_path, "taken", "a file\n")
+    assert run(capfd, *argv, "--cache-dir", str(taken)) == uncached
+
+
+def _canonical_from_built_group(G):
+    """The cache-key text as it was formed from a built SIntegerGroup."""
+    gens = ";".join(",".join(str(Fraction(x)) for x in g.flat()) for g in G.gens)
+    return f"{G.label}|n={G.n}|{gens}"
+
+
+@pytest.mark.parametrize("spec", group_aliases() + ["{file}"])
+def test_group_canonical_of_the_rows_keeps_the_cache_keys(tmp_path, spec):
+    if spec == "{file}":
+        spec = str(_user_file(tmp_path, "halves.gens", "2/4 -3/6\n0 2\n\n1 0\n4/2 1\n"))
+    label, rows = read_group(spec)
+    assert cli._group_canonical(label, rows) == _canonical_from_built_group(load_group(spec))

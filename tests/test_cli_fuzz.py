@@ -9,7 +9,12 @@ valid and malformed --bad sets and --config files, and either --format:
 - otherwise `density check` and `lubotzky scan` on a group with n >= 3 exit 1
   with UnsupportedDimension;
 - a run with no cache, a cold run into a fresh cache directory and a warm run
-  from it give the same stdout, stderr and exit code.
+  from it give the same stdout, stderr and exit code;
+- with --out (every command but `cong image`), the file holds exactly the
+  bytes the run prints without it, with no cache, cold and warm, and an --out
+  path that cannot be written is a usage error.  A cached scan reads its
+  groups as exact rows and builds them only on a miss, so all three runs are
+  checked.
 
 And for `nf chebotarev` over valid and malformed --catalog files, whose
 fields of degree 3 and 4 send primes through the batched Frobenius test:
@@ -17,9 +22,7 @@ fields of degree 3 and 4 send primes through the batched Frobenius test:
 - a malformed catalog is a usage error (exit 2), a reducible minimal
   polynomial the domain error ReducibleMinPoly (exit 1);
 - a scan counts the same split primes as `is_split`, prime by prime;
-- with --out, the file holds exactly the bytes the run prints without it,
-  with no cache, cold and warm; an --out path that cannot be written is a
-  usage error.
+- --out behaves as above.
 """
 
 import contextlib
@@ -83,6 +86,8 @@ GOOD_CONFIGS = ("pmax=7\n", "# scan settings\n\ncap=500\n", "format=text\n", "ma
 MALFORMED_CONFIGS = ("pmx=7\n", "pmax\n", "=7\n", "cap=abc\n")
 # a config is None (no --config) or its file's text
 configs = st.one_of(st.none(), st.sampled_from(GOOD_CONFIGS + MALFORMED_CONFIGS))
+# an --out path under the work directory; the second names a missing directory
+out_files = st.sampled_from(("report.out", os.path.join("missing", "report.out")))
 
 
 @st.composite
@@ -108,7 +113,8 @@ def commands(draw):
     else:
         argv = ["nf", "chebotarev", "--field", draw(st.sampled_from(field_aliases())),
                 "--bound", draw(limits)]
-    return argv + ["--format", draw(st.sampled_from(("json", "text")))]
+    out = None if kind == "cong-image" else draw(st.one_of(st.none(), out_files))
+    return argv + ["--format", draw(st.sampled_from(("json", "text")))], out
 
 
 def run_cli(argv):
@@ -133,9 +139,30 @@ def group_size(spec):
         return None
 
 
+def assert_out_file_holds_the_printed_bytes(argv, printed, work, out):
+    """Run argv with --out, with no cache, cold and warm, against the run that printed."""
+    code, stdout, _ = printed
+    path = os.path.join(work, out)
+    written = argv + ["--out", path]
+    cached = written + ["--cache-dir", os.path.join(work, "out-cache")]
+    for args in (written, cached, cached):        # no cache, cold, warm
+        result = run_cli(args)
+        if code != 0:
+            assert result == printed
+        elif os.path.isdir(os.path.dirname(path)):
+            assert result == (0, b"", "")
+            with open(path, "rb") as fh:
+                assert fh.read() == stdout
+            os.remove(path)
+        else:
+            assert result[:2] == (2, b"")
+            assert result[2].startswith(f"usage error: cannot write output file {path}")
+
+
 @hypothesis.settings(max_examples=100, deadline=None)
 @hypothesis.given(commands(), generator_files, configs)
-def test_cli_contract_holds_with_and_without_the_cache(argv, gens_text, config_text):
+def test_cli_contract_holds_with_and_without_the_cache(command, gens_text, config_text):
+    argv, out = command
     with tempfile.TemporaryDirectory() as work:
         gfile = os.path.join(work, "drawn.gens")
         with open(gfile, "w", encoding="utf-8") as fh:
@@ -162,6 +189,8 @@ def test_cli_contract_holds_with_and_without_the_cache(argv, gens_text, config_t
         cached = argv + ["--cache-dir", os.path.join(work, "cache")]
         assert run_cli(cached) == uncached        # cold: computes and stores
         assert run_cli(cached) == uncached        # warm: reads what was stored
+        if out is not None:
+            assert_out_file_holds_the_printed_bytes(argv, uncached, work, out)
 
 
 # catalog records by name; the cubics and quartics leave primes to the Frobenius test
@@ -199,8 +228,7 @@ def chebotarev_runs(draw):
     field = draw(st.one_of(st.sampled_from(names), st.sampled_from(field_aliases() + ["nosuch"])))
     bound = str(draw(st.integers(1, 2000)))
     fmt = draw(st.sampled_from(("json", "text")))
-    out = draw(st.sampled_from(("report.out", os.path.join("missing", "report.out"))))
-    return names, field, bound, fmt, out
+    return names, field, bound, fmt, draw(out_files)
 
 
 @hypothesis.settings(max_examples=60, deadline=None)
@@ -233,18 +261,4 @@ def test_chebotarev_catalog_and_out_file(run):
             K = read_field_catalog(catalog)[field]
             unramified = [p for p in primes_upto(int(bound)) if K.disc % p]
             assert json.loads(stdout)["split"] == sum(is_split(K, p) for p in unramified)
-        path = os.path.join(work, out)
-        written = argv + ["--out", path]
-        cached = written + ["--cache-dir", os.path.join(work, "cache")]
-        for args in (written, cached, cached):        # no cache, cold, warm
-            result = run_cli(args)
-            if code != 0:
-                assert result == printed
-            elif os.path.isdir(os.path.dirname(path)):
-                assert result == (0, b"", "")
-                with open(path, "rb") as fh:
-                    assert fh.read() == stdout
-                os.remove(path)
-            else:
-                assert result[:2] == (2, b"")
-                assert result[2].startswith(f"usage error: cannot write output file {path}")
+        assert_out_file_holds_the_printed_bytes(argv, printed, work, out)

@@ -1,16 +1,18 @@
 """The CLI imports only what a command runs.
 
-`arithgroups --version` and a warm cache hit parse argv, resolve the group and
-read the cached bytes; neither may load a compute module.  Each case runs the
-CLI in a fresh interpreter, as a user does, and lists the arithgroups modules
-loaded when it exits.
+`arithgroups --version` and a warm cache hit parse argv, read the group's rows
+and read the cached bytes; neither may load a compute module, the matrix
+layer or json, and `--version` loads no hashlib.  No command loads
+dataclasses.  Each case runs the CLI in a fresh interpreter, as a user does,
+and lists the modules loaded when it exits.
 """
 
-import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -24,17 +26,20 @@ COMPUTE_MODULES = {
     "arithgroups.padics",
     "arithgroups.poly",
 }
+# what a warm hit or --version has no use for, beyond the compute modules
+MATRIX_LAYER = {"arithgroups.matrix", "arithgroups.rings", "arithgroups.primes", "json"}
 
 # Runs the CLI as `python -m arithgroups.cli ARGS` would, and at exit writes
-# the loaded arithgroups modules to the file named by the first argument.
+# the names of the loaded modules, one a line, to the file named by the first
+# argument.  It imports nothing the CLI might load.
 LISTING_MAIN = """
-import atexit, json, runpy, sys
+import atexit, runpy, sys
 
 listing = sys.argv.pop(1)
 
 def dump():
     with open(listing, "w", encoding="utf-8") as fh:
-        json.dump(sorted(m for m in sys.modules if m.startswith("arithgroups")), fh)
+        fh.write("\\n".join(sorted(sys.modules)))
 
 atexit.register(dump)
 runpy.run_module("arithgroups.cli", run_name="__main__", alter_sys=True)
@@ -42,20 +47,21 @@ runpy.run_module("arithgroups.cli", run_name="__main__", alter_sys=True)
 
 
 def loaded_modules(tmp_path, *argv):
-    listing = tmp_path / "modules.json"
+    listing = tmp_path / "modules.txt"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.pop("ARITHGROUPS_CACHE_DIR", None)
     proc = subprocess.run([sys.executable, "-c", LISTING_MAIN, str(listing), *argv],
                           env=env, capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
-    return proc.stdout, set(json.loads(listing.read_text()))
+    return proc.stdout, set(listing.read_text(encoding="utf-8").split("\n"))
 
 
 def test_version_loads_no_compute_module(tmp_path):
     out, modules = loaded_modules(tmp_path, "--version")
     assert out.strip() != b""
     assert "arithgroups.catalog" in modules      # the parser names the aliases
-    assert not modules & COMPUTE_MODULES
+    assert not modules & (COMPUTE_MODULES | MATRIX_LAYER)
+    assert "hashlib" not in modules
 
 
 def assert_warm_hit_loads_no_compute_module(tmp_path, argv, computing_module):
@@ -64,7 +70,7 @@ def assert_warm_hit_loads_no_compute_module(tmp_path, argv, computing_module):
     warm_out, warm_modules = loaded_modules(tmp_path, *argv)
     assert warm_out == cold_out
     assert {"arithgroups.catalog", "arithgroups.report"} <= warm_modules
-    assert not warm_modules & COMPUTE_MODULES
+    assert not warm_modules & (COMPUTE_MODULES | MATRIX_LAYER)
 
 
 def test_warm_cache_hit_loads_no_compute_module(tmp_path):
@@ -73,8 +79,35 @@ def test_warm_cache_hit_loads_no_compute_module(tmp_path):
     assert_warm_hit_loads_no_compute_module(tmp_path, argv, "arithgroups.congruence")
 
 
+@pytest.mark.parametrize("argv, computing_module", [
+    (("cong", "oneforall", "--group", "sanov", "--group", "{file}", "--pmax", "7"),
+     "arithgroups.congruence"),
+    (("density", "check", "--group", "{file}", "--format", "text"), "arithgroups.density"),
+    (("lubotzky", "scan", "--group", "{file}", "--pmax", "7"), "arithgroups.density"),
+], ids=["oneforall", "density-text", "lubotzky"])
+def test_warm_hit_on_a_generator_file_builds_no_group(tmp_path, argv, computing_module):
+    # the file is read as exact rows; only a miss builds the group from them
+    gens = tmp_path / "halves.gens"
+    gens.write_text("1 1/2\n0 1\n\n1 0\n-2/4 1\n", encoding="utf-8")
+    argv = [str(gens) if a == "{file}" else a for a in argv]
+    argv += ["--cache-dir", str(tmp_path / "cache")]
+    assert_warm_hit_loads_no_compute_module(tmp_path, argv, computing_module)
+
+
 def test_warm_chebotarev_hit_on_a_field_alias_loads_no_compute_module(tmp_path):
     # the cache key comes from the alias's catalog record, not from a built field
     argv = ("nf", "chebotarev", "--field", "qi", "--bound", "10000",
             "--cache-dir", str(tmp_path / "cache"))
     assert_warm_hit_loads_no_compute_module(tmp_path, argv, "arithgroups.numberfield")
+
+
+@pytest.mark.parametrize("argv", [
+    ("cong", "scan", "--group", "sl2z", "--pmax", "13"),
+    ("lubotzky", "scan", "--group", "sanov", "--pmax", "13"),
+    ("density", "check", "--group", "sanov"),
+    ("nf", "chebotarev", "--field", "zeta5", "--bound", "1000"),
+], ids=["cong-scan", "lubotzky-scan", "density-check", "nf-chebotarev"])
+def test_cold_command_loads_no_dataclasses(tmp_path, argv):
+    _, modules = loaded_modules(tmp_path, *argv, "--cache-dir", str(tmp_path / "cache"))
+    assert "arithgroups.report" in modules and "json" in modules    # it rendered a report
+    assert "dataclasses" not in modules

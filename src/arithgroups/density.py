@@ -12,14 +12,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
-from .congruence import (
-    DEFAULT_CAP,
-    bfs_closure_flat,
-    flat_identity,
-    flat_mul,
-    image_record,
-    quasisimple_check,
-)
+from .catalog import DEFAULT_CAP
 from .errors import Truncated, UnsupportedDimension
 from .groups import adjoint_matrix, sl_group, tangent_space_at_identity
 from .matrix import Mat, SpanTracker, kernel_basis
@@ -104,6 +97,8 @@ def one_param_point(X, t):
 
 def _unipotent_flats(elements, n, p):
     """Flat tuples in the element list that are unipotent mod p."""
+    from .congruence import flat_identity, flat_mul
+
     ident = flat_identity(n, p)
     out = []
     for flat in elements:
@@ -128,6 +123,8 @@ def _generated_subgroup(candidates, n, p, cap):
     quasisimple_check.  By Lagrange each addition at least doubles the
     subgroup, so at most log2 |H| candidates are closed over, not all of them.
     """
+    from .congruence import bfs_closure_flat, flat_identity
+
     ident = flat_identity(n, p)
     gens = []
     members = {ident}
@@ -162,6 +159,8 @@ def unipotent_closure_subgroup(gens, max_word_len=4, cap=DEFAULT_CAP):
     Equality with gamma_plus of the full closure is the Nori check at the
     level of F_p-points.
     """
+    from .congruence import flat_identity, flat_mul
+
     if not gens:
         raise ValueError("need at least one generator")
     ring = gens[0].ring
@@ -424,6 +423,8 @@ def lubotzky_scan(G, prime_bound, cap=DEFAULT_CAP, quasisimple_pmax=13):
     records match strong_approx_scan, and primes up to quasisimple_pmax keep
     their elements for the check.
     """
+    from .congruence import image_record, quasisimple_check
+
     verdict = density_verdict(G)
     records = []
     exceptional = []

@@ -8,11 +8,10 @@ disc(m) or when the caller asserted that the power basis is maximal.
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import count
-from math import prod
+from itertools import combinations, count
+from math import comb, isqrt, prod
 
 from .errors import DivisionByZero, OutOfRange, ReducibleMinPoly, Unverified
-from .matrix import Mat
 from .poly import (
     Poly,
     discriminant,
@@ -21,7 +20,7 @@ from .poly import (
     poly_xgcd,
     sturm_real_root_count,
 )
-from .primes import is_prime, iter_primes
+from .primes import WINDOW, is_prime, iter_primes
 from .rings import QQ, ExtField, IntegersMod
 
 _CERT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
@@ -75,10 +74,9 @@ class NumberField:
             raise ReducibleMinPoly(f"rational root {roots[0]}")
         if m.degree <= 3:
             return  # no rational root proves irreducibility up to degree 3
-        raise ReducibleMinPoly(
-            "no irreducibility certificate found mod "
-            + ",".join(str(p) for p in _CERT_PRIMES)
-        )
+        factor = _integer_factor(self)
+        if factor is not None:
+            raise ReducibleMinPoly(f"factor {_poly_str(factor)}")
 
     def element(self, coords):
         return NFElement(self, coords)
@@ -102,6 +100,11 @@ class NumberField:
         return hash(self.min_poly)
 
 
+def _least_good_prime(disc):
+    """The least prime not dividing disc: m mod it is squarefree."""
+    return next(q for q in count(2) if disc % q and is_prime(q))
+
+
 def _integer_roots(m, disc):
     """The integer roots, ascending, of a monic integer Poly m with disc(m) != 0.
 
@@ -113,7 +116,7 @@ def _integer_roots(m, disc):
     """
     from .padics import hensel_lift
 
-    p = next(q for q in count(2) if disc % q and is_prime(q))
+    p = _least_good_prime(disc)
     bound = 1 + max(abs(c) for c in m.coeffs[:-1])
     k = 1
     while p ** k <= 2 * bound:
@@ -127,6 +130,39 @@ def _integer_roots(m, disc):
             if m.eval(r) == 0:
                 roots.append(r)
     return sorted(roots)
+
+
+def _integer_factor(K):
+    """A monic integer factor of m = K.min_poly of degree 1 .. d/2, or None.
+
+    Take the least prime p not dividing disc(m), so m mod p is squarefree.
+    A monic integer factor g of m reduces mod p to the product of some of
+    m's irreducible factors mod p, so g is congruent mod p^n to the product
+    of their Hensel lifts.  By Mignotte's bound each coefficient of g has
+    |g_j| <= C(k, j) * ||m||_2 for k = deg g <= d/2; once p^n is past twice
+    that, g is the symmetric residue of one product.  So trying the products
+    of degree at most d/2 finds a factor exactly when m is reducible.
+    """
+    m = K.min_poly
+    half = K.degree // 2
+    p = _least_good_prime(K.disc)
+    bound = comb(half, half // 2) * (isqrt(sum(c * c for c in m.coeffs)) + 1)
+    n = 1
+    while p ** n <= 2 * bound:
+        n += 1
+    mod = p ** n
+    ring = IntegersMod(mod)
+    _, lifted = _lift_factor_system(K, p, n)
+    lifted = [Poly(ring, h) for h in lifted]
+    for size in range(1, len(lifted)):
+        for subset in combinations(lifted, size):
+            if sum(h.degree for h in subset) > half:
+                continue
+            g = prod(subset[1:], start=subset[0])
+            g = Poly(QQ, [c - mod if c > mod // 2 else c for c in map(int, g.coeffs)])
+            if (m % g).is_zero():
+                return g
+    return None
 
 
 class NFElement:
@@ -203,6 +239,8 @@ def nf_inverse(a):
 
 def regular_representation(h):
     """Matrix of multiplication by h in the power basis (columns are h*a^j)."""
+    from .matrix import Mat
+
     K = h.field
     d = K.degree
     cols = []
@@ -297,6 +335,10 @@ def _split_by_character(K, p):
     m mod p.  Complete splitting needs r = d, so a non-square disc(m) mod p
     proves p not split, and at d <= 2 a square proves it split.  The primes
     this leaves open, and p = 2, need the Frobenius test.
+
+    disc(m) is 0 or 1 mod 4, so (disc(m)/.) is a Dirichlet character mod
+    |disc(m)|: the answer for odd p depends only on p mod |disc(m)|, and
+    chebotarev_scan asks once per class.
     """
     if p == 2:
         return None
@@ -334,6 +376,11 @@ def is_split(K, p):
     )
 
 
+# the entries of chebotarev_scan's class table; 0 is a class not yet asked
+_CLASS_OF_VERDICT = {False: 1, True: 2, None: 3}
+_VERDICT_OF_CLASS = (None, False, True, None)
+
+
 class ChebotarevReport(namedtuple("ChebotarevReport", [
         "field", "bound", "split", "total", "ratio", "expected", "sample_only"])):
     """ratio and expected are Fractions."""
@@ -346,20 +393,33 @@ def chebotarev_scan(K, bound):
 
     The limiting ratio 1/d is a theorem only for Galois fields; scans over
     fields not flagged Galois are marked sample_only.  The primes are
-    streamed from the sieve, and those the quadratic character leaves open
-    share one Frobenius powering per batch.  A bound above MAX_BOUND raises
-    OutOfRange before any sieving.
+    streamed from the sieve.  The quadratic character is asked once per
+    class mod |disc(m)| when |disc(m)| <= WINDOW, the sieve's width, and once
+    per prime otherwise, so memory stays at one window, one table of at most
+    WINDOW bytes and one batch.  The primes it leaves open share one
+    Frobenius powering per batch.  A bound above MAX_BOUND raises OutOfRange
+    before any sieving.
     """
     if bound > MAX_BOUND:
         raise OutOfRange(f"bound must be <= 10^8, got {bound}")
+    disc = K.disc
+    modulus = abs(disc)
+    # the character's verdict per class mod |disc|, 0 until first asked
+    classes = bytearray(modulus) if modulus <= WINDOW else None
     split = 0
     total = 0
     pending = []  # primes the character leaves open, tested FROBENIUS_BATCH at a time
     for p in iter_primes(bound):
-        if K.disc % p == 0:
+        if disc % p == 0:
             continue
         total += 1
-        verdict = _split_by_character(K, p)
+        if classes is None or p == 2:  # 2 is left open, though its class mod |disc| may not be
+            verdict = _split_by_character(K, p)
+        else:
+            c = p % modulus
+            if not classes[c]:
+                classes[c] = _CLASS_OF_VERDICT[_split_by_character(K, p)]
+            verdict = _VERDICT_OF_CLASS[classes[c]]
         if verdict is not None:
             split += verdict
             continue

@@ -92,6 +92,14 @@ def test_golden_qi_chebotarev(capfd):
     assert out.encode() == (GOLDEN / "qi_chebotarev_1e4.json").read_bytes()
 
 
+@pytest.mark.parametrize("field", ["qsqrt2", "qcbrt2", "zeta5"])
+def test_golden_chebotarev_1e5(capfd, field):
+    # pinned before the per-class character table; the scan must not move a byte
+    code, out, _ = run(capfd, "nf", "chebotarev", "--field", field, "--bound", "100000")
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"{field}_chebotarev_1e5.json").read_bytes()
+
+
 def test_golden_sl2_lie(capfd):
     code, out, _ = run(capfd, "group", "lie", "--preset", "sl2")
     assert code == 0

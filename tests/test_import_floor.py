@@ -3,8 +3,9 @@
 `arithgroups --version` and a warm cache hit parse argv, read the group's rows
 and read the cached bytes; neither may load a compute module, the matrix
 layer or json, and `--version` loads no hashlib.  No command loads
-dataclasses.  Each case runs the CLI in a fresh interpreter, as a user does,
-and lists the modules loaded when it exits.
+dataclasses, the number-field commands load no matrix layer and `density
+check` loads no congruence code.  Each case runs the CLI in a fresh
+interpreter, as a user does, and lists the modules loaded when it exits.
 """
 
 import os
@@ -111,3 +112,23 @@ def test_cold_command_loads_no_dataclasses(tmp_path, argv):
     _, modules = loaded_modules(tmp_path, *argv, "--cache-dir", str(tmp_path / "cache"))
     assert "arithgroups.report" in modules and "json" in modules    # it rendered a report
     assert "dataclasses" not in modules
+
+
+@pytest.mark.parametrize("argv", [
+    ("nf", "chebotarev", "--field", "zeta5", "--bound", "1000"),
+    ("nf", "factor", "--field", "qcbrt2", "--prime", "5"),
+    ("nf", "signature", "--field", "qsqrt2"),
+], ids=["chebotarev", "factor", "signature"])
+def test_cold_number_field_command_loads_no_matrix_layer(tmp_path, argv):
+    # only regular_representation, which no nf command runs, builds a Mat
+    _, modules = loaded_modules(tmp_path, *argv)
+    assert "arithgroups.numberfield" in modules
+    assert "arithgroups.matrix" not in modules
+
+
+def test_cold_density_check_loads_no_congruence_code(tmp_path):
+    # the verdict runs no closure: congruence is imported by the functions that close groups
+    _, modules = loaded_modules(tmp_path, "density", "check", "--group", "sanov",
+                                "--cache-dir", str(tmp_path / "cache"))
+    assert "arithgroups.density" in modules
+    assert not modules & {"arithgroups.congruence", "arithgroups.closure"}

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -10,6 +11,7 @@ from arithgroups.errors import DivisionByZero, ReducibleMinPoly, Unverified
 from arithgroups.matrix import Mat
 from arithgroups.numberfield import (
     NumberField,
+    _split_by_character,
     chebotarev_scan,
     crt_check,
     factor_prime,
@@ -20,7 +22,7 @@ from arithgroups.numberfield import (
     residue_field,
 )
 from arithgroups.poly import Poly, discriminant, factor_poly_mod_p, is_irreducible_mod_p
-from arithgroups.primes import primes_upto
+from arithgroups.primes import WINDOW, primes_upto
 from arithgroups.rings import QQ, ExtField, IntegersMod
 
 
@@ -252,9 +254,37 @@ def test_reducible_min_poly_rejected():
 
 def test_min_poly_irreducibility_accepts_catalog(catalog):
     # all four catalog fields construct; x^4+1 is the known hard case the
-    # cheap certificate cannot prove (reducible mod every prime)
-    with pytest.raises(ReducibleMinPoly):
-        NumberField((1, 0, 0, 0, 1))
+    # cheap certificate cannot prove (reducible mod every prime), so the
+    # Hensel-lifted factor search settles it
+    assert NumberField((1, 0, 0, 0, 1)).signature == (0, 2)
+
+
+@pytest.mark.parametrize("coeffs, modulus, residues", [
+    ((1, 0, 0, 0, 1), 8, {1}),                   # x^4 + 1: Q(zeta8)
+    ((1, 0, -10, 0, 1), 24, {1, 23}),            # x^4 - 10x^2 + 1: Q(sqrt2, sqrt3)
+], ids=["x4+1", "x4-10x2+1"])
+def test_fields_reducible_mod_every_prime_build_and_scan(coeffs, modulus, residues):
+    # both are irreducible but split into two quadratics or four lines mod
+    # every prime; their discriminants are squares, so every class of the
+    # character table is open and every unramified odd prime takes the
+    # Frobenius test
+    K = NumberField(coeffs)
+    assert math.isqrt(K.disc) ** 2 == K.disc
+    unramified = [p for p in primes_upto(10 ** 4) if K.disc % p]
+    rep = chebotarev_scan(K, 10 ** 4)
+    assert rep.total == len(unramified)
+    assert rep.split == sum(p % modulus in residues for p in unramified)
+
+
+def test_reducible_mod_every_prime_names_its_factor():
+    # no rational root: only the factor search finds (x^2 + 1)(x^2 + 2)
+    with pytest.raises(ReducibleMinPoly, match=r"^factor x\^2 \+ [12]$"):
+        NumberField((2, 0, 3, 0, 1))
+    with pytest.raises(ReducibleMinPoly, match=r"^factor x\^2 \+ -?2x \+ 2$"):
+        NumberField((4, 0, 0, 0, 1))             # x^4 + 4, Sophie Germain
+    sextic = Poly(QQ, [1, 1, 0, 1]) * Poly(QQ, [-1, 1, 0, 1])   # (x^3 + x + 1)(x^3 + x - 1)
+    with pytest.raises(ReducibleMinPoly, match=r"^factor x\^3 \+ x \+ -?1$"):
+        NumberField(sextic.coeffs)
 
 
 def test_large_constant_term_builds_through_the_certificate():
@@ -361,3 +391,81 @@ def test_chebotarev_counts_at_1e5(catalog):
     for name, counts in pinned.items():
         rep = chebotarev_scan(catalog[name], 10 ** 5)
         assert (rep.split, rep.total) == counts, name
+
+
+def class_table_fields(seed, count):
+    """x^3 - 999 and random fields of degree 2 to 4, many past the table's bound."""
+    rng = random.Random(seed)
+    fields = [NumberField((-999, 0, 0, 1))]   # |disc| = 27 * 999^2 = 26,946,027
+    while len(fields) < count:
+        width = rng.choice((9, 300))
+        coeffs = tuple(rng.randint(-width, width) for _ in range(rng.randint(2, 4))) + (1,)
+        try:
+            fields.append(NumberField(coeffs))
+        except ReducibleMinPoly:
+            pass
+    return fields
+
+
+def test_class_table_scan_matches_dedekind(monkeypatch):
+    # the scan reads the character per class mod |disc| up to WINDOW and per
+    # prime past it; either way it must count the split primes Dedekind
+    # finds, and hand the Frobenius test exactly the primes the per-prime
+    # character leaves open, in order
+    fields = class_table_fields(15, 12)
+    discs = [K.disc for K in fields]
+    assert any(abs(D) <= WINDOW for D in discs) and any(abs(D) > WINDOW for D in discs)
+    assert any(D < 0 for D in discs) and any(D > 0 for D in discs)
+    assert {D % 4 for D in discs} == {0, 1}
+    opened = []
+    residues = numberfield._frobenius_residues
+    monkeypatch.setattr(numberfield, "_frobenius_residues",
+                        lambda m, primes: opened.extend(primes) or residues(m, primes))
+    for K in fields:
+        unramified = [p for p in primes_upto(2000) if K.disc % p]
+        split = [p for p in unramified if len(factor_prime(K, p).factors) == K.degree]
+        for bound in (100, 1000, 2000):
+            opened.clear()
+            rep = chebotarev_scan(K, bound)
+            assert rep.split == sum(p <= bound for p in split), (K, bound)
+            assert opened == [p for p in unramified
+                              if p <= bound and _split_by_character(K, p) is None], (K, bound)
+
+
+def test_scan_past_the_window_asks_the_character_per_prime():
+    # |disc| = 280,004 > WINDOW, so the scan keeps no class table; primes
+    # past WINDOW must not be read from the class of a smaller one
+    K = NumberField((-70001, 0, 1))
+    assert abs(K.disc) > WINDOW
+    bound = 4 * WINDOW
+    unramified = [p for p in primes_upto(bound) if K.disc % p]
+    rep = chebotarev_scan(K, bound)
+    assert rep.total == len(unramified)
+    assert rep.split == sum(is_split(K, p) for p in unramified)
+
+
+def test_quadratic_character_is_constant_on_classes_mod_disc():
+    # for D = 0 or 1 mod 4, (D/.) is a Dirichlet character mod |D| (Cohen,
+    # GTM 138, 1.4): all odd primes p not dividing D in one class mod |D|
+    # share one Euler-criterion value, which the scan's class table relies on
+    rng = random.Random(20)
+    odd_primes = primes_upto(10 ** 4)[1:]
+    discs = [4 * rng.randint(-500, 500) + rng.randint(0, 1) for _ in range(30)]
+    discs = [D for D in discs if D]
+    for _ in range(30):
+        m = tuple(rng.randint(-5, 5) for _ in range(rng.randint(1, 3))) + (1,)
+        D = int(discriminant(Poly(QQ, m)))
+        if D:
+            assert D % 4 in (0, 1), m        # Stickelberger
+            discs.append(D)
+    shared = 0   # primes whose class already held a prime
+    for D in discs:
+        value = {}
+        for p in odd_primes:
+            if D % p:
+                legendre = pow(D % p, (p - 1) // 2, p) == 1
+                shared += (p % abs(D)) in value
+                assert value.setdefault(p % abs(D), legendre) == legendre, (D, p)
+    assert shared > 10 ** 4
+    # D = 3 is no discriminant: 7 and 13 share a class mod 3, not a value
+    assert pow(3, 3, 7) != pow(3, 6, 13)

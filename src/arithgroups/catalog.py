@@ -55,11 +55,13 @@ class SIntegerGroup:
         return f"SIntegerGroup({self.label}, n={self.n}, S={sorted(self.S)})"
 
 _BUILTIN_FIELD_RECORDS = {
-    # name: (min poly, constant first; galois; power basis maximal)
-    "qi": ((1, 0, 1), True, True),
-    "qsqrt2": ((-2, 0, 1), True, True),
-    "qcbrt2": ((-2, 0, 0, 1), False, True),
-    "zeta5": ((1, 1, 1, 1, 1), True, True),
+    # name: (min poly, constant first; galois; power basis maximal;
+    #        abelian certificate, see NumberField)
+    "qi": ((1, 0, 1), True, True, None),
+    "qsqrt2": ((-2, 0, 1), True, True, None),
+    "qcbrt2": ((-2, 0, 0, 1), False, True, None),
+    # x -> x^j for j = 1, 2, 3, 4, with x^4 = -1 - x - x^2 - x^3
+    "zeta5": ((1, 1, 1, 1, 1), True, True, ((0, 1), (0, 0, 1), (0, 0, 0, 1), (-1, -1, -1, -1))),
 }
 
 _BUILTIN_GROUPS = {
@@ -73,8 +75,9 @@ _BUILTIN_GROUPS = {
 def builtin_field(name):
     from .numberfield import NumberField
 
-    coeffs, galois, maximal = _BUILTIN_FIELD_RECORDS[name]
-    return NumberField(coeffs, name=name, galois=galois, power_basis_maximal=maximal)
+    coeffs, galois, maximal, automorphisms = _BUILTIN_FIELD_RECORDS[name]
+    return NumberField(coeffs, name=name, galois=galois, power_basis_maximal=maximal,
+                       automorphisms=automorphisms)
 
 
 def field_aliases():
@@ -137,8 +140,12 @@ def read_field_catalog(path):
     """Parse a key=value field catalog; records separated by blank lines.
 
     A record that does not describe a field (a missing key, a non-integer or
-    non-monic minpoly, a flag that is not a boolean) raises UsageError naming
-    the file; a reducible minpoly stays the domain error ReducibleMinPoly.
+    non-monic minpoly, a flag that is not a boolean, a malformed abelian
+    certificate or one that fails NumberField's check) raises UsageError
+    naming the file; a reducible minpoly stays the domain error
+    ReducibleMinPoly.  The optional automorphisms= key holds the certificate:
+    polynomials separated by ';', their rational coefficients, constant
+    first, by ','.
     """
     from .numberfield import NumberField
 
@@ -156,6 +163,8 @@ def read_field_catalog(path):
                 name=name,
                 galois=_parse_bool(record.get("galois", "false")),
                 power_basis_maximal=_parse_bool(record.get("maximal", "false")),
+                automorphisms=(_parse_automorphisms(record["automorphisms"])
+                               if "automorphisms" in record else None),
             )
         except KeyError as exc:
             raise UsageError(f"{path}: field record without {exc.args[0]}=") from None
@@ -181,6 +190,13 @@ def _parse_bool(text):
     if text.lower() in ("false", "no", "0"):
         return False
     raise ValueError(f"not a boolean: {text!r}")
+
+
+def _parse_automorphisms(text):
+    try:
+        return tuple(tuple(Fraction(c) for c in r.split(",")) for r in text.split(";"))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"automorphisms: not ';'-separated lists of rationals: {text!r}") from None
 
 
 def read_generator_file(path):

@@ -8,7 +8,7 @@ disc(m) or when the caller asserted that the power basis is maximal.
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import combinations, count, product
 from math import comb, isqrt, prod
 
 from .errors import DivisionByZero, OutOfRange, ReducibleMinPoly, Unverified
@@ -32,9 +32,19 @@ FROBENIUS_BATCH = 32
 
 
 class NumberField:
-    """Q[x]/(m) for a monic irreducible integer polynomial m."""
+    """Q[x]/(m) for a monic irreducible integer polynomial m.
 
-    def __init__(self, coeffs, name=None, galois=False, power_basis_maximal=False):
+    galois is a user claim, and sets only a scan's sample_only flag.
+    automorphisms, when given, is an abelian certificate: d polynomials
+    r_1 = x, ..., r_d of degree < d, as exact rational coefficients, constant
+    first, that give d commuting automorphisms x -> r_j(x) (see abelian.py).
+    It is checked exactly in Q[x]/(m) here, and one that fails raises
+    ValueError.  chebotarev_scan decides splitting once per residue class
+    mod |disc(m)| for a certified field.
+    """
+
+    def __init__(self, coeffs, name=None, galois=False, power_basis_maximal=False,
+                 automorphisms=None):
         m = Poly(QQ, coeffs)
         if m.degree < 1:
             raise ValueError("minimal polynomial must have degree >= 1")
@@ -51,6 +61,11 @@ class NumberField:
         self.galois = galois
         self.power_basis_maximal = power_basis_maximal
         self._check_irreducible()
+        self.automorphisms = automorphisms
+        if automorphisms is not None:
+            from .abelian import checked_automorphisms
+
+            self.automorphisms = checked_automorphisms(m, automorphisms)
         s = sturm_real_root_count(m)
         self.signature = (s, (self.degree - s) // 2)
 
@@ -393,18 +408,27 @@ def chebotarev_scan(K, bound):
 
     The limiting ratio 1/d is a theorem only for Galois fields; scans over
     fields not flagged Galois are marked sample_only.  The primes are
-    streamed from the sieve.  The quadratic character is asked once per
-    class mod |disc(m)| when |disc(m)| <= WINDOW, the sieve's width, and once
-    per prime otherwise, so memory stays at one window, one table of at most
-    WINDOW bytes and one batch.  The primes it leaves open share one
-    Frobenius powering per batch.  A bound above MAX_BOUND raises OutOfRange
-    before any sieving.
+    streamed from the sieve.  When |disc(m)| <= WINDOW, the sieve's width,
+    a table of one byte per class mod |disc(m)| holds the quadratic
+    character's verdict, asked once per class; otherwise the character is
+    asked once per prime.  So memory stays at one window, one table of at
+    most WINDOW bytes and one batch.  The primes the character leaves open
+    share one Frobenius powering per batch.
+
+    A field with an abelian certificate (see NumberField) has its conductor
+    f dividing disc(K) (conductor-discriminant formula), and disc(K) divides
+    disc(m).  So the Frobenius of an unramified p, and whether p splits,
+    depend only on p mod |disc(m)|: in the table, the first prime of an open
+    class, p = 2 included, takes the Frobenius test alone, and its verdict
+    is stored for the whole class.  A bound above MAX_BOUND raises
+    OutOfRange before any sieving.
     """
     if bound > MAX_BOUND:
         raise OutOfRange(f"bound must be <= 10^8, got {bound}")
     disc = K.disc
     modulus = abs(disc)
-    # the character's verdict per class mod |disc|, 0 until first asked
+    # a verdict per class mod |disc|, 0 until first asked: the character's,
+    # or for a certified field the final one
     classes = bytearray(modulus) if modulus <= WINDOW else None
     split = 0
     total = 0
@@ -413,12 +437,17 @@ def chebotarev_scan(K, bound):
         if disc % p == 0:
             continue
         total += 1
-        if classes is None or p == 2:  # 2 is left open, though its class mod |disc| may not be
+        # the character does not speak for 2, though its class mod |disc| may
+        # hold other primes; the Frobenius verdict of a certified field does
+        if classes is None or p == 2 and not K.automorphisms:
             verdict = _split_by_character(K, p)
         else:
             c = p % modulus
             if not classes[c]:
-                classes[c] = _CLASS_OF_VERDICT[_split_by_character(K, p)]
+                verdict = _split_by_character(K, p)
+                if verdict is None and K.automorphisms:
+                    verdict = _split_by_frobenius(K, [p])[0]
+                classes[c] = _CLASS_OF_VERDICT[verdict]
             verdict = _VERDICT_OF_CLASS[classes[c]]
         if verdict is not None:
             split += verdict
@@ -534,19 +563,14 @@ def crt_check(K, p, n, enumeration_cap=2 * 10 ** 6):
         h.degree == f.e * f.f for h, f in zip(comps, fac.factors)
     )
 
-    from itertools import product as iproduct
-
     seen = set()
     count = 0
-    for vec in iproduct(range(mod), repeat=d):
+    for vec in product(range(mod), repeat=d):
         fpoly = Poly(ring, vec)
         image = tuple(tuple(_pad([int(c) for c in (fpoly % h).coeffs], h.degree)) for h in comps)
         seen.add(image)
         count += 1
-    product_size = 1
-    for s in comp_sizes:
-        product_size *= s
-    bijective = (count == size) and (len(seen) == size) and (product_size == size)
+    bijective = (count == size) and (len(seen) == size) and (prod(comp_sizes) == size)
     return CrtReport(
         p=p,
         n=n,

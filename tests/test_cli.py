@@ -100,6 +100,13 @@ def test_golden_chebotarev_1e5(capfd, field):
     assert out.encode() == (GOLDEN / f"{field}_chebotarev_1e5.json").read_bytes()
 
 
+def test_golden_zeta5_chebotarev_1e6(capfd):
+    # pinned before the per-class Frobenius verdict of certified abelian fields
+    code, out, _ = run(capfd, "nf", "chebotarev", "--field", "zeta5", "--bound", "1000000")
+    assert code == 0
+    assert out.encode() == (GOLDEN / "zeta5_chebotarev_1e6.json").read_bytes()
+
+
 def test_golden_sl2_lie(capfd):
     code, out, _ = run(capfd, "group", "lie", "--preset", "sl2")
     assert code == 0

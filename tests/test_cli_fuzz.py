@@ -16,12 +16,16 @@ valid and malformed --bad sets and --config files, and either --format:
   groups as exact rows and builds them only on a miss, so all three runs are
   checked.
 
-And for `nf chebotarev` over valid and malformed --catalog files, whose
-fields of degree 3 and 4 send primes through the batched Frobenius test:
+And for `nf chebotarev`, `nf factor` and `nf signature` over valid and
+malformed --catalog files, whose fields of degree 3 and 4 send primes through
+the batched Frobenius test, one of them with an abelian certificate:
 
-- a malformed catalog is a usage error (exit 2), a reducible minimal
-  polynomial the domain error ReducibleMinPoly (exit 1);
-- a scan counts the same split primes as `is_split`, prime by prime;
+- a malformed catalog, a forged certificate among them, is a usage error
+  (exit 2), a reducible minimal polynomial the domain error ReducibleMinPoly
+  (exit 1);
+- a scan counts the same split primes as `is_split`, prime by prime, and
+  `nf factor` and `nf signature` report the catalog field's factorization
+  and signature;
 - --out behaves as above.
 """
 
@@ -34,10 +38,16 @@ import traceback
 
 import pytest
 
-from arithgroups.catalog import field_aliases, group_aliases, load_group, read_field_catalog
+from arithgroups.catalog import (
+    field_aliases,
+    group_aliases,
+    load_field,
+    load_group,
+    read_field_catalog,
+)
 from arithgroups.cli import dispatch
 from arithgroups.errors import DomainError, UsageError
-from arithgroups.numberfield import is_split
+from arithgroups.numberfield import factor_prime, is_split
 from arithgroups.primes import primes_upto
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -201,6 +211,8 @@ CATALOG_RECORDS = {
     "plastic": "name=plastic\nminpoly=-1,-1,0,1\n",
     "qrt2": "name=qrt2\nminpoly=-2,0,0,0,1\n",
     "quartic229": "name=quartic229\nminpoly=1,1,0,0,1\nmaximal=1\n",
+    # cyclic7 with its automorphisms x, x^2 - 2, 1 - x - x^2: one Frobenius test per class mod 49
+    "abelian7": "name=abelian7\nminpoly=-1,-2,1,1\nautomorphisms=0,1;-2,0,1;1,-1,-1\n",
 }
 MALFORMED_RECORDS = {
     "nopoly": "name=nopoly\ngalois=true\n",
@@ -208,14 +220,16 @@ MALFORMED_RECORDS = {
     "nonmonic": "name=nonmonic\nminpoly=-2,0,2\n",
     "flag": "name=flag\nminpoly=-2,0,1\ngalois=maybe\n",
     "": "minpoly=-2,0,1\n",                        # no name=
+    "forged": "name=forged\nminpoly=-2,0,0,1\nautomorphisms=0,1;0,0,1;-1,0,1\n",  # x^3 - 2 is not Galois
+    "badcert": "name=badcert\nminpoly=1,0,1\nautomorphisms=0,1;0,i\n",
 }
 REDUCIBLE_RECORDS = {"split": "name=split\nminpoly=-1,0,1\n"}
 ALL_RECORDS = {**CATALOG_RECORDS, **MALFORMED_RECORDS, **REDUCIBLE_RECORDS}
 
 
 @st.composite
-def chebotarev_runs(draw):
-    """(catalog record names, --field, --bound, --format, --out).
+def catalogs(draw):
+    """(catalog record names, --field).
 
     The catalog has 1 to 3 valid records, and in a third of the draws one
     malformed or reducible record at a drawn position.
@@ -226,9 +240,37 @@ def chebotarev_runs(draw):
     if bad is not None:
         names.insert(draw(st.integers(0, len(names))), bad)
     field = draw(st.one_of(st.sampled_from(names), st.sampled_from(field_aliases() + ["nosuch"])))
+    return names, field
+
+
+@st.composite
+def chebotarev_runs(draw):
+    """(catalog record names, --field, --bound, --format, --out)."""
+    names, field = draw(catalogs())
     bound = str(draw(st.integers(1, 2000)))
     fmt = draw(st.sampled_from(("json", "text")))
     return names, field, bound, fmt, draw(out_files)
+
+
+def write_catalog(work, names):
+    catalog = os.path.join(work, "fields.cat")
+    with open(catalog, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(ALL_RECORDS[name] for name in names))
+    return catalog
+
+
+def assert_catalog_exit(names, field, catalog, code, err):
+    """Records are read in order, and the first bad one ends the run."""
+    assert code in (0, 1, 2) and "Traceback" not in err, err
+    bad = next((name for name in names if name not in CATALOG_RECORDS), None)
+    if bad in MALFORMED_RECORDS:
+        assert code == 2 and err.startswith(f"usage error: {catalog}: field "), err
+    elif bad in REDUCIBLE_RECORDS:
+        assert code == 1 and err.startswith("error ReducibleMinPoly:"), err
+    elif field == "nosuch":
+        assert code == 2 and err.startswith("usage error: "), err
+    else:
+        assert code == 0, err
 
 
 @hypothesis.settings(max_examples=60, deadline=None)
@@ -238,27 +280,43 @@ def chebotarev_runs(draw):
 def test_chebotarev_catalog_and_out_file(run):
     names, field, bound, fmt, out = run
     with tempfile.TemporaryDirectory() as work:
-        catalog = os.path.join(work, "fields.cat")
-        with open(catalog, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(ALL_RECORDS[name] for name in names))
+        catalog = write_catalog(work, names)
         argv = ["nf", "chebotarev", "--field", field, "--bound", bound,
                 "--catalog", catalog, "--format", fmt]
         printed = run_cli(argv)
         code, stdout, err = printed
         hypothesis.event(f"exit {code}")
-        assert code in (0, 1, 2) and "Traceback" not in err, err
-        # records are read in order, and the first bad one ends the run
-        bad = next((name for name in names if name not in CATALOG_RECORDS), None)
-        if bad in MALFORMED_RECORDS:
-            assert code == 2 and err.startswith(f"usage error: {catalog}: "), err
-        elif bad in REDUCIBLE_RECORDS:
-            assert code == 1 and err.startswith("error ReducibleMinPoly:"), err
-        elif field == "nosuch":
-            assert code == 2 and err.startswith("usage error: "), err
-        else:
-            assert code == 0, err
+        assert_catalog_exit(names, field, catalog, code, err)
         if code == 0 and field in names and fmt == "json":
             K = read_field_catalog(catalog)[field]
             unramified = [p for p in primes_upto(int(bound)) if K.disc % p]
             assert json.loads(stdout)["split"] == sum(is_split(K, p) for p in unramified)
         assert_out_file_holds_the_printed_bytes(argv, printed, work, out)
+
+
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(catalogs(), st.sampled_from(("factor", "signature")),
+                  st.sampled_from(primes_upto(50)))
+@hypothesis.example((["abelian7", "forged"], "abelian7"), "factor", 13)
+def test_factor_and_signature_read_the_catalog(catalog_draw, command, prime):
+    names, field = catalog_draw
+    with tempfile.TemporaryDirectory() as work:
+        catalog = write_catalog(work, names)
+        argv = ["nf", command, "--field", field, "--catalog", catalog]
+        if command == "factor":
+            argv += ["--prime", str(prime)]
+        code, stdout, err = run_cli(argv)
+        hypothesis.event(f"nf {command}: exit {code}")
+        assert_catalog_exit(names, field, catalog, code, err)
+        if code != 0:
+            return
+        K = load_field(field, catalog)
+        payload = json.loads(stdout)
+        assert (payload["field"], payload["degree"]) == (K.name, K.degree)
+        if command == "factor":
+            fac = factor_prime(K, prime)
+            assert payload["factors"] == [
+                {"e": f.e, "f": f.f, "poly": [int(c) for c in f.factor_poly.coeffs]}
+                for f in fac.factors]
+        else:
+            assert (payload["real_embeddings"], payload["complex_pairs"]) == K.signature

@@ -18,6 +18,7 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 COMPUTE_MODULES = {
+    "arithgroups.abelian",
     "arithgroups.closure",
     "arithgroups.congruence",
     "arithgroups.density",

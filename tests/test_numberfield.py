@@ -371,17 +371,26 @@ def test_frobenius_test_runs_only_where_the_character_is_silent(catalog, monkeyp
     monkeypatch.setattr(numberfield, "_frobenius_residues",
                         lambda m, primes: calls.extend(primes) or residues(m, primes))
     primes = primes_upto(10 ** 4)
+    fields = {**catalog, "zeta5": NumberField((1, 1, 1, 1, 1)), "certified zeta5": catalog["zeta5"]}
+    assert fields["zeta5"].automorphisms is None and catalog["zeta5"].automorphisms
+    first_in_class = {}   # the first prime of each class mod 125
+    for p in primes:
+        first_in_class.setdefault(p % 125, p)
     expected = {
         "qi": [],
         "qsqrt2": [],
         # disc = -108: (-108/p) = (-3/p) = 1 exactly for p = 1 mod 3; 2 and 3 ramify
         "qcbrt2": [p for p in primes if p % 3 == 1],
-        # disc = 125: (125/p) = (p/5) = 1 exactly for p = +-1 mod 5; and p = 2
+        # disc = 125: (125/p) = (p/5) = 1 exactly for p = +-1 mod 5; and p = 2;
+        # without a certificate every one of them takes the test
         "zeta5": [2] + [p for p in primes if p % 5 in (1, 4)],
+        # with one, splitting is constant on classes mod 125: one test per class
+        "certified zeta5": [2] + sorted(p for c, p in first_in_class.items() if c % 5 in (1, 4)),
     }
+    assert len(expected["certified zeta5"]) == 51
     for name, want in expected.items():
         calls.clear()
-        chebotarev_scan(catalog[name], 10 ** 4)
+        chebotarev_scan(fields[name], 10 ** 4)
         assert calls == want, name
 
 
@@ -442,6 +451,70 @@ def test_scan_past_the_window_asks_the_character_per_prime():
     rep = chebotarev_scan(K, bound)
     assert rep.total == len(unramified)
     assert rep.split == sum(is_split(K, p) for p in unramified)
+
+
+# abelian certificates: r_1 = x, ..., r_d, each as coefficients, constant first
+CERTIFIED = {
+    "zeta5": ((1, 1, 1, 1, 1), ((0, 1), (0, 0, 1), (0, 0, 0, 1), (-1, -1, -1, -1))),
+    # x^3 + x^2 - 2x - 1, the real cyclic cubic of conductor 7: x, x^2 - 2, 1 - x - x^2
+    "cyclic7": ((-1, -2, 1, 1), ((0, 1), (-2, 0, 1), (1, -1, -1))),
+    # x^4 + 1, Q(zeta8): x, x^3, -x, -x^3
+    "zeta8": ((1, 0, 0, 0, 1), ((0, 1), (0, 0, 0, 1), (0, -1), (0, 0, 0, -1))),
+    # x^4 - 10x^2 + 1, Q(sqrt2, sqrt3): x, -x, 10x - x^3, x^3 - 10x
+    "biquadratic": ((1, 0, -10, 0, 1), ((0, 1), (0, -1), (0, 10, 0, -1), (0, -10, 0, 1))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED))
+def test_certified_scan_matches_dedekind(name, monkeypatch):
+    # for an abelian field the conductor divides disc(m), so splitting is
+    # constant on the classes mod |disc(m)| and the scan tests one prime per
+    # open class; its counts must still be Dedekind's at every p <= 2000
+    coeffs, automorphisms = CERTIFIED[name]
+    K = NumberField(coeffs, automorphisms=automorphisms)
+    assert abs(K.disc) <= WINDOW
+    opened = []
+    residues = numberfield._frobenius_residues
+    monkeypatch.setattr(numberfield, "_frobenius_residues",
+                        lambda m, primes: opened.extend(primes) or residues(m, primes))
+    unramified = [p for p in primes_upto(2000) if K.disc % p]
+    split = [p for p in unramified if len(factor_prime(K, p).factors) == K.degree]
+    for bound in (100, 1000, 2000):
+        opened.clear()
+        rep = chebotarev_scan(K, bound)
+        assert (rep.split, rep.total) == (sum(p <= bound for p in split),
+                                          sum(p <= bound for p in unramified)), bound
+        # at most one Frobenius test per class
+        assert len({p % abs(K.disc) for p in opened}) == len(opened), bound
+
+
+def test_forged_certificates_are_rejected():
+    rng = random.Random(16)
+    pieces = (0, 1, -1, 2, -2, Fraction(1, 2))
+    x = (0, 1)
+    for _ in range(40):
+        # x^3 - 2 has one root in Q(cbrt2), so no three distinct polynomials pass
+        others = {tuple(rng.choice(pieces) for _ in range(3)) for _ in range(2)}
+        candidates = [x, *others]
+        rng.shuffle(candidates)
+        with pytest.raises(ValueError, match="^automorphisms: "):
+            NumberField((-2, 0, 0, 1), automorphisms=candidates)
+    zeta5, (r1, r2, r3, r4) = CERTIFIED["zeta5"]
+    for certificate, message in [
+        ((r1, r2, r2, r3), "not pairwise distinct"),
+        ((r1, r2, r3, (0, 0, 0, 0, 1)), "degree 4 >= 4"),      # x^4, not reduced mod m
+        ((r2, r1, r3, r4), "r_1 must be x"),
+        ((r1, r2, r3), "expected 4 polynomials, got 3"),
+        ((r1, r2, r3, (1, 1, 1, 1)), "r_4 is not a root"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            NumberField(zeta5, automorphisms=certificate)
+    # x^6 + 108 defines the S_3 field Q(sqrt-3, cbrt2): the six roots
+    # zeta6^k x lie in it, so only the commutation check can refuse them
+    h, t = Fraction(1, 2), Fraction(1, 12)       # zeta6 = 1/2 + x^3/12
+    roots = (x, (0, h, 0, 0, t), (0, -h, 0, 0, t), (0, -1), (0, -h, 0, 0, -t), (0, h, 0, 0, -t))
+    with pytest.raises(ValueError, match="do not commute"):
+        NumberField((108, 0, 0, 0, 0, 0, 1), automorphisms=roots)
 
 
 def test_quadratic_character_is_constant_on_classes_mod_disc():

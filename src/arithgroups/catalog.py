@@ -93,25 +93,27 @@ def builtin_group(name):
 
 
 def resolve_field(spec, catalog_path=None):
-    """(name, min-poly coefficients, build) for a field alias or catalog name.
+    """(name, min-poly coefficients, galois flag, build) for a field alias or catalog name.
 
     A catalog file is read, and its fields built and so validated, first.  A
     built-in alias is built only when build() is called, so a caller that
-    needs just the name and coefficients (a cache key) loads no numberfield.
+    needs just the name, coefficients and flag (a cache key) loads no
+    numberfield.
     """
     if catalog_path:
         catalog = read_field_catalog(catalog_path)
         if spec in catalog:
             K = catalog[spec]
-            return K.name, K.min_poly.coeffs, lambda: K
+            return K.name, K.min_poly.coeffs, K.galois, lambda: K
     if spec in _BUILTIN_FIELD_RECORDS:
-        return spec, _BUILTIN_FIELD_RECORDS[spec][0], lambda: builtin_field(spec)
+        coeffs, galois = _BUILTIN_FIELD_RECORDS[spec][:2]
+        return spec, coeffs, galois, lambda: builtin_field(spec)
     raise KeyError(f"unknown field {spec!r}; aliases: {', '.join(field_aliases())}")
 
 
 def load_field(spec, catalog_path=None):
     """Resolve a field alias or read it from a catalog file."""
-    return resolve_field(spec, catalog_path)[2]()
+    return resolve_field(spec, catalog_path)[3]()
 
 
 def read_group(spec):

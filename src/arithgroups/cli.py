@@ -260,14 +260,15 @@ def cmd_nf_factor(args, cfg):
 
 
 def cmd_nf_chebotarev(args, cfg):
-    name, coeffs, build = resolve_field(args.field, cfg.catalog)
+    name, coeffs, galois, build = resolve_field(args.field, cfg.catalog)
 
     def compute():
         from .numberfield import chebotarev_scan
 
         return jsonable(chebotarev_scan(build(), args.bound))
 
-    canonical = f"{name}|{','.join(str(c) for c in coeffs)}|X={args.bound}"
+    # the galois flag sets the report's sample_only, so it is part of the key
+    canonical = f"{name}|{','.join(str(c) for c in coeffs)}|galois={galois}|X={args.bound}"
     cached_scan(cfg, "nf-chebotarev", canonical, compute, args.out)
 
 

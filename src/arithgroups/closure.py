@@ -1,10 +1,10 @@
 """Breadth-first closure of a matrix group over Z/m.
 
 A closure lists every element of a matrix group over Z/m.  It serves the
-callers that need the element set (the quasisimple check, gamma_plus) and is
-the oracle for congruence._chain_order, which counts an image without listing
-it.  Matrices are encoded as arbitrary-precision ints, so there is no size
-limit on n or m.
+callers that need the element set (gamma_plus, unipotent_closure_subgroup)
+and is the oracle for congruence._chain_order, which counts an image without
+listing it.  Matrices are encoded as arbitrary-precision ints, so there is no
+size limit on n or m.
 
 A matrix packs row-major into one int, ``bits`` bits per entry, so row i is
 the ``n * bits``-bit field at bit ``i * n * bits``.  Row i of ``cur · g``

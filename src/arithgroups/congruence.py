@@ -6,19 +6,20 @@ orders are compared against the full SL_n(Z/m) order.  An order alone comes
 from filtration_closure: a Schreier-Sims stabiliser chain counts the image mod
 rad(m) from orbits of vectors, without listing it, and when m has a square
 factor the congruence filtration above rad(m) gives the rest.  Closures that
-keep their elements (the quasisimple check, gamma_plus) stay breadth-first.
-Surjectivity is decided only by exact order equality.
+keep their elements (gamma_plus) stay breadth-first; the quasisimple check
+lists G once from a counted order.  Surjectivity is decided only by exact
+order equality.
 """
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from math import gcd, prod
 from operator import mul
 
 from .catalog import DEFAULT_CAP, SIntegerGroup
 from .closure import run_closure
-from .errors import NonInvertibleDenominator, OutOfRange, Truncated
+from .errors import NonInvertibleDenominator, OutOfRange, Truncated, Unverified
 from .matrix import Mat
 from .primes import factorint, prime_support, primes_upto
 from .rings import IntegersMod
@@ -666,155 +667,110 @@ class QuasisimpleReport(namedtuple("QuasisimpleReport", [
 def quasisimple_check(closure, cap=4 * 10 ** 5):
     """Exhaustive quasisimplicity test for a full SL_2(F_p) closure.
 
-    Works on integer indices: the sorted elements are numbered 0..N-1, and
-    right multiplication by each generator g and left multiplication by g^-1
-    become int lists, so conjugation by g is one list lookup per element.
-    The centre Z is the set of indices every conjugation fixes, and the
-    conjugacy classes are orbits under the conjugations.  G is perfect when
-    the normal closure of the generator commutators has order N; G/Z is
-    simple when, for each class outside Z, the normal closure of one
-    representative together with Z has order N.
+    G is listed once, breadth-first from I: level by level, and within a
+    level one generator g_a at a time, so the elements are numbered 0..N-1
+    and right[a][i] is the index of x_i g_a.  The new children of one level
+    under one generator form a block, kept with their parents' indices.  The
+    listing must count closure.order, or Unverified is raised.
 
-    Normal closures are built Schreier-style (Holt, Eick and O'Brien,
-    Handbook of Computational Group Theory, 2005): a conjugate of a subgroup
-    generator by a group generator becomes a new subgroup generator only when
-    it lies outside the subgroup, which is then re-closed.  By Lagrange each
-    addition at least doubles the subgroup, so there are at most log2 N
-    additions.  Right multiplication by a subgroup generator is composed from
-    that element's word in a breadth-first spanning tree of the generators'
-    Cayley graph, so no product of two matrices is formed after the setup.
+    After the listing no matrix is multiplied.  Since h(xg) = (hx)g, the
+    index list of x -> hx is built block by block from [h], one lookup per
+    element however long h's word is, and conjugation by g_a is right[a]
+    after left multiplication by g_a^-1.  The centre Z is the set of indices
+    every conjugation fixes, and the conjugacy classes are orbits under the
+    conjugations.  G is perfect when the normal closure of the generator
+    commutators is G; G/Z is simple when, for each class outside Z, the
+    normal closure of one representative together with Z is G.
+
+    A normal closure (Holt, Eick and O'Brien, Handbook of Computational Group
+    Theory, 2005) takes a conjugate of a subgroup generator by a group
+    generator as a new subgroup generator only when it lies outside the
+    subgroup, at most log2 N times by Lagrange.  Each new generator h extends
+    H by Dimino's coset enumeration (Butler, Fundamental Algorithms for
+    Permutation Groups, 1991): <H, h> is a union of left cosets rH, and
+    g(rH) = (gr)H element by element, so a new coset is the image of a known
+    one and only coset representatives are tested against the generators.
+    A subgroup with more than N/2 elements is G.
     """
-    p = closure.modulus
-    n = closure.n
-    if closure.elements is None:
-        raise Truncated("quasisimple check needs the full element set")
-    if p * closure.order > cap:
-        raise Truncated(f"{p} * {closure.order} exceeds the exhaustive-check cap {cap}")
-    elements = closure.elements
-    N = len(elements)
-    index = {x: i for i, x in enumerate(elements)}
-    ident = index[flat_identity(n, p)]
-    gens = closure.gen_images
+    p, n, N = closure.modulus, closure.n, closure.order
+    if closure.truncated:
+        raise Truncated("quasisimple check needs the exact order")
+    if p * N > cap:
+        raise Truncated(f"{p} * {N} exceeds the exhaustive-check cap {cap}")
+    ident = flat_identity(n, p)
+    index = {ident: 0}
+    setdefault = index.setdefault
+    right = [[] for _ in closure.gen_images]
+    blocks = []                  # (right[a], parents): children x_i g_a, numbered in order
+    level, lo = [ident], 0
+    while level and len(index) <= N:
+        for r, g in zip(right, closure.gen_images):
+            start = len(index)
+            found = [setdefault(flat_mul(x, g, n, p), len(index)) for x in level]
+            r += found
+            blocks.append((r, [i for i, j in enumerate(found, lo) if j >= start]))
+        lo += len(level)
+        level = list(islice(index, lo, None))
+    if len(index) != N:
+        raise Unverified(f"listing G mod {p} does not give the closure's order {N}")
 
-    # right[a][i] = index of elements[i] * g_a; g_a^-1 is the x with x * g_a = 1
-    right = [[index[flat_mul(x, g, n, p)] for x in elements] for g in gens]
-    gen_invs = [elements[r.index(ident)] for r in right]
-    # conj[a][i] = index of g_a^-1 * elements[i] * g_a
-    conj = []
-    for r, gi in zip(right, gen_invs):
-        left_inv = [index[flat_mul(gi, x, n, p)] for x in elements]
-        conj.append([r[j] for j in left_inv])
-
-    # spanning tree: elements[i] = elements[parent[i]] * g_label[i]
-    parent = [ident] * N
-    label = [0] * N
-    reached = bytearray(N)
-    reached[ident] = 1
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for a, r in enumerate(right):
-                y = r[x]
-                if not reached[y]:
-                    reached[y] = 1
-                    parent[y] = x
-                    label[y] = a
-                    nxt.append(y)
-        frontier = nxt
-
-    def right_by(h):
-        """The index list of x -> x * elements[h]."""
-        word = []
-        while h != ident:
-            word.append(label[h])
-            h = parent[h]
-        perm = range(N)
-        for a in reversed(word):
-            r = right[a]
-            perm = [r[i] for i in perm]
+    def left_by(h):
+        """The index list of x -> x_h x."""
+        perm = [h]
+        for r, parents in blocks:
+            perm += [r[perm[x]] for x in parents]
         return perm
 
-    def normal_closure_order(seeds):
-        member = bytearray(N)
-        member[ident] = 1
-        elems = [ident]
-        hgens = []
-        perms = []
+    def generates(seeds):
+        """Whether the normal closure of the seeds is G."""
+        elems, member, perms, todo = [0], {0}, [], list(seeds)
+        for h in todo:                      # grows while it is walked
+            if h in member:
+                continue
+            perms.append(zperms.get(h) or left_by(h))
+            cosets = [elems]
+            for c in cosets:                # grows while it is walked
+                for q in perms:
+                    if q[c[0]] not in member:
+                        cosets.append([q[e] for e in c])
+                        member.update(cosets[-1])
+                        if 2 * len(member) > N:
+                            return True
+            elems = list(chain.from_iterable(cosets))
+            todo += [c[h] for c in conj]
+        return len(member) == N
 
-        def add_generator(h):
-            perm = right_by(h)
-            hgens.append(h)
-            perms.append(perm)
-            frontier = []
-            for x in elems:
-                y = perm[x]
-                if not member[y]:
-                    member[y] = 1
-                    frontier.append(y)
-            while frontier:
-                elems.extend(frontier)
-                nxt = []
-                for x in frontier:
-                    for q in perms:
-                        y = q[x]
-                        if not member[y]:
-                            member[y] = 1
-                            nxt.append(y)
-                frontier = nxt
-
-        for s in seeds:
-            if not member[s]:
-                add_generator(s)
-        for h in hgens:                      # grows while it is walked
-            if len(elems) == N:
-                break
-            for c in conj:
-                if not member[c[h]]:
-                    add_generator(c[h])
-        return len(elems)
-
-    # perfect: [G,G] is the normal closure of the generator commutators
-    comms = [
-        index[flat_mul(flat_mul(a, b, n, p), flat_mul(ai, bi, n, p), n, p)]
-        for a, ai in zip(gens, gen_invs)
-        for b, bi in zip(gens, gen_invs)
-    ]
-    perfect = normal_closure_order(comms) == N
-
-    # centre: elements fixed by every conjugation
-    center = [i for i in range(N) if all(c[i] == i for c in conj)]
+    invs = [r.index(0) for r in right]
+    # conj[a][i] = index of g_a^-1 x_i g_a
+    conj = [[r[j] for j in left_by(i)] for r, i in zip(right, invs)]
+    center = [i for i, j in enumerate(conj[0]) if i == j]
+    for c in conj[1:]:
+        center = [z for z in center if c[z] == z]
     quotient_order = N // len(center)
+    zperms = {z: left_by(z) for z in center}
+
+    # perfect: [G,G] is the normal closure of the commutators g_a^-1 g_b^-1 g_a g_b
+    perfect = generates([r[c[i]] for c in conj for r, i in zip(right, invs)])
 
     # one representative per conjugacy class of G/Z: after testing a class,
-    # mark its whole preimage x * Z as done
-    center_perms = [right_by(z) for z in center]
-    seeds_z = [z for z in center if z != ident]
-    done = bytearray(N)
-    for z in center:
-        done[z] = 1
+    # mark its whole preimage xZ as done
+    done = set(center)
     simple = True
     for rep in range(N):
-        if done[rep]:
+        if rep in done:
             continue
-        done[rep] = 1
-        orbit = [rep]
-        for x in orbit:                      # grows while it is walked
-            for c in conj:
-                y = c[x]
-                if not done[y]:
-                    done[y] = 1
-                    orbit.append(y)
-        for x in orbit:
-            for zp in center_perms:
-                done[zp[x]] = 1
-        if normal_closure_order([rep] + seeds_z) != N:
+        cls = new = {rep}
+        while new:
+            new = {c[x] for c in conj for x in new} - cls
+            cls |= new
+        done |= {z[x] for z in zperms.values() for x in cls}
+        if not generates(center[1:] + [rep]):
             simple = False
             break
 
     return QuasisimpleReport(
         p=p,
-        order=closure.order,
+        order=N,
         perfect=perfect,
         center_order=len(center),
         simple_quotient_order=quotient_order,

@@ -119,9 +119,10 @@ def _generated_subgroup(candidates, n, p, cap):
     """Closure of the candidate flats mod p, keeping its elements up to cap.
 
     A candidate becomes a generator only when it lies outside the subgroup
-    closed so far, which is then re-closed: the Schreier-style rule of
-    quasisimple_check.  By Lagrange each addition at least doubles the
-    subgroup, so at most log2 |H| candidates are closed over, not all of them.
+    closed so far, which is then re-closed, as in a normal closure (Holt,
+    Eick and O'Brien, Handbook of Computational Group Theory, 2005).  By
+    Lagrange each addition at least doubles the subgroup, so at most log2 |H|
+    candidates are closed over, not all of them.
     """
     from .congruence import bfs_closure_flat, flat_identity
 
@@ -419,9 +420,9 @@ def lubotzky_scan(G, prime_bound, cap=DEFAULT_CAP, quasisimple_pmax=13):
 
     For surjective primes the PSL_2(p) quotient order is attached (order/2
     for odd p); small surjective primes also get the exhaustive quasisimple
-    verification of the image.  Each prime's image is computed once: the
-    records match strong_approx_scan, and primes up to quasisimple_pmax keep
-    their elements for the check.
+    verification of the image.  Each prime's image is counted once, by the
+    stabiliser chain, so the records match strong_approx_scan; no elements
+    are kept, and the check lists G itself from that count.
     """
     from .congruence import image_record, quasisimple_check
 
@@ -431,7 +432,7 @@ def lubotzky_scan(G, prime_bound, cap=DEFAULT_CAP, quasisimple_pmax=13):
     for p in primes_upto(prime_bound):
         if p in G.S:
             continue
-        rec, closure = image_record(G, p, cap, keep_elements=p <= quasisimple_pmax)
+        rec, closure = image_record(G, p, cap)
         psl = None
         quasi = None
         if rec.surjective:

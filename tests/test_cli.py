@@ -328,6 +328,23 @@ def test_catalog_file_flag(capfd, tmp_path):
     assert payload["sum_e_f"] == 2
 
 
+def test_nf_chebotarev_cache_key_includes_galois(capfd, tmp_path):
+    # two catalogs give one field name and min poly, and differ only in the galois flag
+    cache = tmp_path / "cache"
+    runs = []
+    for flag in ("true", "false"):
+        cat = tmp_path / f"galois-{flag}.catalog"
+        cat.write_text(f"name=g\nminpoly=1,0,1\ngalois={flag}\n")
+        argv = ("nf", "chebotarev", "--field", "g", "--catalog", str(cat), "--bound", "1000")
+        uncached = run(capfd, *argv)
+        assert uncached[0] == 0
+        assert json.loads(uncached[1])["sample_only"] is (flag == "false")
+        runs.append((argv, uncached))
+    for _ in ("cold", "warm"):
+        for argv, uncached in runs:
+            assert run(capfd, *argv, "--cache-dir", str(cache)) == uncached
+
+
 def test_oneforall_cache_key_includes_cap(capfd, tmp_path):
     cache = tmp_path / "cache"
     capped = ("cong", "oneforall", "--group", "sanov", "--pmax", "13", "--cap", "100",

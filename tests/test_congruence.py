@@ -16,6 +16,7 @@ from arithgroups.congruence import (
     elementary_generators_sl,
     flat_identity,
     flat_mul,
+    image_record,
     is_surjective_image,
     one_for_all_scan,
     order_sl,
@@ -24,7 +25,7 @@ from arithgroups.congruence import (
     reduce_generators,
     strong_approx_scan,
 )
-from arithgroups.errors import NonInvertibleDenominator, NotInvertible, Truncated
+from arithgroups.errors import NonInvertibleDenominator, NotInvertible, Truncated, Unverified
 from arithgroups.matrix import Mat
 from arithgroups.rings import QQ, IntegersMod
 
@@ -343,6 +344,59 @@ def test_quasisimple_cap():
     c = bfs_closure(elementary_generators_sl(2, 13))
     with pytest.raises(Truncated):
         quasisimple_check(c, cap=100)
+
+
+def test_quasisimple_check_matches_brute_force_on_random_generators():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    compared = []
+
+    @st.composite
+    def closures(draw):
+        """A closure of order <= 400 on 1-3 random invertible generators mod m."""
+        n, m = draw(st.sampled_from([(2, 2), (2, 3), (2, 4), (2, 5), (2, 7), (3, 2)]))
+        gens = draw(st.lists(st.tuples(*[st.integers(0, m - 1)] * (n * n)), min_size=1, max_size=3))
+        ring = IntegersMod(m)
+        hypothesis.assume(all(
+            gcd(Mat(ring, [g[i:i + n] for i in range(0, n * n, n)]).det(), m) == 1 for g in gens))
+        c = bfs_closure_flat(gens, n, m, cap=400)
+        hypothesis.assume(not c.truncated)
+        return c
+
+    @hypothesis.settings(max_examples=60, deadline=None,
+                         suppress_health_check=[hypothesis.HealthCheck.filter_too_much])
+    @hypothesis.given(closures())
+    def check(c):
+        assert quasisimple_check(c) == brute_quasisimple(c)
+        compared.append(c.order)
+
+    check()
+    assert len(compared) >= 30 and max(compared) > 100
+
+
+@pytest.mark.parametrize("name", ["sanov", "sl2z"])
+@pytest.mark.parametrize("p,psl", [(11, 660), (13, 1092)])
+def test_quasisimple_reports_of_the_order_count(name, p, psl):
+    # the check lists G from the stabiliser chain's order, with no kept elements
+    _, c = image_record(builtin_group(name), p)
+    assert c.elements is None
+    assert quasisimple_check(c) == QuasisimpleReport(
+        p=p, order=2 * psl, perfect=True, center_order=2, simple_quotient_order=psl,
+        quotient_is_simple=True)
+
+
+@pytest.mark.parametrize("order", [1, 60, 119, 121, 240])
+def test_quasisimple_check_rejects_a_wrong_order(order):
+    c = bfs_closure(elementary_generators_sl(2, 5))
+    with pytest.raises(Unverified):
+        quasisimple_check(c._replace(order=order))
+
+
+def test_quasisimple_check_rejects_a_truncated_closure():
+    c = bfs_closure(elementary_generators_sl(2, 13), cap=100)
+    assert c.truncated
+    with pytest.raises(Truncated):
+        quasisimple_check(c)
 
 
 def test_canonical_bytes_is_injective_and_stable():

@@ -316,9 +316,9 @@ def test_lubotzky_scan_closes_each_prime_once(monkeypatch):
     monkeypatch.setattr(congruence, "run_closure", closing)
     monkeypatch.setattr(congruence, "_chain_order", counting)
     rep = lubotzky_scan(builtin_group("sanov"), 31)
-    # primes up to quasisimple_pmax keep their elements; the others are only counted
-    assert closed == [2, 3, 5, 7, 11, 13]
-    assert closed + counted == [r.p for r in rep.records] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+    # every prime is only counted; the quasisimple check lists G itself from the count
+    assert closed == []
+    assert counted == [r.p for r in rep.records] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
 
 def test_lubotzky_scan_triangular():

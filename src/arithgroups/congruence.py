@@ -543,21 +543,16 @@ class ImageRecord(namedtuple("ImageRecord", [
     __slots__ = ()
 
 
-def image_record(G, m, cap=DEFAULT_CAP, keep_elements=False):
+def image_record(G, m, cap=DEFAULT_CAP):
     """The ImageRecord mod m and the closure it was read from.
 
-    The range of (n, m) is checked before any closure.  A call that keeps the
-    elements closes G mod m; any other goes through filtration_closure, where
-    cap bounds the order of G mod rad(m).  A truncated closure gives a record
-    with no order and no verdict; the caller decides whether that is an
-    error.
+    The range of (n, m) is checked before any closure.  The closure is
+    filtration_closure, where cap bounds the order of G mod rad(m).  A
+    truncated closure gives a record with no order and no verdict; the caller
+    decides whether that is an error.
     """
     target = order_sl(G.n, m)
-    gens = reduce_generators(G, m)
-    if keep_elements:
-        closure = bfs_closure(gens, cap=cap)
-    else:
-        closure = filtration_closure(gens, cap=cap)
+    closure = filtration_closure(reduce_generators(G, m), cap=cap)
     if closure.truncated:
         rec = ImageRecord(m=m, image_order=None, target_order=target,
                           surjective=None, truncated=True)

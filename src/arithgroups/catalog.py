@@ -4,13 +4,12 @@ Field catalog records are line-oriented key=value blocks separated by blank
 lines; generator files hold one matrix per block with exact rational entries.
 
 This module is on the path of every CLI command, a cache hit included, so it
-imports no compute module and not the matrix layer at load time: numberfield
-is imported by the functions that build a field, and matrix, rings and primes
-by those that build a group.  read_group gives a group's exact rows without
+imports no compute module, not the matrix layer and not fractions at load
+time: numberfield is imported by the functions that build a field, matrix,
+rings and primes by those that build a group, and fractions by those that
+read or write a rational.  read_group gives a group's exact rows without
 building it.
 """
-
-from fractions import Fraction
 
 from .errors import NotInvertible, UsageError, read_user_file
 
@@ -21,6 +20,8 @@ class SIntegerGroup:
     """A finitely generated subgroup of GL_n(Z_S) given by its generators."""
 
     def __init__(self, gens, label="group"):
+        from fractions import Fraction
+
         from .matrix import Mat
         from .primes import prime_support
         from .rings import QQ
@@ -195,6 +196,8 @@ def _parse_bool(text):
 
 
 def _parse_automorphisms(text):
+    from fractions import Fraction
+
     try:
         return tuple(tuple(Fraction(c) for c in r.split(",")) for r in text.split(";"))
     except (ValueError, ZeroDivisionError):
@@ -207,6 +210,8 @@ def read_generator_file(path):
     Returns the matrices as lists of Fraction rows.  A file that is not a list
     of square matrices of one size raises UsageError naming the file.
     """
+    from fractions import Fraction
+
     blocks = [[]]
     for lineno, raw in enumerate(read_user_file(path, "generator file"), 1):
         line = raw.strip()
@@ -233,6 +238,8 @@ def read_generator_file(path):
 
 
 def write_generator_file(gens, path):
+    from fractions import Fraction
+
     blocks = []
     for g in gens:
         blocks.append("\n".join(

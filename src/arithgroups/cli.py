@@ -8,14 +8,19 @@ Each command imports the compute modules it runs inside its own function (for a
 cached scan, inside the compute() it hands to cached_scan), so that
 `--version` and a cache hit load only argv parsing, the catalog and the cache.
 A cached scan reads its groups as exact rows and builds them inside compute(),
-so a hit loads no matrix layer either.
+so a hit loads no matrix layer either.  Nor does this path import fractions at
+load time: a built-in group's rows hold ints, so `--version` and a hit on a
+built-in group or field never make a Fraction.
+
+Every subcommand is one entry of the COMMANDS table.  dispatch builds the
+parser for the subcommand argv names only; build_parser() with no argv builds
+them all, with the same help and usage errors.
 """
 
 import argparse
 import functools
 import os
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .catalog import (
@@ -47,6 +52,8 @@ def int_list_arg(text):
 
 
 def rational_arg(text):
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -143,9 +150,8 @@ def build_config(args):
 
 def _group_canonical(label, rows):
     """The cache-key text of the group read_group returned as (label, rows)."""
-    gens = ";".join(
-        ",".join(str(Fraction(x)) for row in g for x in row) for g in rows
-    )
+    # rows hold ints or Fractions, so str(x) is the text str(Fraction(x)) would give
+    gens = ";".join(",".join(str(x) for row in g for x in row) for g in rows)
     return f"{label}|n={len(rows[0])}|{gens}"
 
 
@@ -473,121 +479,145 @@ def cmd_lubotzky_scan(args, cfg):
     cached_scan(cfg, "lubotzky-scan", canonical, compute, args.out, [(label, rows)])
 
 
-def build_parser():
+# options every subcommand takes, before its own; each option is (flag, add_argument keywords)
+SHARED_OPTIONS = [
+    ("--format", dict(choices=("json", "text"), default=None)),
+    ("--config", dict(default=None, help="key=value config file")),
+    ("--cache-dir", dict(dest="cache_dir", default=None)),
+    ("--catalog", dict(default=None, help="field catalog file")),
+]
+
+# command group -> (help, {subcommand: (command function, its options)})
+COMMANDS = {
+    "nf": ("number field operations", {
+        "factor": (cmd_nf_factor, [
+            ("--field", dict(required=True,
+                             help=f"alias ({', '.join(field_aliases())}) or catalog name")),
+            ("--prime", dict(type=prime_arg, required=True)),
+        ]),
+        "chebotarev": (cmd_nf_chebotarev, [
+            ("--field", dict(required=True)),
+            ("--bound", dict(type=positive_int, required=True)),
+            ("--out", dict(default=None)),
+        ]),
+        "signature": (cmd_nf_signature, [
+            ("--field", dict(required=True)),
+        ]),
+    }),
+    "padic": ("p-adic arithmetic", {
+        "lift": (cmd_padic_lift, [
+            ("--coeffs", dict(type=int_list_arg, required=True,
+                              help="integer coefficients, constant first")),
+            ("--prime", dict(type=prime_arg, required=True)),
+            ("--root", dict(type=int, required=True)),
+            ("--prec", dict(type=positive_int, required=True)),
+        ]),
+        "eval": (cmd_padic_eval, [
+            ("--prime", dict(type=prime_arg, required=True)),
+            ("--prec", dict(type=positive_int, required=True)),
+            ("--value", dict(type=rational_arg, required=True, help="exact rational a/b")),
+        ]),
+    }),
+    "group": ("algebraic group presentations", {
+        "lie": (cmd_group_lie, [
+            ("--preset", dict(default="sl2", choices=sorted(_PRESETS))),
+            ("--file", dict(default=None, help="presentation interchange file")),
+            ("--out", dict(default=None)),
+        ]),
+        "ros": (cmd_group_ros, [
+            ("--field", dict(required=True)),
+            ("--preset", dict(default="mult", choices=sorted(_PRESETS))),
+            ("--file", dict(default=None)),
+            ("--write-presentation", dict(default=None,
+                                          help="also write the result in the interchange format")),
+            ("--out", dict(default=None)),
+        ]),
+        "reduce": (cmd_group_reduce, [
+            ("--preset", dict(default="sl2", choices=sorted(_PRESETS))),
+            ("--file", dict(default=None)),
+            ("--prime", dict(type=prime_arg, required=True)),
+        ]),
+    }),
+    "cong": ("congruence image scans", {
+        "scan": (cmd_cong_scan, [
+            ("--group", dict(required=True,
+                             help=f"alias ({', '.join(group_aliases())}) or generator file")),
+            ("--pmax", dict(type=positive_int, default=None)),
+            ("--exp", dict(type=positive_int, default=None)),
+            ("--cap", dict(type=positive_int, default=None)),
+            ("--out", dict(default=None)),
+        ]),
+        "image": (cmd_cong_image, [
+            ("--group", dict(required=True)),
+            ("--mod", dict(type=positive_int, required=True)),
+            ("--cap", dict(type=positive_int, default=None)),
+        ]),
+        "index": (cmd_cong_index, [
+            ("--size", dict(type=positive_int, default=2, help="matrix size n")),
+            ("--mod", dict(type=positive_int, required=True)),
+        ]),
+        "oneforall": (cmd_cong_oneforall, [
+            ("--group", dict(action="append", required=True,
+                             help="repeatable: alias or generator file")),
+            ("--pmax", dict(type=positive_int, default=None)),
+            ("--cap", dict(type=positive_int, default=None)),
+            ("--bad", dict(type=int_list_arg, default=None, help="comma-separated bad prime set")),
+            ("--out", dict(default=None)),
+        ]),
+    }),
+    "density": ("Zariski-density evidence", {
+        "check": (cmd_density_check, [
+            ("--group", dict(required=True)),
+            ("--maxlen", dict(type=positive_int, default=None)),
+            ("--out", dict(default=None)),
+        ]),
+    }),
+    "lubotzky": ("dichotomy scans", {
+        "scan": (cmd_lubotzky_scan, [
+            ("--group", dict(required=True)),
+            ("--pmax", dict(type=positive_int, default=None)),
+            ("--cap", dict(type=positive_int, default=None)),
+            ("--out", dict(default=None)),
+        ]),
+    }),
+}
+
+
+def build_parser(argv=None):
+    """The argument parser, in full, or for the one subcommand argv names.
+
+    argv names its command group by its first token that does not start with
+    '-', and the subcommand by its second: neither the top level nor a group
+    has an option that takes a value, so these are the tokens argparse picks.
+    Every group is added with its help, and the named group with all its
+    subcommand names, so help and usage errors read as from the full parser;
+    only the named subcommand gets its options.
+    """
+    named = None if argv is None else tuple(a for a in argv if not a.startswith("-"))[:2]
     parser = argparse.ArgumentParser(
         prog="arithgroups",
         description="exact-arithmetic scans for congruence images, prime splitting, "
         "p-adic lifting, and Lie algebras of matrix groups",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "text"), default=None)
-    common.add_argument("--config", default=None, help="key=value config file")
-    common.add_argument("--cache-dir", dest="cache_dir", default=None)
-    common.add_argument("--catalog", default=None, help="field catalog file")
-
     top = parser.add_subparsers(dest="command", required=True)
-
-    nf = top.add_parser("nf", help="number field operations").add_subparsers(
-        dest="sub", required=True)
-    p = nf.add_parser("factor", parents=[common])
-    p.add_argument("--field", required=True, help=f"alias ({', '.join(field_aliases())}) or catalog name")
-    p.add_argument("--prime", type=prime_arg, required=True)
-    p.set_defaults(func=cmd_nf_factor)
-    p = nf.add_parser("chebotarev", parents=[common])
-    p.add_argument("--field", required=True)
-    p.add_argument("--bound", type=positive_int, required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_nf_chebotarev)
-    p = nf.add_parser("signature", parents=[common])
-    p.add_argument("--field", required=True)
-    p.set_defaults(func=cmd_nf_signature)
-
-    padic = top.add_parser("padic", help="p-adic arithmetic").add_subparsers(
-        dest="sub", required=True)
-    p = padic.add_parser("lift", parents=[common])
-    p.add_argument("--coeffs", type=int_list_arg, required=True,
-                   help="integer coefficients, constant first")
-    p.add_argument("--prime", type=prime_arg, required=True)
-    p.add_argument("--root", type=int, required=True)
-    p.add_argument("--prec", type=positive_int, required=True)
-    p.set_defaults(func=cmd_padic_lift)
-    p = padic.add_parser("eval", parents=[common])
-    p.add_argument("--prime", type=prime_arg, required=True)
-    p.add_argument("--prec", type=positive_int, required=True)
-    p.add_argument("--value", type=rational_arg, required=True, help="exact rational a/b")
-    p.set_defaults(func=cmd_padic_eval)
-
-    group = top.add_parser("group", help="algebraic group presentations").add_subparsers(
-        dest="sub", required=True)
-    p = group.add_parser("lie", parents=[common])
-    p.add_argument("--preset", default="sl2", choices=sorted(_PRESETS))
-    p.add_argument("--file", default=None, help="presentation interchange file")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_group_lie)
-    p = group.add_parser("ros", parents=[common])
-    p.add_argument("--field", required=True)
-    p.add_argument("--preset", default="mult", choices=sorted(_PRESETS))
-    p.add_argument("--file", default=None)
-    p.add_argument("--write-presentation", default=None,
-                   help="also write the result in the interchange format")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_group_ros)
-    p = group.add_parser("reduce", parents=[common])
-    p.add_argument("--preset", default="sl2", choices=sorted(_PRESETS))
-    p.add_argument("--file", default=None)
-    p.add_argument("--prime", type=prime_arg, required=True)
-    p.set_defaults(func=cmd_group_reduce)
-
-    cong = top.add_parser("cong", help="congruence image scans").add_subparsers(
-        dest="sub", required=True)
-    p = cong.add_parser("scan", parents=[common])
-    p.add_argument("--group", required=True, help=f"alias ({', '.join(group_aliases())}) or generator file")
-    p.add_argument("--pmax", type=positive_int, default=None)
-    p.add_argument("--exp", type=positive_int, default=None)
-    p.add_argument("--cap", type=positive_int, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_cong_scan)
-    p = cong.add_parser("image", parents=[common])
-    p.add_argument("--group", required=True)
-    p.add_argument("--mod", type=positive_int, required=True)
-    p.add_argument("--cap", type=positive_int, default=None)
-    p.set_defaults(func=cmd_cong_image)
-    p = cong.add_parser("index", parents=[common])
-    p.add_argument("--size", type=positive_int, default=2, help="matrix size n")
-    p.add_argument("--mod", type=positive_int, required=True)
-    p.set_defaults(func=cmd_cong_index)
-    p = cong.add_parser("oneforall", parents=[common])
-    p.add_argument("--group", action="append", required=True,
-                   help="repeatable: alias or generator file")
-    p.add_argument("--pmax", type=positive_int, default=None)
-    p.add_argument("--cap", type=positive_int, default=None)
-    p.add_argument("--bad", type=int_list_arg, default=None, help="comma-separated bad prime set")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_cong_oneforall)
-
-    density = top.add_parser("density", help="Zariski-density evidence").add_subparsers(
-        dest="sub", required=True)
-    p = density.add_parser("check", parents=[common])
-    p.add_argument("--group", required=True)
-    p.add_argument("--maxlen", type=positive_int, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_density_check)
-
-    lub = top.add_parser("lubotzky", help="dichotomy scans").add_subparsers(
-        dest="sub", required=True)
-    p = lub.add_parser("scan", parents=[common])
-    p.add_argument("--group", required=True)
-    p.add_argument("--pmax", type=positive_int, default=None)
-    p.add_argument("--cap", type=positive_int, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_lubotzky_scan)
-
+    for group, (help_text, subcommands) in COMMANDS.items():
+        group_parser = top.add_parser(group, help=help_text)
+        if named is not None and named[:1] != (group,):
+            continue
+        subs = group_parser.add_subparsers(dest="sub", required=True)
+        for sub, (func, options) in subcommands.items():
+            p = subs.add_parser(sub)
+            if named is not None and named != (group, sub):
+                continue
+            for flag, kwargs in SHARED_OPTIONS + options:
+                p.add_argument(flag, **kwargs)
+            p.set_defaults(func=func)
     return parser
 
 
 def dispatch(argv):
-    parser = build_parser()
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

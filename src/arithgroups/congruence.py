@@ -18,7 +18,6 @@ from math import gcd, prod
 from operator import mul
 
 from .catalog import DEFAULT_CAP, SIntegerGroup
-from .closure import run_closure
 from .errors import NonInvertibleDenominator, OutOfRange, Truncated, Unverified
 from .matrix import Mat
 from .primes import factorint, prime_support, primes_upto
@@ -81,6 +80,9 @@ def bfs_closure(gens, cap=DEFAULT_CAP, element_cap=ELEMENT_RETENTION_CAP):
 
 
 def bfs_closure_flat(gens_flat, n, m, cap=DEFAULT_CAP, element_cap=ELEMENT_RETENTION_CAP):
+    # imported here: cong and lubotzky commands count orders by the chain and run no closure
+    from .closure import run_closure
+
     order, truncated, elements = run_closure(list(gens_flat), n, m, cap, element_cap > 0)
     if elements is not None and order > element_cap:
         elements = None

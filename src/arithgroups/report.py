@@ -6,11 +6,11 @@ Rationals serialize as exact "a/b" strings.
 
 A cache hit reads its bytes back without rendering, so json is imported only
 where a report is rendered, hashlib where a key is formed and tempfile where
-an entry is written.
+an entry is written.  fractions is not imported at all: a Fraction is told
+by its denominator.
 """
 
 import os
-from fractions import Fraction
 
 from .errors import UsageError
 
@@ -19,14 +19,14 @@ def jsonable(obj):
     """Recursively convert report objects to JSON-compatible structures."""
     if hasattr(obj, "_asdict"):  # a record, before the tuple it also is
         return {k: jsonable(v) for k, v in obj._asdict().items()}
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(x) for x in obj]
     if isinstance(obj, (str, int, float, bool)) or obj is None:
         return obj
+    if hasattr(obj, "denominator"):  # a Fraction: ints, which also have one, returned above
+        return f"{obj.numerator}/{obj.denominator}"
     if hasattr(obj, "coeffs"):  # polynomials render as coefficient lists
         return [jsonable(c) for c in obj.coeffs]
     return str(obj)

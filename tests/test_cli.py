@@ -611,3 +611,55 @@ def test_group_canonical_of_the_rows_keeps_the_cache_keys(tmp_path, spec):
         spec = str(_user_file(tmp_path, "halves.gens", "2/4 -3/6\n0 2\n\n1 0\n4/2 1\n"))
     label, rows = read_group(spec)
     assert cli._group_canonical(label, rows) == _canonical_from_built_group(load_group(spec))
+
+
+SUBCOMMANDS = [(group, sub) for group, (_, subs) in cli.COMMANDS.items() for sub in subs]
+
+PARSER_ARGVS = (
+    [["--help"]]
+    + [[group, "--help"] for group in cli.COMMANDS]
+    + [[group, sub, "--help"] for group, sub in SUBCOMMANDS]
+    + [
+        [],                                                       # no group
+        ["bogus"],                                                # unknown group
+        ["cong", "bogus"],                                        # unknown subcommand
+        ["cong"],                                                 # group with no subcommand
+        ["cong", "scan"],                                         # missing required option
+        ["cong", "scan", "--grou"],                               # abbreviated option, no value
+        ["cong", "image", "--grou", "sanov"],                     # abbreviated, then --mod missing
+        ["cong", "scan", "--group", "sanov", "--pmax", "x"],      # bad type= value
+        ["cong", "index", "--mod", "4", "extra"],                 # trailing extra argument
+        ["--", "cong", "index", "--mod", "4"],                    # -- before the group
+        ["cong", "--", "index", "--mod", "4"],
+        ["--bogus", "cong", "index", "--mod", "4"],
+        ["-5", "cong", "index"],                                  # argparse reads -5 as a positional
+        ["cong", "-5", "index"],
+        ["group", "lie", "--preset", "nope"],
+        ["padic", "eval", "--prime", "5", "--prec", "3", "--value", "1/0"],
+        ["cong", "index", "--mo", "6"],                           # abbreviation that parses
+        ["density", "-h", "check"],
+        ["--version"],
+    ]
+)
+
+
+def test_the_table_lists_every_subcommand():
+    assert len(cli.COMMANDS) == 6 and len(SUBCOMMANDS) == 14
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "no-argv")
+def test_parser_for_the_named_subcommand_agrees_with_the_full_parser(capfd, monkeypatch, argv):
+    named = run(capfd, *argv)
+    build_in_full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv: build_in_full())
+    assert run(capfd, *argv) == named
+
+
+def test_build_parser_gives_options_only_to_the_named_subcommand(capfd):
+    parser = cli.build_parser(["cong", "scan", "--group", "sanov"])
+    assert parser.parse_args(["cong", "scan", "--group", "sanov"]).func is cli.cmd_cong_scan
+    with pytest.raises(SystemExit):
+        parser.parse_args(["cong", "index", "--mod", "4"])     # index is named, not built
+    assert "unrecognized arguments: --mod 4" in capfd.readouterr().err
+    full = cli.build_parser()
+    assert full.parse_args(["cong", "index", "--mod", "4"]).func is cli.cmd_cong_index

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import random_sl2z_word
 
-from arithgroups import congruence
+from arithgroups import closure, congruence
 from arithgroups.catalog import builtin_group
 from arithgroups.closure import run_closure
 from arithgroups.congruence import (
@@ -313,7 +313,7 @@ def test_lubotzky_scan_closes_each_prime_once(monkeypatch):
         counted.append(args[2])
         return chain_order(*args)
 
-    monkeypatch.setattr(congruence, "run_closure", closing)
+    monkeypatch.setattr(closure, "run_closure", closing)
     monkeypatch.setattr(congruence, "_chain_order", counting)
     rep = lubotzky_scan(builtin_group("sanov"), 31)
     # every prime is only counted; the quasisimple check lists G itself from the count

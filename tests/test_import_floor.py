@@ -2,7 +2,9 @@
 
 `arithgroups --version` and a warm cache hit parse argv, read the group's rows
 and read the cached bytes; neither may load a compute module, the matrix
-layer or json, and `--version` loads no hashlib.  No command loads
+layer or json, and `--version` loads no hashlib.  Neither `--version` nor a
+warm hit on a built-in group or field loads fractions (or the decimal module
+it imports): only a generator file holds rationals.  No command loads
 dataclasses, the number-field commands load no matrix layer and `density
 check` loads no congruence code.  Each case runs the CLI in a fresh
 interpreter, as a user does, and lists the modules loaded when it exits.
@@ -30,6 +32,8 @@ COMPUTE_MODULES = {
 }
 # what a warm hit or --version has no use for, beyond the compute modules
 MATRIX_LAYER = {"arithgroups.matrix", "arithgroups.rings", "arithgroups.primes", "json"}
+# what no run without a rational in its input has a use for
+RATIONALS = {"fractions", "decimal"}
 
 # Runs the CLI as `python -m arithgroups.cli ARGS` would, and at exit writes
 # the names of the loaded modules, one a line, to the file named by the first
@@ -62,7 +66,7 @@ def test_version_loads_no_compute_module(tmp_path):
     out, modules = loaded_modules(tmp_path, "--version")
     assert out.strip() != b""
     assert "arithgroups.catalog" in modules      # the parser names the aliases
-    assert not modules & (COMPUTE_MODULES | MATRIX_LAYER)
+    assert not modules & (COMPUTE_MODULES | MATRIX_LAYER | RATIONALS)
     assert "hashlib" not in modules
 
 
@@ -73,12 +77,27 @@ def assert_warm_hit_loads_no_compute_module(tmp_path, argv, computing_module):
     assert warm_out == cold_out
     assert {"arithgroups.catalog", "arithgroups.report"} <= warm_modules
     assert not warm_modules & (COMPUTE_MODULES | MATRIX_LAYER)
+    return warm_modules
 
 
 def test_warm_cache_hit_loads_no_compute_module(tmp_path):
     argv = ("cong", "scan", "--group", "sanov", "--pmax", "31",
             "--cache-dir", str(tmp_path / "cache"))
-    assert_warm_hit_loads_no_compute_module(tmp_path, argv, "arithgroups.congruence")
+    modules = assert_warm_hit_loads_no_compute_module(tmp_path, argv, "arithgroups.congruence")
+    assert not modules & RATIONALS
+
+
+@pytest.mark.parametrize("argv, computing_module", [
+    (("cong", "oneforall", "--group", "sanov", "--group", "transvection", "--pmax", "7",
+      "--bad", "2"), "arithgroups.congruence"),
+    (("density", "check", "--group", "sanov", "--format", "text"), "arithgroups.density"),
+    (("lubotzky", "scan", "--group", "sl2z", "--pmax", "7"), "arithgroups.density"),
+], ids=["oneforall", "density-text", "lubotzky"])
+def test_warm_hit_on_a_builtin_group_loads_no_fractions(tmp_path, argv, computing_module):
+    # built-in rows hold ints, so neither the cache key nor the hit needs a Fraction
+    argv += ("--cache-dir", str(tmp_path / "cache"))
+    modules = assert_warm_hit_loads_no_compute_module(tmp_path, argv, computing_module)
+    assert not modules & RATIONALS
 
 
 @pytest.mark.parametrize("argv, computing_module", [
@@ -100,7 +119,8 @@ def test_warm_chebotarev_hit_on_a_field_alias_loads_no_compute_module(tmp_path):
     # the cache key comes from the alias's catalog record, not from a built field
     argv = ("nf", "chebotarev", "--field", "qi", "--bound", "10000",
             "--cache-dir", str(tmp_path / "cache"))
-    assert_warm_hit_loads_no_compute_module(tmp_path, argv, "arithgroups.numberfield")
+    modules = assert_warm_hit_loads_no_compute_module(tmp_path, argv, "arithgroups.numberfield")
+    assert not modules & RATIONALS
 
 
 @pytest.mark.parametrize("argv", [
@@ -133,3 +153,15 @@ def test_cold_density_check_loads_no_congruence_code(tmp_path):
                                 "--cache-dir", str(tmp_path / "cache"))
     assert "arithgroups.density" in modules
     assert not modules & {"arithgroups.congruence", "arithgroups.closure"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("cong", "scan", "--group", "sl2z", "--pmax", "13"),
+    ("cong", "image", "--group", "sanov", "--mod", "25"),
+    ("lubotzky", "scan", "--group", "sanov", "--pmax", "13"),
+], ids=["cong-scan", "cong-image", "lubotzky-scan"])
+def test_cold_scan_loads_no_closure_engine(tmp_path, argv):
+    # the stabiliser chain counts every image; only bfs_closure_flat imports closure
+    _, modules = loaded_modules(tmp_path, *argv)
+    assert "arithgroups.congruence" in modules
+    assert "arithgroups.closure" not in modules

@@ -643,10 +643,6 @@ PARSER_ARGVS = (
 )
 
 
-def test_the_table_lists_every_subcommand():
-    assert len(cli.COMMANDS) == 6 and len(SUBCOMMANDS) == 14
-
-
 @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "no-argv")
 def test_parser_for_the_named_subcommand_agrees_with_the_full_parser(capfd, monkeypatch, argv):
     named = run(capfd, *argv)

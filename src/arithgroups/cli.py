@@ -588,8 +588,9 @@ def build_parser(argv=None):
 
     argv names its command group by its first token that does not start with
     '-', and the subcommand by its second: neither the top level nor a group
-    has an option that takes a value, so these are the tokens argparse picks.
-    Every group is added with its help, and the named group with all its
+    has an option that takes a value, so these are the tokens argparse picks,
+    unless it first takes a token such as '-5' as a name, which names no
+    command and fails the same way with either parser.  Every group is added with its help, and the named group with all its
     subcommand names, so help and usage errors read as from the full parser;
     only the named subcommand gets its options.
     """

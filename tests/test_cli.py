@@ -613,12 +613,10 @@ def test_group_canonical_of_the_rows_keeps_the_cache_keys(tmp_path, spec):
     assert cli._group_canonical(label, rows) == _canonical_from_built_group(load_group(spec))
 
 
-SUBCOMMANDS = [(group, sub) for group, (_, subs) in cli.COMMANDS.items() for sub in subs]
-
 PARSER_ARGVS = (
     [["--help"]]
     + [[group, "--help"] for group in cli.COMMANDS]
-    + [[group, sub, "--help"] for group, sub in SUBCOMMANDS]
+    + [[group, sub, "--help"] for group, (_, subs) in cli.COMMANDS.items() for sub in subs]
     + [
         [],                                                       # no group
         ["bogus"],                                                # unknown group

@@ -590,9 +590,10 @@ def build_parser(argv=None):
     '-', and the subcommand by its second: neither the top level nor a group
     has an option that takes a value, so these are the tokens argparse picks,
     unless it first takes a token such as '-5' as a name, which names no
-    command and fails the same way with either parser.  Every group is added with its help, and the named group with all its
-    subcommand names, so help and usage errors read as from the full parser;
-    only the named subcommand gets its options.
+    command and fails the same way with either parser.  Every group is added
+    with its help, and the named group with all its subcommand names, so help
+    and usage errors read as from the full parser; only the named subcommand
+    gets its options.
     """
     named = None if argv is None else tuple(a for a in argv if not a.startswith("-"))[:2]
     parser = argparse.ArgumentParser(

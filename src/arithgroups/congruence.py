@@ -3,12 +3,13 @@
 Generators live in GL_n(Q) with denominators supported on a finite prime set
 S; reduction mod m (coprime to S) gives finite matrix groups whose exact
 orders are compared against the full SL_n(Z/m) order.  An order alone comes
-from filtration_closure: a Schreier-Sims stabiliser chain counts the image mod
-rad(m) from orbits of vectors, without listing it, and when m has a square
-factor the congruence filtration above rad(m) gives the rest.  Closures that
-keep their elements (gamma_plus) stay breadth-first; the quasisimple check
-lists G once from a counted order.  Surjectivity is decided only by exact
-order equality.
+from filtration_closure: one Schreier-Sims stabiliser chain counts the image
+mod rad(m) from orbits of vectors, without listing it, and when m has a
+square factor its Schreier generators, taken mod m, give the kernel above
+rad(m) level by level in the congruence filtration.  Closures that keep
+their elements (gamma_plus) stay breadth-first; the quasisimple check lists
+G once from a counted order.  Surjectivity is decided only by exact order
+equality.
 """
 
 from collections import namedtuple
@@ -135,69 +136,80 @@ def filtration_closure(gens, cap=DEFAULT_CAP):
     gens: Mat values over IntegersMod(m).  Let r = rad(m) and K the kernel of
     G mod m -> G mod r, so |G mod m| = |G mod r| * |K|.  _chain_order counts
     G mod r, so cap bounds that count and truncated means it passed the cap.
-    For squarefree m, K is trivial.  Otherwise K is generated by the Schreier
-    generators t_x g t_{xg}^-1 (Holt, Eick and O'Brien, Handbook of
-    Computational Group Theory, 2005, section 4.1), t_x a lift of x in G mod r
-    to G mod m.  K lies in the product over p^k || m of the kernels
-    Gamma(p)/Gamma(p^k), whose orders are coprime, so K is the product of its
-    projections K_p; _KernelSifter gives each |K_p|.  No element set is kept.
+    For squarefree m, K is trivial.  Otherwise the chain runs on the
+    generators mod m while it acts on vectors mod r, and hands every element
+    of K it meets to one _KernelSifter per p^k || m with k >= 2.  K lies in
+    the product of the kernels Gamma(p)/Gamma(p^k), whose orders are coprime,
+    so K is the product of its projections K_p, and each sifter gives |K_p|.
+    G mod rad(m) is walked once, by the chain, and no element set is kept.
     """
-    m = gens[0].ring.m
-    n = gens[0].n
-    r = radical(m)
+    m, n = gens[0].ring.m, gens[0].n
     flat = [g.flat() for g in gens]
-    order, truncated = _chain_order([tuple(x % r for x in g) for g in flat], n, r, cap)
-    if not truncated and r != m:
-        dets = [g.det() for g in gens]
-        sifters = [_KernelSifter(n, p, k, dets) for p, k in factorint(m) if k > 1]
-        active = sifters
-        for s in _schreier_generators(flat, [g.inverse().flat() for g in gens], n, m, r):
-            for sifter in active:
-                sifter.add(s)
-            active = [x for x in active if x.missing]
-            if not active:
-                break
+    sifters = [_KernelSifter(n, p, k, flat) for p, k in factorint(m) if k > 1]
+    order, truncated = _chain_order(flat, n, radical(m), cap, m, sifters)
+    if not truncated:
         order *= prod(x.p ** len(x.basis) for x in sifters)
     return FiniteClosure(modulus=m, n=n, order=order, truncated=truncated,
                          gen_images=tuple(flat))
 
 
-def _chain_order(gens, n, r, cap):
+def _chain_order(gens, n, r, cap, m=None, sifters=()):
     """(|G|, False) for G = <gens> in GL_n(Z/r), or (cap + 1, True) once |G| > cap.
 
-    gens: flat tuples with unit determinant mod r.  A deterministic
-    Schreier-Sims stabiliser chain (Sims 1970; Holt, Eick and O'Brien,
-    Handbook of Computational Group Theory, 2005, section 4.4) for G acting on
-    row vectors.  The base is the standard vectors, those fixed by the most
-    generators first (ties by index).  Only I fixes them all, so |G| is the
-    product of the basic orbit lengths, and it is found from orbits of at
-    most r^n vectors instead of a listing of G.
+    gens: flat tuples with unit determinant mod r (mod m when m is given, see
+    below).  A deterministic Schreier-Sims stabiliser chain (Sims 1970; Holt,
+    Eick and O'Brien, Handbook of Computational Group Theory, 2005, section
+    4.4) for G acting on row vectors mod r.  The base is the standard vectors,
+    those fixed by the most generators first (ties by index).  Only I fixes
+    them all, so |G| is the product of the basic orbit lengths, and it is
+    found from orbits of at most r^n vectors instead of a listing of G.
 
     A Schreier generator u_x s u_(xs)^-1 of level i is sifted through levels
     i+1.. and a residue that does not sift joins the generators of every
-    level from i+1 to the one where it stopped.  The last level's group acts
-    regularly on its orbit, so sifting there is a membership test and its
-    Schreier generators, all I, are never formed.  Each level's group
-    contains the next one's, which fixes the level's base point, so the
-    product of the current orbit lengths is a lower bound on |G| at every
-    step: the count stops once it passes cap, so truncated holds exactly when
-    |G| > cap, as for run_closure.
+    level from i+1 to the one where it stopped.  Each level's group contains
+    the next one's, which fixes the level's base point, so the product of
+    the current orbit lengths is a lower bound on |G| at every step: the
+    count stops once it passes cap, so truncated holds exactly when |G| >
+    cap, as for run_closure.
 
     G lies in {g : det g in D} for D the subgroup of (Z/r)^* its generators'
     determinants generate, and det maps GL_n(Z/r) onto (Z/r)^* with kernel
     SL_n(Z/r), so |G| <= |SL_n(Z/r)| * |D|.  Once the lower bound meets that
     upper bound after a grow, |G| is known and no more Schreier generators are
     formed: at a prime where SL_2(Z) is onto, none is formed at all.
+
+    With no sifters the last level's group acts regularly on its orbit, so
+    sifting there is a membership test and its Schreier generators, all I,
+    are never formed.  With sifters, gens are mod m, a multiple of r, and the
+    chain multiplies mod m while it acts mod r.  The pointwise stabiliser of
+    the base is then the kernel K of G mod m -> G mod r, generated by the
+    last level's Schreier generators (Holt, Eick and O'Brien, sections
+    4.1-4.4).  So the last level keeps a tree too, and a residue that sifts
+    through all n levels (it is I mod r), or a generator that is I mod r,
+    goes to every sifter.  The sifters close it under conjugation by G, so
+    they hold a normal subgroup H of G mod m inside K; the chain is one for
+    G/H, whose last level is K/H, so at the end H = K.  The count stops from
+    above only once every sifter is full as well.
     """
+    m = m or r
     ident = flat_identity(n, r)
-    gens = list(dict.fromkeys(g for g in gens if g != ident))
-    ring = IntegersMod(r) if gens else None      # r >= 2 whenever a generator is not I
-    dets = {Mat(ring, [g[i:i + n] for i in range(0, n * n, n)]).det() for g in gens}
+    moving = {}                 # generator mod m -> its image mod r
+    for g in gens:
+        g_r = tuple(x % r for x in g)
+        if g_r != ident:
+            moving.setdefault(g, g_r)
+        else:
+            for sifter in sifters:
+                sifter.add(g)
+    gens = list(moving)
+    ring = IntegersMod(m) if gens else None      # r >= 2 whenever a generator is not I
+    dets = {Mat(ring, [g[i:i + n] for i in range(0, n * n, n)]).det() % r for g in gens}
     bound = _sl_order(n, r) * _unit_subgroup_order(dets, r)
-    fixers = [sum(g[i * n:(i + 1) * n] == ident[i * n:(i + 1) * n] for g in gens)
+    fixers = [sum(g[i * n:(i + 1) * n] == ident[i * n:(i + 1) * n] for g in moving.values())
               for i in range(n)]
     base = sorted(range(n), key=lambda i: (-fixers[i], i))
-    levels = [_BasicOrbit(b, n, r, tree=i < n - 1) for i, b in enumerate(base)]
+    levels = [_BasicOrbit(b, n, r, m, tree=i < n - 1 or bool(sifters)) for i, b in enumerate(base)]
+    deepest = n - 1 if sifters else n - 2       # the deepest level that forms Schreier generators
 
     def join(h, first, last):
         """Give levels first..last the generator h."""
@@ -216,30 +228,38 @@ def _chain_order(gens, n, r, cap):
     def orbits():
         return prod(len(x.points) for x in levels)
 
+    def unfinished():
+        return orbits() < bound or any(x.missing for x in sifters)
+
     for g in gens:      # each joins every level up to the first whose base point it moves
         join(g, 0, next(i for i, x in enumerate(levels) if x.point(g) != x.points[0]))
     if not grow(0, n - 1):
         return cap + 1, True
-    last = levels[-1]
-    i = n - 2 if orbits() < bound else -1
+    i = deepest if unfinished() else -1
     while i >= 0:
         h = levels[i].next_schreier()
         if h is None:
             i -= 1
             continue
         j = i + 1
-        while j < n - 1:
-            k = levels[j].index.get(levels[j].point(h))
-            if k is None:
+        while j < n:
+            level = levels[j]
+            x = level.point(h)
+            if x not in level.index:
                 break
-            h = flat_mul(h, levels[j].inverse_rep(k), n, r)
+            if level.tree:
+                h = flat_mul(h, level.inverse_rep(level.index[x]), n, m)
             j += 1
-        if j == n - 1 and last.point(h) in last.index:
+        if j == n:      # h fixes every base point, so it is I mod r
+            for sifter in sifters:
+                sifter.add(h)
+            if sifters and not unfinished():
+                i = -1
             continue
         join(h, i + 1, j)
         if not grow(i + 1, j):
             return cap + 1, True
-        i = min(j, n - 2) if orbits() < bound else -1
+        i = min(j, deepest) if unfinished() else -1
     return orbits(), False
 
 
@@ -278,19 +298,19 @@ def _row_action(g, n, r):
 class _BasicOrbit:
     """One level of a stabiliser chain: the orbit of the base point e_b.
 
-    Points are row vectors packed base r; the point of a matrix u is row b of
-    u.  Every level but the last keeps a Schreier tree: each point records
-    the point and the generator it was first reached from, and the
-    transversal element u_x (with e_b u_x = x) and its inverse are built
-    along the tree when first asked for, then cached.  The last level
-    (tree=False) never needs u_x and keeps only the set of points: a tree
-    there raised the peak RSS of ``cong image --group transvection --mod
-    65537``, whose last orbit has 65,537 points, from 26.7 MB to 33.3 MB
-    (CPython 3.11).
+    Matrices are flat tuples mod m, a multiple of r.  Points are row vectors
+    mod r packed base r; the point of a matrix u is row b of u mod r.  With
+    tree=True each point records the point and the generator it was first
+    reached from, and the transversal element u_x (with e_b u_x = x mod r)
+    and its inverse are built along the tree when first asked for, then
+    cached.  Without sifters the last level (tree=False) never needs u_x and
+    keeps only the set of points: a tree there raised the peak RSS of ``cong
+    image --group transvection --mod 65537``, whose last orbit has 65,537
+    points, from 26.7 MB to 33.3 MB (CPython 3.11).
     """
 
-    def __init__(self, b, n, r, tree):
-        self.n, self.r = n, r
+    def __init__(self, b, n, r, m, tree):
+        self.n, self.r, self.m = n, r, m
         self.slice = slice(b * n, (b + 1) * n)
         self.powers = [r ** j for j in range(n)]
         start = 1 % r * r ** b       # e_b
@@ -299,7 +319,7 @@ class _BasicOrbit:
         self.applied = []               # applied[a]: how many points gens[a] has moved
         self.tree = tree
         if tree:
-            ident = flat_identity(n, r)
+            ident = flat_identity(n, m)
             self.index = {start: 0}
             self.parent = [0]
             self.label = [-1]
@@ -311,7 +331,8 @@ class _BasicOrbit:
             self.index = {start}
 
     def point(self, u):
-        return sum(map(mul, u[self.slice], self.powers))
+        row = u[self.slice] if self.m == self.r else [x % self.r for x in u[self.slice]]
+        return sum(map(mul, row, self.powers))
 
     def add_generator(self, g, g_inv):
         self.gens.append((g, g_inv, _row_action(g, self.n, self.r)))
@@ -354,7 +375,7 @@ class _BasicOrbit:
 
     def next_schreier(self):
         """The next Schreier generator u_x s u_(xs)^-1 not yet formed and not I, or None."""
-        n, r = self.n, self.r
+        n, m = self.n, self.m
         points, formed, gens, index = self.points, self.formed, self.gens, self.index
         parent, label, reps = self.parent, self.label, self.reps
         while self.cursor < len(points):
@@ -365,23 +386,23 @@ class _BasicOrbit:
                 j = index[act(x)]
                 if parent[j] == k and label[j] == a:
                     continue            # a tree edge: u_x s is u_(xs)
-                w = flat_mul(reps.get(k) or self.rep(k), g, n, r)
+                w = flat_mul(reps.get(k) or self.rep(k), g, n, m)
                 if w != (reps.get(j) or self.rep(j)):
                     formed[k] = a + 1
-                    return flat_mul(w, self.inverse_rep(j), n, r)
+                    return flat_mul(w, self.inverse_rep(j), n, m)
             formed[k] = len(gens)
             self.cursor += 1
         return None
 
     def rep(self, k):
         """u_x for the k-th point x."""
-        n, r = self.n, self.r
-        return self._along_tree(k, self.reps, lambda u, g, g_inv: flat_mul(u, g, n, r))
+        n, m = self.n, self.m
+        return self._along_tree(k, self.reps, lambda u, g, g_inv: flat_mul(u, g, n, m))
 
     def inverse_rep(self, k):
         """u_x^-1 for the k-th point x."""
-        n, r = self.n, self.r
-        return self._along_tree(k, self.inverses, lambda v, g, g_inv: flat_mul(g_inv, v, n, r))
+        n, m = self.n, self.m
+        return self._along_tree(k, self.inverses, lambda v, g, g_inv: flat_mul(g_inv, v, n, m))
 
     def _along_tree(self, k, cache, step):
         path = []
@@ -395,32 +416,6 @@ class _BasicOrbit:
         return value
 
 
-def _schreier_generators(gens, gen_invs, n, m, r):
-    """Yield the Schreier generators t_x g t_{xg}^-1 mod m that are not the identity.
-
-    A breadth-first walk of G mod r, keyed by images mod r, lifts each x to
-    t_x mod m along its spanning tree and keeps t_x^-1 beside it.  On a tree
-    edge t_{xg} = t_x g, so only the other edges give generators.
-    """
-    ident = flat_identity(n, m)
-    index = {flat_identity(n, r): 0}
-    lifts = [ident]
-    lift_invs = [ident]
-    for t, t_inv in zip(lifts, lift_invs):      # both grow while they are walked
-        for g, g_inv in zip(gens, gen_invs):
-            y = flat_mul(t, g, n, m)
-            key = tuple(v % r for v in y)
-            j = index.get(key)
-            if j is None:
-                index[key] = len(lifts)
-                lifts.append(y)
-                lift_invs.append(flat_mul(g_inv, t_inv, n, m))
-            else:
-                s = flat_mul(y, lift_invs[j], n, m)
-                if s != ident:
-                    yield s
-
-
 class _KernelSifter:
     """|H| for H in Gamma(p)/Gamma(p^k) in GL_n(Z/p^k), grown one generator at a time.
 
@@ -430,12 +425,14 @@ class _KernelSifter:
     are linearly independent, in semi-echelon form.  Sifting an element
     divides it by powers of the basis elements of its level until its image
     is 0, then moves down a level; what is left is new, or is the identity.
-    Each new basis element b also sends b^p (one level lower) and its
-    commutators with the basis through the sieve.  When everything sifts,
-    the basis is an induced polycyclic sequence (Holt, Eick and O'Brien,
-    chapter 8): the basis elements of level >= i generate a subgroup whose
-    quotient by those of level >= i + 1 is elementary abelian with the
-    level-i images as a basis, so |H| = p^len(basis).
+    Each new basis element b also sends b^p (one level lower), its
+    commutators with the basis and its conjugates g^-1 b g by the generators
+    through the sieve.  When everything sifts, the basis is an induced
+    polycyclic sequence (Holt, Eick and O'Brien, chapter 8): the basis
+    elements of level >= i generate a subgroup whose quotient by those of
+    level >= i + 1 is elementary abelian with the level-i images as a basis,
+    so |H| = p^len(basis).  The conjugates make H normal in G, which
+    _chain_order needs to count the kernel from its Schreier generators.
 
     missing counts down to an upper bound on len(basis); at 0 the bound is
     reached and sifting stops.  A level holds at most n^2 images, and at most
@@ -445,17 +442,18 @@ class _KernelSifter:
     mod p^j for j the least valuation of d^(p-1) - 1 (at most k).
     """
 
-    def __init__(self, n, p, k, dets):
-        self.n = n
-        self.p = p
-        self.k = k
+    def __init__(self, n, p, k, gens):
+        """gens: the group generators as flat tuples mod a multiple of p^k."""
+        self.n, self.p, self.k = n, p, k
         self.q = q = p ** k
         self.ring = IntegersMod(q)
         self.ident = flat_identity(n, q)
         self.level_of = {p ** i: i for i in range(k + 1)}
         self.levels = [[] for _ in range(k)]   # (pivot, 1/pivot entry, image, [b^-1, b^-2, ..])
         self.basis = []                         # (b, b^-1)
-        j = min(self.level_of[gcd(q, pow(d, p - 1, q) - 1)] for d in dets)
+        mats = [Mat(self.ring, [g[i:i + n] for i in range(0, n * n, n)]) for g in gens]
+        self.conjugators = [(g.flat(), g.inverse().flat()) for g in mats]
+        j = min(self.level_of[gcd(q, pow(g.det(), p - 1, q) - 1)] for g in mats)
         self.missing = (k - 1) * n * n - (j - 1)
 
     def add(self, g):
@@ -474,6 +472,8 @@ class _KernelSifter:
             work.append((B ** p).flat())
             for c, c_inv in self.basis:
                 work.append(flat_mul(flat_mul(b_inv, c_inv, n, q), flat_mul(b, c, n, q), n, q))
+            for g, g_inv in self.conjugators:
+                work.append(flat_mul(flat_mul(g_inv, b, n, q), g, n, q))
             self.basis.append((b, b_inv))
             self.missing -= 1
 

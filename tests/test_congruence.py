@@ -352,10 +352,24 @@ def test_quasisimple_check_matches_brute_force_on_random_generators():
     compared = []
 
     @st.composite
+    def sl2_f7(draw):
+        """[[a, b], [c, (1 + bc)/a]] mod 7, of determinant 1."""
+        a, b, c = draw(st.integers(1, 6)), draw(st.integers(0, 6)), draw(st.integers(0, 6))
+        return (a, b, c, (1 + b * c) * pow(a, -1, 7) % 7)
+
+    @st.composite
     def closures(draw):
-        """A closure of order <= 400 on 1-3 random invertible generators mod m."""
-        n, m = draw(st.sampled_from([(2, 2), (2, 3), (2, 4), (2, 5), (2, 7), (3, 2)]))
-        gens = draw(st.lists(st.tuples(*[st.integers(0, m - 1)] * (n * n)), min_size=1, max_size=3))
+        """A closure of order <= 400 on 1-3 random invertible generators mod m.
+
+        Two determinant-1 matrices mod 7 mostly generate SL_2(F_7), of order
+        336, so the draws reach orders above 100 at every seed.
+        """
+        shape = draw(st.sampled_from([(2, 2), (2, 3), (2, 4), (2, 5), (2, 7), (3, 2), "SL2(F_7)"]))
+        if shape == "SL2(F_7)":
+            n, m, gens = 2, 7, draw(st.lists(sl2_f7(), min_size=2, max_size=2))
+        else:
+            n, m = shape
+            gens = draw(st.lists(st.tuples(*[st.integers(0, m - 1)] * (n * n)), min_size=1, max_size=3))
         ring = IntegersMod(m)
         hypothesis.assume(all(
             gcd(Mat(ring, [g[i:i + n] for i in range(0, n * n, n)]).det(), m) == 1 for g in gens))

@@ -6,11 +6,12 @@ random generator sets and the named groups must give the order it gives.
 Where the oracle is out of reach, the named groups have known orders.
 """
 
+from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from arithgroups.catalog import builtin_group
+from arithgroups.catalog import SIntegerGroup, builtin_group
 from arithgroups.closure import run_closure
 from arithgroups.congruence import (
     exact_image_record,
@@ -119,3 +120,23 @@ def test_records_route_through_the_filtration():
 def test_truncated_names_the_enumerated_modulus():
     with pytest.raises(Truncated, match="closure mod 11 exceeded the cap 100"):
         exact_image_record(builtin_group("sl2z"), 121, cap=100)
+
+
+@pytest.mark.parametrize("p, k", [(p, k) for p in (3, 5, 7, 11, 13) for k in (2, 3)] + [(499, 2)])
+def test_borel_group_is_counted_without_listing_it(p, k):
+    # <diag(2, 1/2), [[1,1],[0,1]]> mod p^k is the upper triangular group of
+    # order ord(2) * p^k: the diagonal powers of 2 over the unipotent p^k
+    import tracemalloc
+
+    q = p ** k
+    G = SIntegerGroup([[[2, 0], [0, Fraction(1, 2)]], [[1, 1], [0, 1]]], label="borel")
+    gens = reduce_generators(G, q)
+    tracemalloc.start()
+    try:
+        got = filtration_closure(gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ord2 = next(e for e in range(1, q) if pow(2, e, q) == 1)
+    assert (got.order, got.truncated, got.elements) == (ord2 * q, False, None)
+    assert peak < 2 * 2 ** 20

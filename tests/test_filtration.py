@@ -1,11 +1,13 @@
 """Image orders mod non-squarefree m through the congruence filtration.
 
-``filtration_closure`` enumerates only G mod rad(m) and sifts the kernel
-above it level by level.  The breadth-first closure mod m stays the oracle:
-random generator sets and the named groups must give the order it gives.
-Where the oracle is out of reach, the named groups have known orders.
+``filtration_closure`` counts only G mod rad(m), by a stabiliser chain, and
+sifts the kernel above it level by level.  The breadth-first closure mod m
+stays the oracle: random generator sets and the named groups must give the
+order it gives.  Where the oracle is out of reach, the named groups and the
+Borel group have known orders.
 """
 
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -126,8 +128,6 @@ def test_truncated_names_the_enumerated_modulus():
 def test_borel_group_is_counted_without_listing_it(p, k):
     # <diag(2, 1/2), [[1,1],[0,1]]> mod p^k is the upper triangular group of
     # order ord(2) * p^k: the diagonal powers of 2 over the unipotent p^k
-    import tracemalloc
-
     q = p ** k
     G = SIntegerGroup([[[2, 0], [0, Fraction(1, 2)]], [[1, 1], [0, 1]]], label="borel")
     gens = reduce_generators(G, q)

@@ -18,13 +18,17 @@ Z[1/6], and words in the elementary transvections of SL_3(Z).
 """
 
 from fractions import Fraction
+from functools import reduce
 from math import lcm
+from operator import mul
 
 import pytest
 
 from arithgroups.catalog import SIntegerGroup, builtin_group
 from arithgroups.congruence import exact_image_record, order_sl, reduce_generators
 from arithgroups.errors import NotInvertible
+from arithgroups.matrix import Mat
+from arithgroups.rings import QQ
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -34,24 +38,12 @@ PRIMES = {2: [2, 3, 5, 7, 11, 13], 3: [2, 3, 5]}
 UNITS = [Fraction(x) for x in (1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-1, 3))]
 
 
-def mul(a, b):
-    n = len(a)
-    return [[sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
-
-
-def word(letters, n):
-    """The product of the letters, each an n x n integer or rational matrix."""
-    acc = [[int(i == j) for j in range(n)] for i in range(n)]
-    for g in letters:
-        acc = mul(acc, g)
-    return acc
-
-
 def transvection(n, i, j, c):
-    return [[int(a == b) + (c if (a, b) == (i, j) else 0) for b in range(n)] for a in range(n)]
+    return Mat(QQ, [[int(a == b) + (c if (a, b) == (i, j) else 0) for b in range(n)] for a in range(n)])
 
 
-SL2_LETTERS = [[[0, -1], [1, 0]], [[0, 1], [-1, 0]], transvection(2, 0, 1, 1), transvection(2, 0, 1, -1)]
+SL2_LETTERS = [Mat(QQ, [[0, -1], [1, 0]]), Mat(QQ, [[0, 1], [-1, 0]]),
+               transvection(2, 0, 1, 1), transvection(2, 0, 1, -1)]
 SL3_LETTERS = [transvection(3, i, j, c) for i in range(3) for j in range(3) if i != j for c in (1, -1)]
 
 
@@ -70,8 +62,7 @@ def groups(draw):
         except NotInvertible:       # a determinant is not a unit in Z[1/S], S the denominators' primes
             hypothesis.assume(False)
     letters = SL2_LETTERS if kind == "sl2z" else SL3_LETTERS
-    n = 2 if kind == "sl2z" else 3
-    return SIntegerGroup([word(draw(st.lists(st.sampled_from(letters), min_size=1, max_size=8)), n)
+    return SIntegerGroup([reduce(mul, draw(st.lists(st.sampled_from(letters), min_size=1, max_size=8)))
                           for _ in range(count)], label=kind)
 
 

@@ -4,7 +4,8 @@ Generators live in GL_n(Q) with denominators supported on a finite prime set
 S; reduction mod m (coprime to S) gives finite matrix groups whose exact
 orders are compared against the full SL_n(Z/m) order.  An order alone comes
 from filtration_closure: one Schreier-Sims stabiliser chain counts the image
-mod rad(m) from orbits of vectors, without listing it, and when m has a
+mod rad(m) from orbits of vectors, without listing it (for squarefree m its
+last level is counted as an affine group, without its orbit), and when m has a
 square factor its Schreier generators, taken mod m, give the kernel above
 rad(m) level by level in the congruence filtration.  Closures that keep
 their elements (gamma_plus) stay breadth-first; the quasisimple check lists
@@ -180,7 +181,9 @@ def _chain_order(gens, n, r, cap, m=None, sifters=()):
 
     With no sifters the last level's group acts regularly on its orbit, so
     sifting there is a membership test and its Schreier generators, all I,
-    are never formed.  With sifters, gens are mod m, a multiple of r, and the
+    are never formed.  That level is an _AffineLevel: its group is counted
+    from its diagonal units and its translations, and no orbit point is
+    walked or stored.  With sifters, gens are mod m, a multiple of r, and the
     chain multiplies mod m while it acts mod r.  The pointwise stabiliser of
     the base is then the kernel K of G mod m -> G mod r, generated by the
     last level's Schreier generators (Holt, Eick and O'Brien, sections
@@ -208,7 +211,8 @@ def _chain_order(gens, n, r, cap, m=None, sifters=()):
     fixers = [sum(g[i * n:(i + 1) * n] == ident[i * n:(i + 1) * n] for g in moving.values())
               for i in range(n)]
     base = sorted(range(n), key=lambda i: (-fixers[i], i))
-    levels = [_BasicOrbit(b, n, r, m, tree=i < n - 1 or bool(sifters)) for i, b in enumerate(base)]
+    levels = [_BasicOrbit(b, n, r, m) for b in base[:-1]]
+    levels.append(_BasicOrbit(base[-1], n, r, m) if sifters else _AffineLevel(base[-1], n, r))
     deepest = n - 1 if sifters else n - 2       # the deepest level that forms Schreier generators
 
     def join(h, first, last):
@@ -220,19 +224,19 @@ def _chain_order(gens, n, r, cap, m=None, sifters=()):
     def grow(first, last):
         # deepest first, so the bound that stops a level counts the levels below it
         for i in range(last, first - 1, -1):
-            others = prod(len(x.points) for j, x in enumerate(levels) if j != i)
+            others = prod(x.size for j, x in enumerate(levels) if j != i)
             if not levels[i].grow(cap // others):
                 return False
         return True
 
     def orbits():
-        return prod(len(x.points) for x in levels)
+        return prod(x.size for x in levels)
 
     def unfinished():
         return orbits() < bound or any(x.missing for x in sifters)
 
-    for g in gens:      # each joins every level up to the first whose base point it moves
-        join(g, 0, next(i for i, x in enumerate(levels) if x.point(g) != x.points[0]))
+    for g, g_r in moving.items():   # each joins every level up to the first whose base point it moves
+        join(g, 0, next(i for i, b in enumerate(base) if g_r[b * n:(b + 1) * n] != ident[b * n:(b + 1) * n]))
     if not grow(0, n - 1):
         return cap + 1, True
     i = deepest if unfinished() else -1
@@ -243,12 +247,10 @@ def _chain_order(gens, n, r, cap, m=None, sifters=()):
             continue
         j = i + 1
         while j < n:
-            level = levels[j]
-            x = level.point(h)
-            if x not in level.index:
+            left = levels[j].sift(h)
+            if left is None:
                 break
-            if level.tree:
-                h = flat_mul(h, level.inverse_rep(level.index[x]), n, m)
+            h = left
             j += 1
         if j == n:      # h fixes every base point, so it is I mod r
             for sifter in sifters:
@@ -296,49 +298,46 @@ def _row_action(g, n, r):
 
 
 class _BasicOrbit:
-    """One level of a stabiliser chain: the orbit of the base point e_b.
+    """One level of a stabiliser chain: the orbit of the base point e_b, with its Schreier tree.
 
     Matrices are flat tuples mod m, a multiple of r.  Points are row vectors
-    mod r packed base r; the point of a matrix u is row b of u mod r.  With
-    tree=True each point records the point and the generator it was first
-    reached from, and the transversal element u_x (with e_b u_x = x mod r)
-    and its inverse are built along the tree when first asked for, then
-    cached.  Without sifters the last level (tree=False) never needs u_x and
-    keeps only the set of points: a tree there raised the peak RSS of ``cong
-    image --group transvection --mod 65537``, whose last orbit has 65,537
-    points, from 26.7 MB to 33.3 MB (CPython 3.11).
+    mod r packed base r; the point of a matrix u is row b of u mod r.  Each
+    point records the point and the generator it was first reached from, and
+    the transversal element u_x (with e_b u_x = x mod r) and its inverse are
+    built along the tree when first asked for, then cached.
     """
 
-    def __init__(self, b, n, r, m, tree):
+    def __init__(self, b, n, r, m):
         self.n, self.r, self.m = n, r, m
         self.slice = slice(b * n, (b + 1) * n)
         self.powers = [r ** j for j in range(n)]
         start = 1 % r * r ** b       # e_b
+        ident = flat_identity(n, m)
         self.points = [start]
+        self.index = {start: 0}
+        self.parent = [0]
+        self.label = [-1]
+        self.reps = {0: ident}
+        self.inverses = {0: ident}
         self.gens = []                  # (g, g^-1, x -> x·g)
         self.applied = []               # applied[a]: how many points gens[a] has moved
-        self.tree = tree
-        if tree:
-            ident = flat_identity(n, m)
-            self.index = {start: 0}
-            self.parent = [0]
-            self.label = [-1]
-            self.reps = {0: ident}
-            self.inverses = {0: ident}
-            self.formed = [0]           # formed[k]: Schreier generators formed at point k
-            self.cursor = 0             # no point before it has any left to form
-        else:
-            self.index = {start}
+        self.formed = [0]               # formed[k]: Schreier generators formed at point k
+        self.cursor = 0                 # no point before it has any left to form
 
-    def point(self, u):
-        row = u[self.slice] if self.m == self.r else [x % self.r for x in u[self.slice]]
-        return sum(map(mul, row, self.powers))
+    @property
+    def size(self):
+        return len(self.points)
+
+    def sift(self, h):
+        """h u_x^-1 for x the point of h, or None when x lies outside the orbit."""
+        row = h[self.slice] if self.m == self.r else [x % self.r for x in h[self.slice]]
+        k = self.index.get(sum(map(mul, row, self.powers)))
+        return None if k is None else flat_mul(h, self.inverse_rep(k), self.n, self.m)
 
     def add_generator(self, g, g_inv):
         self.gens.append((g, g_inv, _row_action(g, self.n, self.r)))
         self.applied.append(0)
-        if self.tree:
-            self.cursor = 0
+        self.cursor = 0
 
     def grow(self, limit):
         """Close the orbit under every generator; False once it has more than limit points."""
@@ -351,25 +350,16 @@ class _BasicOrbit:
                 if start == len(points):
                     continue
                 pending = True
-                if self.tree:
-                    for k, x in enumerate(islice(points, start, None), start):
-                        y = act(x)
-                        if y not in index:
-                            index[y] = len(points)
-                            points.append(y)
-                            self.parent.append(k)
-                            self.label.append(a)
-                            self.formed.append(0)
-                            if len(points) > limit:
-                                return False
-                else:
-                    for x in islice(points, start, None):
-                        y = act(x)
-                        if y not in index:
-                            index.add(y)
-                            points.append(y)
-                            if len(points) > limit:
-                                return False
+                for k, x in enumerate(islice(points, start, None), start):
+                    y = act(x)
+                    if y not in index:
+                        index[y] = len(points)
+                        points.append(y)
+                        self.parent.append(k)
+                        self.label.append(a)
+                        self.formed.append(0)
+                        if len(points) > limit:
+                            return False
                 self.applied[a] = len(points)
         return True
 
@@ -416,6 +406,125 @@ class _BasicOrbit:
         return value
 
 
+class _AffineLevel:
+    """The last level of a chain with no sifters, counted as an affine group.
+
+    Its group H fixes e_j for every other base point j, so h in H is I except
+    in row b, and is the pair (a, t) of the unit a = h[b][b] and the rest t
+    of row b, with (a, t)(a', t') = (aa', at' + t).  H acts regularly on the
+    orbit of e_b, so the orbit length is |H| = |A| * |T|, for A the group of
+    the diagonal units a and T the translations t with (1, t) in H.  The
+    level walks A only and keeps the point of one u_a = (a, tau_a) per unit.
+    T is the span of the Schreier translations tau_a + a t_s - tau_(a a_s)
+    of the generators s = (a_s, t_s) (Schreier's lemma; Holt, Eick and
+    O'Brien, section 4.1), so no point of the orbit is listed or stored.
+
+    Matrices and points are as for _BasicOrbit, with m = r.
+    """
+
+    def __init__(self, b, n, r):
+        self.n, self.r = n, r
+        self.slice = slice(b * n, (b + 1) * n)
+        self.diagonal = b * n + b
+        self.powers = [r ** j for j in range(n)]
+        self.place = r ** b             # a is the digit of this place in a point
+        self.others = self.powers[:b] + self.powers[b + 1:]
+        self.points = [1 % r * r ** b]  # the point of u_a for each a in A, in walk order; u_1 = I
+        self.reps = {1 % r: self.points[0]}     # a -> the point of u_a
+        self.acts = []                  # x -> x·s for each generator s
+        self.applied = []               # applied[s]: how many points acts[s] has moved
+        self.span = _Span(n - 1, r)
+        self.ident = flat_identity(n, r)
+
+    @property
+    def size(self):
+        return len(self.points) * self.span.size
+
+    def translation(self, x, y):
+        """t - t' for the points x and y of (a, t) and (a, t'), the translation of (a, t)(a, t')^-1."""
+        return [(x // q - y // q) % self.r for q in self.others]
+
+    def sift(self, h):
+        """I when h (which fixes the other base points) lies in H, or None."""
+        x = sum(map(mul, h[self.slice], self.powers))
+        y = self.reps.get(h[self.diagonal])
+        span = self.span
+        if y is not None and (y == x or span.full or span.size > 1 and self.translation(x, y) in span):
+            return self.ident
+        return None
+
+    def add_generator(self, g, g_inv):
+        self.acts.append(_row_action(g, self.n, self.r))
+        self.applied.append(0)
+
+    def grow(self, limit):
+        """Walk A under every generator and span T; False once |A| * |T| > limit."""
+        points, reps, span, r, place = self.points, self.reps, self.span, self.r, self.place
+        pending = True
+        while pending:
+            pending = False
+            for s, act in enumerate(self.acts):
+                start = self.applied[s]
+                if start == len(points):
+                    continue
+                pending = True
+                for x in islice(points, start, None):
+                    y = act(x)
+                    a = y // place % r
+                    z = reps.get(a)
+                    if z is None:
+                        reps[a] = y
+                        points.append(y)
+                    elif z != y and not span.full:
+                        span.add(self.translation(y, z))
+                    else:
+                        continue
+                    if len(points) * span.size > limit:
+                        return False
+                self.applied[s] = len(points)
+        return True
+
+
+class _Span:
+    """|T| for an additive subgroup T of (Z/r)^d, grown one vector at a time.
+
+    rows is the Hermite normal form of the lattice L of the integer vectors
+    that lie in T mod r (Cohen, A Course in Computational Algebraic Number
+    Theory, 1993, section 2.4): row k is 0 before column k, its pivot in
+    column k divides r, and its other entries are reduced mod r.  L contains
+    r Z^d, so the rows start as the r e_k, |T| = [L : r Z^d] = r^d / (the
+    product of the pivots), and v lies in T when the rows reduce it to 0.
+    """
+
+    def __init__(self, d, r):
+        self.r = r
+        self.rows = [[r * (j == k) for j in range(d)] for k in range(d)]
+        self.size = 1
+        self.order = r ** d             # |T| once T is all of (Z/r)^d
+
+    @property
+    def full(self):
+        return self.size == self.order
+
+    def add(self, v):
+        r, rows = self.r, self.rows
+        for k, w in enumerate(rows):
+            while v[k]:                 # Euclid on column k: (w, v) -> (v, w - qv) keeps the span
+                q = w[k] // v[k]
+                w, v = v, [(x - q * y) % r for x, y in zip(w, v)]
+            rows[k] = w
+        self.size = self.order // prod(w[k] for k, w in enumerate(rows))
+
+    def __contains__(self, v):
+        r = self.r
+        for k, w in enumerate(self.rows):
+            c, left = divmod(v[k], w[k])
+            if left:
+                return False
+            v = [(x - c * y) % r for x, y in zip(v, w)]
+        return True
+
+
 class _KernelSifter:
     """|H| for H in Gamma(p)/Gamma(p^k) in GL_n(Z/p^k), grown one generator at a time.
 
@@ -440,6 +549,10 @@ class _KernelSifter:
     mod p^(i+1).  det(H) lies in the determinants' p-part, generated by the
     d^(p-1) for the generator determinants d of the whole group, so it is 1
     mod p^j for j the least valuation of d^(p-1) - 1 (at most k).
+
+    A residue sifted once lies in H for good, as H only grows, so taken
+    holds every residue sifted and a repeat is skipped: most of the Schreier
+    generators the chain hands over repeat one another.
     """
 
     def __init__(self, n, p, k, gens):
@@ -451,6 +564,7 @@ class _KernelSifter:
         self.level_of = {p ** i: i for i in range(k + 1)}
         self.levels = [[] for _ in range(k)]   # (pivot, 1/pivot entry, image, [b^-1, b^-2, ..])
         self.basis = []                         # (b, b^-1)
+        self.taken = set()                      # residues mod q sifted so far
         mats = [Mat(self.ring, [g[i:i + n] for i in range(0, n * n, n)]) for g in gens]
         self.conjugators = [(g.flat(), g.inverse().flat()) for g in mats]
         j = min(self.level_of[gcd(q, pow(g.det(), p - 1, q) - 1)] for g in mats)
@@ -461,7 +575,11 @@ class _KernelSifter:
         n, p, q = self.n, self.p, self.q
         work = [tuple(x % q for x in g)]
         while work and self.missing:
-            found = self._sift(work.pop())
+            h = work.pop()
+            if h in self.taken:
+                continue
+            self.taken.add(h)
+            found = self._sift(h)
             if found is None:
                 continue
             i, image, b = found

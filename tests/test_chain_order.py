@@ -8,6 +8,7 @@ its orbits reach |SL_n(Z/r)| * |<det g_i>|; the named cases cover groups that
 reach that bound, groups that never do, and the edge cases of the bound.
 """
 
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -16,8 +17,10 @@ from arithgroups.catalog import builtin_group
 from arithgroups.closure import run_closure
 from arithgroups.congruence import (
     DEFAULT_CAP,
+    _AffineLevel,
     _BasicOrbit,
     _chain_order,
+    filtration_closure,
     flat_identity,
     order_sl,
     radical,
@@ -169,3 +172,82 @@ def test_groups_below_the_bound(alias, p, schreier_calls):
     assert not truncated and order < order_sl(2, p)
     if alias == "transvection":         # the chain still forms and sifts Schreier generators
         assert schreier_calls
+
+
+# squarefree and prime-power moduli for the generator sets that fix e_n
+AFFINE_MODULI = {2: [6, 10, 30, 35, 143, 4, 8, 9, 25, 27, 49, 121], 3: [2, 3, 5, 6, 4]}
+
+
+@st.composite
+def affine_generator_sets(draw):
+    """(n, m, gens): 1-3 upper triangular or mirabolic matrices mod m, all with last row e_n."""
+    n = draw(st.sampled_from(sorted(AFFINE_MODULI)))
+    m = draw(st.sampled_from(AFFINE_MODULI[n]))
+    upper = draw(st.booleans())
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        entries = draw(st.lists(st.integers(0, m - 1), min_size=n * n, max_size=n * n))
+        gens.append(tuple(int(i == j) if i == n - 1 else 0 if upper and j < i else entries[i * n + j]
+                          for i in range(n) for j in range(n)))
+    hypothesis.assume(all(unit_determinant(g, n, m) for g in gens))
+    return n, m, gens
+
+
+def test_chain_matches_closure_on_groups_that_fix_e_n():
+    # G fixes e_n, so the chain's last level is a group of affine maps of
+    # its base vector's row: its units and its translations both count
+    compared = []
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(affine_generator_sets(), st.sampled_from(CAPS))
+    def check(case, cap):
+        n, m, gens = case
+        want = run_closure(gens, n, m, cap, False)[:2]
+        assert _chain_order(gens, n, m, cap) == want
+        compared.append((n, m, want[1]))
+        order, truncated = want
+        if not truncated and order > 1:
+            assert _chain_order(gens, n, m, order) == (order, False)
+            assert _chain_order(gens, n, m, order - 1) == (order, True)
+
+    check()
+    assert {n for n, _, _ in compared} == {2, 3}
+    assert {radical(m) == m for _, m, _ in compared} == {True, False}
+    assert {truncated for _, _, truncated in compared} == {True, False}
+
+
+@pytest.mark.parametrize("gens, m, cap, want", [
+    # the translations of the units a != 1 span T: 211 * 105
+    ([(122, 192, 0, 1), (161, 56, 0, 1)], 211, DEFAULT_CAP, (22155, False)),
+    ([(7, 10, 0, 1)], 30, DEFAULT_CAP, (12, False)),
+    ([(370, 964, 0, 1), (816, 658, 0, 1)], 1009, 10 ** 5, (10 ** 5 + 1, True)),
+], ids=["mod211", "mod30", "mod1009"])
+def test_affine_last_level(gens, m, cap, want):
+    assert _chain_order(gens, 2, m, cap) == closure_order(gens, 2, m, cap) == want
+
+
+def test_transvection_mod_65537_stores_no_orbit():
+    tracemalloc.start()
+    try:
+        got = _chain_order([(1, 1, 0, 1)], 2, 65537, DEFAULT_CAP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (65537, False)
+    assert peak < 2 ** 19       # a walk of the last level's 65,537 points took 4.96 MB
+
+
+@pytest.mark.parametrize("m, affine", [(11, 1), (30, 1), (121, 0), (12, 0)])
+def test_only_a_chain_without_sifters_has_an_affine_level(m, affine, monkeypatch):
+    # with sifters the last level's Schreier generators generate the kernel, so it keeps its tree
+    made = []
+    real = _AffineLevel.__init__
+
+    def counted(self, *args):
+        made.append(self)
+        real(self, *args)
+
+    monkeypatch.setattr(_AffineLevel, "__init__", counted)
+    got = filtration_closure(reduce_generators(builtin_group("sl2z"), m))
+    assert (got.order, got.truncated) == (order_sl(2, m), False)
+    assert len(made) == affine

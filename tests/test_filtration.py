@@ -16,6 +16,7 @@ import pytest
 from arithgroups.catalog import SIntegerGroup, builtin_group
 from arithgroups.closure import run_closure
 from arithgroups.congruence import (
+    _KernelSifter,
     exact_image_record,
     filtration_closure,
     image_record,
@@ -140,3 +141,28 @@ def test_borel_group_is_counted_without_listing_it(p, k):
     ord2 = next(e for e in range(1, q) if pow(2, e, q) == 1)
     assert (got.order, got.truncated, got.elements) == (ord2 * q, False, None)
     assert peak < 2 * 2 ** 20
+
+
+def test_kernel_sifter_skips_the_residues_it_has_taken(monkeypatch):
+    # <ut6>, a Borel group over Z[1/6], mod 1573 = 11^2 * 13: its kernel mod 11
+    # stays below the sifter's bound, so the chain runs to the end and hands the
+    # sifter every Schreier generator that is I mod 1573's radical
+    G = SIntegerGroup([[[Fraction(1, 2), -3], [0, Fraction(-1, 3)]],
+                       [[Fraction(-1, 3), -2], [0, 3]], [[1, -3], [0, -2]]], label="ut6")
+    added, sifted = [], []
+    real_add, real_sift = _KernelSifter.add, _KernelSifter._sift
+
+    def add(self, g):
+        added.append(g)
+        real_add(self, g)
+
+    def sift(self, h):
+        sifted.append(h)
+        return real_sift(self, h)
+
+    monkeypatch.setattr(_KernelSifter, "add", add)
+    monkeypatch.setattr(_KernelSifter, "_sift", sift)
+    got = filtration_closure(reduce_generators(G, 1573), cap=10 ** 12)
+    assert (got.order, got.truncated) == (1370397600, False)
+    assert len(sifted) == len(set(sifted))          # no residue is sifted twice
+    assert len(added) > 10 * len(sifted)            # most of what the chain hands over repeats

@@ -236,14 +236,3 @@ def read_generator_file(path):
             raise UsageError(f"{path}: matrix {i} is {len(b)}x{len(b)}, matrix 1 is {n}x{n}")
     return blocks
 
-
-def write_generator_file(gens, path):
-    from fractions import Fraction
-
-    blocks = []
-    for g in gens:
-        blocks.append("\n".join(
-            " ".join(str(Fraction(x)) for x in row) for row in g.rows
-        ))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n\n".join(blocks) + "\n")

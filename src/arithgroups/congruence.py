@@ -105,6 +105,15 @@ def flat_mul(a, b, n, m):
         b0, b1, b2, b3 = b
         return ((a0 * b0 + a1 * b2) % m, (a0 * b1 + a1 * b3) % m,
                 (a2 * b0 + a3 * b2) % m, (a2 * b1 + a3 * b3) % m)
+    # unrolled for n = 3: 0.72 µs per product against 4.0 µs in the loop (BENCH_22.json)
+    if n == 3:
+        a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+        b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+        return ((a0 * b0 + a1 * b3 + a2 * b6) % m, (a0 * b1 + a1 * b4 + a2 * b7) % m,
+                (a0 * b2 + a1 * b5 + a2 * b8) % m, (a3 * b0 + a4 * b3 + a5 * b6) % m,
+                (a3 * b1 + a4 * b4 + a5 * b7) % m, (a3 * b2 + a4 * b5 + a5 * b8) % m,
+                (a6 * b0 + a7 * b3 + a8 * b6) % m, (a6 * b1 + a7 * b4 + a8 * b7) % m,
+                (a6 * b2 + a7 * b5 + a8 * b8) % m)
     out = []
     for i in range(n):
         base = i * n

@@ -1,9 +1,10 @@
 """The closure engine against a per-product reference loop.
 
-``reference_closure`` is the straightforward engine: unpack each element,
-multiply it by each generator entry by entry, pack the product again.  The
-row-table engine must return the same (order, truncated, elements), with
-elements in the same breadth-first order, on random generator sets.
+``reference_closure`` is an independent loop: it keeps each element as an int
+code, unpacks it, multiplies it by each generator entry by entry and packs the
+product again.  ``run_closure`` must return the same (order, truncated,
+elements), with elements in the same breadth-first order, on random generator
+sets.
 """
 
 from collections import deque
@@ -15,8 +16,8 @@ from arithgroups.closure import run_closure
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-WIDE_MODULUS = 65537          # above 2^16: a small cap fills the row tables
-FULL_WORD = {1: (1 << 63) - 25, 2: 1 << 15, 3: 1 << 7}   # n*n*bits(m-1) == 63
+WIDE_MODULUS = 65537          # entries wider than 16 bits
+FULL_WORD = {1: (1 << 63) - 25, 2: 1 << 15, 3: 1 << 7}   # n*n entries of bits(m-1) fill 63 bits
 MINUS_ONE_WIDE = ([(-1,)], 1, FULL_WORD[1], 60, True)    # (m-1)^2 passes 2^64
 
 

@@ -421,6 +421,18 @@ def test_canonical_bytes_is_injective_and_stable():
     assert canonical_bytes((255, 256), 257) == bytes([0, 255, 1, 0])
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])   # 2 and 3 are unrolled, 1 and 4 are not
+def test_flat_mul_matches_mat_product(n):
+    rng = random.Random(n)
+    for m in (2, 3, 12, 121, 65537, (1 << 64) + 13):
+        ring = IntegersMod(m)
+        for _ in range(40):
+            # unreduced entries, negative ones included
+            a, b = (tuple(rng.randint(-3 * m, 3 * m) for _ in range(n * n)) for _ in range(2))
+            A, B = (Mat(ring, [x[i:i + n] for i in range(0, n * n, n)]) for x in (a, b))
+            assert flat_mul(a, b, n, m) == (A * B).flat()
+
+
 def test_closure_order_only_mode_drops_elements():
     c = bfs_closure_flat([(1, 1, 0, 1), (1, 0, 1, 1)], 2, 5,
                          element_cap=10)

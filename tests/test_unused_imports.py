@@ -1,7 +1,8 @@
-"""No module of the package keeps a top-level import that it never reads.
+"""No module of the package keeps a top-level import that it never reads, and
+no top-level function or class that nothing in the package or its tests reads.
 
-The check parses each source file with the standard library's ast, so it
-needs no linter.
+The checks parse each source file with the standard library's ast, so they
+need no linter.
 """
 
 import ast
@@ -9,7 +10,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "arithgroups"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "arithgroups"
+# only perfbench's provenance reads it (ROADMAP item 1)
+READ_OUTSIDE = {("closure.py", "backend_name")}
 
 
 def unused_imports(source):
@@ -24,6 +28,22 @@ def unused_imports(source):
     return [name for name in bound if name != "*" and name not in read]
 
 
+def unread_definitions(sources, readers):
+    """(file, name) of each top-level function and class in sources, a dict from
+    file name to source, whose name no Name or Attribute in readers reads."""
+    read = set()
+    for source in readers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [(file, node.name) for file, source in sources.items()
+            for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name not in read]
+
+
 def test_the_check_finds_an_unused_import():
     source = "import os\nimport os.path as osp\nfrom math import gcd, prod\nprint(gcd, osp)\n"
     assert unused_imports(source) == ["os", "prod"]
@@ -32,3 +52,17 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_no_unused_top_level_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_finds_an_unread_definition():
+    sources = {"a.py": "def f(): pass\ndef g(): pass\nclass C: pass\nclass D: pass\n"}
+    readers = list(sources.values()) + ["import a\nf = 1\nprint(a.C, [g])\n"]
+    # a definition is no read, and neither is an assignment
+    assert unread_definitions(sources, readers) == [("a.py", "f"), ("a.py", "D")]
+
+
+def test_every_top_level_definition_is_read():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    readers = list(sources.values()) + [path.read_text(encoding="utf-8")
+                                        for path in sorted(TESTS.glob("*.py"))]
+    assert set(unread_definitions(sources, readers)) == READ_OUTSIDE

@@ -34,7 +34,7 @@ from .catalog import (
     resolve_field,
 )
 from .errors import DomainError, OutOfRange, UsageError, read_user_file, write_user_file
-from .report import ScanCache, jsonable, render_report
+from .report import ScanCache, jsonable, render_report, sha256
 
 
 def positive_int(text):
@@ -210,9 +210,7 @@ def emit(payload, cfg, out_path=None):
 @functools.cache
 def source_digest():
     """sha256 of the package's own .py sources, so a code change misses old entries."""
-    import hashlib
-
-    digest = hashlib.sha256()
+    digest = sha256()
     package = os.path.dirname(os.path.abspath(__file__))
     for name in sorted(f for f in os.listdir(package) if f.endswith(".py")):
         digest.update(name.encode() + b"\x00")

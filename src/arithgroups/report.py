@@ -5,14 +5,36 @@ produced by the scan functions, so identical inputs render identical bytes.
 Rationals serialize as exact "a/b" strings.
 
 A cache hit reads its bytes back without rendering, so json is imported only
-where a report is rendered, hashlib where a key is formed and tempfile where
-an entry is written.  fractions is not imported at all: a Fraction is told
-by its denominator.
+where a report is rendered and tempfile where an entry is written.  Keys are
+hashed with CPython's built-in sha256, not hashlib, whose OpenSSL start-up
+costs a cached command more than the hashing does.  fractions is not
+imported at all: a Fraction is told by its denominator.
 """
 
 import os
 
 from .errors import UsageError
+
+_sha256_new = None
+
+
+def sha256():
+    """A new sha256 hash object from CPython's built-in module, resolved once.
+
+    _sha2 (3.12+) or _sha256 (3.10, 3.11), as random.py does; hashlib only on
+    a build without them.  Each gives the same digest.
+    """
+    global _sha256_new
+    if _sha256_new is None:
+        try:
+            from _sha2 import sha256 as new
+        except ImportError:
+            try:
+                from _sha256 import sha256 as new
+            except ImportError:
+                from hashlib import sha256 as new
+        _sha256_new = new
+    return _sha256_new()
 
 
 def jsonable(obj):
@@ -95,9 +117,7 @@ class ScanCache:
             raise UsageError(f"cannot use cache directory {directory}: {exc}") from None
 
     def key(self, operation, canonical_input):
-        import hashlib
-
-        digest = hashlib.sha256()
+        digest = sha256()
         digest.update(self.version.encode())
         digest.update(b"\x00")
         digest.update(operation.encode())

@@ -1,6 +1,9 @@
+import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -10,6 +13,7 @@ import pytest
 from arithgroups import cli
 from arithgroups.catalog import group_aliases, load_group, read_group
 from arithgroups.cli import dispatch
+from arithgroups.report import ScanCache
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -156,15 +160,71 @@ def test_cache_key_tracks_source_digest(capfd, tmp_path, monkeypatch):
     assert len(list(cache.iterdir())) == 2      # a changed digest missed
 
 
-def test_source_digest_covers_the_kernel_source(tmp_path, monkeypatch):
+@pytest.fixture
+def package_copy(tmp_path, monkeypatch):
+    """A copy of the package's sources, which cli.source_digest then reads."""
     copy = tmp_path / "arithgroups"
     shutil.copytree(Path(cli.__file__).parent, copy,
                     ignore=shutil.ignore_patterns("__pycache__"))
     monkeypatch.setattr(cli, "__file__", str(copy / "cli.py"))
+    return copy
+
+
+def test_source_digest_covers_the_kernel_source(package_copy):
     before = cli.source_digest.__wrapped__()
-    with open(copy / "closure.py", "a", encoding="utf-8") as fh:
+    with open(package_copy / "closure.py", "a", encoding="utf-8") as fh:
         fh.write("# an edit to the closure engine\n")
     assert cli.source_digest.__wrapped__() != before
+
+
+# the keys hashlib.sha256 forms for these inputs: a changed key would orphan
+# every entry a user has cached
+PINNED_KEYS = [
+    (("cong-scan:json", "sanov|31"),
+     "f297fd1b1bc7bdb4fec0392d765f8375539de1b4903c15858cf1e495a0722274"),
+    (("x", b"\x00\xff"),
+     "86eb45b89d746b67853eafdba754a61e00d84088c78fb25c9144fc11d16077de"),
+]
+
+
+def test_cache_keys_are_pinned(tmp_path):
+    cache = ScanCache(str(tmp_path), "0.1+abc")
+    for args, key in PINNED_KEYS:
+        assert cache.key(*args) == key
+
+
+def test_source_digest_is_hashlib_sha256_of_the_framed_sources(package_copy):
+    expected = hashlib.sha256()
+    for name in sorted(f for f in os.listdir(package_copy) if f.endswith(".py")):
+        expected.update(name.encode() + b"\x00" + (package_copy / name).read_bytes() + b"\x00")
+    assert cli.source_digest.__wrapped__() == expected.hexdigest()
+
+
+# Hides the built-in sha256 modules, so report.sha256 falls back to hashlib,
+# and prints the pinned keys and the source digest.
+FALLBACK_MAIN = """
+import sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from arithgroups import cli
+from arithgroups.report import ScanCache
+cache = ScanCache(sys.argv[1], "0.1+abc")
+print(cache.key("cong-scan:json", "sanov|31"))
+print(cache.key("x", b"\\x00\\xff"))
+print(cli.source_digest())
+print("hashlib" in sys.modules)
+"""
+
+
+def test_hashlib_fallback_gives_the_same_keys(tmp_path):
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", FALLBACK_MAIN, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    *keys, digest, used_hashlib = proc.stdout.split()
+    assert keys == [key for _, key in PINNED_KEYS]
+    assert digest == cli.source_digest()
+    assert used_hashlib == "True"
 
 
 def test_cache_env_var(capfd, tmp_path, monkeypatch):

@@ -2,12 +2,14 @@
 
 `arithgroups --version` and a warm cache hit parse argv, read the group's rows
 and read the cached bytes; neither may load a compute module, the matrix
-layer or json, and `--version` loads no hashlib.  Neither `--version` nor a
-warm hit on a built-in group or field loads fractions (or the decimal module
-it imports): only a generator file holds rationals.  No command loads
-dataclasses, the number-field commands load no matrix layer and `density
-check` loads no congruence code.  Each case runs the CLI in a fresh
-interpreter, as a user does, and lists the modules loaded when it exits.
+layer or json.  Neither `--version` nor any cached run, miss or hit, loads
+hashlib or OpenSSL's _hashlib: keys are hashed with CPython's built-in
+sha256.  Neither `--version` nor a warm hit on a built-in group or field
+loads fractions (or the decimal module it imports): only a generator file
+holds rationals.  No command loads dataclasses, the number-field commands
+load no matrix layer and `density check` loads no congruence code.  Each
+case runs the CLI in a fresh interpreter, as a user does, and lists the
+modules loaded when it exits.
 """
 
 import os
@@ -34,6 +36,8 @@ COMPUTE_MODULES = {
 MATRIX_LAYER = {"arithgroups.matrix", "arithgroups.rings", "arithgroups.primes", "json"}
 # what no run without a rational in its input has a use for
 RATIONALS = {"fractions", "decimal"}
+# what no run has a use for: keys are hashed without OpenSSL
+HASHLIB = {"hashlib", "_hashlib"}
 
 # Runs the CLI as `python -m arithgroups.cli ARGS` would, and at exit writes
 # the names of the loaded modules, one a line, to the file named by the first
@@ -67,16 +71,18 @@ def test_version_loads_no_compute_module(tmp_path):
     assert out.strip() != b""
     assert "arithgroups.catalog" in modules      # the parser names the aliases
     assert not modules & (COMPUTE_MODULES | MATRIX_LAYER | RATIONALS)
-    assert "hashlib" not in modules
+    assert not modules & HASHLIB
 
 
 def assert_warm_hit_loads_no_compute_module(tmp_path, argv, computing_module):
     cold_out, cold_modules = loaded_modules(tmp_path, *argv)
     assert computing_module in cold_modules      # the miss computed the scan
+    assert not cold_modules & HASHLIB
     warm_out, warm_modules = loaded_modules(tmp_path, *argv)
     assert warm_out == cold_out
     assert {"arithgroups.catalog", "arithgroups.report"} <= warm_modules
     assert not warm_modules & (COMPUTE_MODULES | MATRIX_LAYER)
+    assert not warm_modules & HASHLIB
     return warm_modules
 
 
@@ -133,6 +139,7 @@ def test_cold_command_loads_no_dataclasses(tmp_path, argv):
     _, modules = loaded_modules(tmp_path, *argv, "--cache-dir", str(tmp_path / "cache"))
     assert "arithgroups.report" in modules and "json" in modules    # it rendered a report
     assert "dataclasses" not in modules
+    assert not modules & HASHLIB
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,6 +6,11 @@ plus an explicit infinite-order element.  Together these force the Zariski
 closure inside SL_2 to be SL_2 itself, so the verdict DENSE_EVIDENCE is a
 documented sufficient criterion, never a guess; anything unresolved comes
 back INCONCLUSIVE.
+
+The adjoint action is computed on a constant basis of sl_2, the one that
+groups.tangent_space_at_identity(sl_group(2)) derives from det = 1, so the
+verdict needs no polynomial layer: this module does not import groups or
+mpoly.
 """
 
 from collections import namedtuple
@@ -13,15 +18,21 @@ from fractions import Fraction
 from math import comb
 
 from .catalog import DEFAULT_CAP
-from .errors import Truncated, UnsupportedDimension
-from .groups import adjoint_matrix, sl_group, tangent_space_at_identity
-from .matrix import Mat, SpanTracker, kernel_basis
+from .errors import NotStabilizing, Truncated, UnsupportedDimension
+from .matrix import Mat, SpanTracker, kernel_basis, solve_in_span
 from .primes import primes_upto
 from .rings import QQ, IntegersMod, QuadraticExt
 
 DENSE_EVIDENCE = "DENSE_EVIDENCE"
 NOT_DENSE = "NOT_DENSE"
 INCONCLUSIVE = "INCONCLUSIVE"
+
+# the rref kernel basis (E12, E21, E22 - E11) of the differential of det at I
+SL2_BASIS = (
+    Mat(QQ, [[0, 1], [0, 0]]),
+    Mat(QQ, [[0, 0], [1, 0]]),
+    Mat(QQ, [[-1, 0], [0, 1]]),
+)
 
 CRITERION_NOTE = (
     "DENSE_EVIDENCE means: the Ad-span of the generated group is all of "
@@ -201,18 +212,37 @@ def _symmetrized(gens):
     return out
 
 
-def ad_span(L, gens, max_len=12, frontier_cap=20000):
+def adjoint_matrix(g, basis):
+    """Matrix of the conjugation action X -> g X g^{-1} in a Lie algebra basis.
+
+    Columns hold the coordinates of the conjugated basis elements, so
+    Ad(gh) = Ad(g) Ad(h) as matrices acting on coordinate columns.
+    """
+    ginv = g.inverse()
+    vecs = [b.flat() for b in basis]
+    cols = []
+    for b in basis:
+        conj = g * b * ginv
+        coords = solve_in_span(QQ, vecs, conj.flat())
+        if coords is None:
+            raise NotStabilizing("conjugation does not preserve the span of the Lie algebra")
+        cols.append(coords)
+    dim = len(basis)
+    return Mat(QQ, [[cols[j][i] for j in range(dim)] for i in range(dim)])
+
+
+def ad_span(basis, gens, max_len=12, frontier_cap=20000):
     """Dimension of span{Ad(w) : w a word in the generators} in End(L).
 
-    Word length increases until the dimension is stable for two consecutive
+    L is the Lie algebra spanned by basis.  Word length increases until the dimension is stable for two consecutive
     lengths (or the span is full).  Returns (dimension, stabilization length).
     """
-    dim = L.dim
+    dim = len(basis)
     width = dim * dim
     tracker = SpanTracker(QQ, width)
     ident = Mat.identity(QQ, dim)
     tracker.add(ident.flat())
-    sym = [adjoint_matrix(g, L) for _, g in _symmetrized(gens)]
+    sym = [adjoint_matrix(g, basis) for _, g in _symmetrized(gens)]
     frontier = {ident}
     dims = [tracker.dim]
     length = 0
@@ -378,8 +408,7 @@ def density_verdict(G, max_word_len=8):
             infinite_order_witness=None,
             not_dense_witness=eig,
         )
-    sl2 = tangent_space_at_identity(sl_group(2))
-    dim, stab = ad_span(sl2, G.gens)
+    dim, stab = ad_span(SL2_BASIS, G.gens)
     witness = _witness_search(G.gens, max_len=max_word_len)
     full = dim == 9
     if full and witness is not None:

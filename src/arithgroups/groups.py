@@ -3,9 +3,10 @@
 A presentation is a matrix size n plus polynomials in the n^2 coordinates
 x_ij (flattened row-major) whose common zeros inside GL_n form the group.
 From it we compute the tangent space at the identity with its bracket
-structure, adjoint matrices, restriction of scalars along a number field,
-and reductions mod p.  numberfield is imported only by the two functions
-that restrict scalars, so the density checks do not load it.
+structure, restriction of scalars along a number field, and reductions
+mod p.  numberfield is imported only by the two functions that restrict
+scalars.  The density checks do not load this module: density holds the
+adjoint action and sl_2's basis as a constant.
 """
 
 from collections import namedtuple
@@ -15,7 +16,6 @@ from itertools import combinations, permutations
 from .errors import (
     BadReduction,
     BracketNotClosed,
-    NotStabilizing,
     SingularForm,
     UsageError,
     read_user_file,
@@ -225,25 +225,6 @@ def is_solvable_lie(L):
         n = L.n
         mats = [Mat(QQ, [v[i * n : (i + 1) * n] for i in range(n)]) for v in reduced]
         current = reduced
-
-
-def adjoint_matrix(g, L):
-    """Matrix of the conjugation action X -> g X g^{-1} in the basis of L.
-
-    Columns hold the coordinates of the conjugated basis elements, so
-    Ad(gh) = Ad(g) Ad(h) as matrices acting on coordinate columns.
-    """
-    ginv = g.inverse()
-    vecs = [b.flat() for b in L.basis]
-    cols = []
-    for b in L.basis:
-        conj = g * b * ginv
-        coords = solve_in_span(QQ, vecs, conj.flat())
-        if coords is None:
-            raise NotStabilizing("conjugation does not preserve the span of the Lie algebra")
-        cols.append(coords)
-    dim = len(L.basis)
-    return Mat(QQ, [[cols[j][i] for j in range(dim)] for i in range(dim)])
 
 
 class RosPresentation(namedtuple("RosPresentation", [

@@ -90,6 +90,22 @@ def test_golden_sanov_scan(capfd):
     assert out.encode() == (GOLDEN / "sanov_scan_p31.json").read_bytes()
 
 
+@pytest.mark.parametrize("argv, golden, digest", [
+    (("density", "check", "--group", "sanov"), "sanov_density.json",
+     "4ffd00c8590e6c1a652fda998261e89ddc16ccc95f5b6e6ccf6c150a715f5d95"),
+    (("density", "check", "--group", "triangular"), "triangular_density.json", None),
+    (("lubotzky", "scan", "--group", "sanov", "--pmax", "31"), "sanov_lubotzky_p31.json",
+     "1d29a1e9a14f81f361e3408efc8a08de321759980492b297b8629c9f82b3bf97"),
+], ids=["density-sanov", "density-triangular", "lubotzky-sanov"])
+def test_golden_dichotomy(capfd, argv, golden, digest):
+    # the sanov files are the outputs whose digests perfbench/workloads.json pins
+    expected = (GOLDEN / golden).read_bytes()
+    assert digest is None or hashlib.sha256(expected).hexdigest() == digest
+    code, out, _ = run(capfd, *argv)
+    assert code == 0
+    assert out.encode() == expected
+
+
 def test_golden_qi_chebotarev(capfd):
     code, out, _ = run(capfd, "nf", "chebotarev", "--field", "qi", "--bound", "10000")
     assert code == 0

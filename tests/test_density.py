@@ -21,6 +21,7 @@ from arithgroups.density import (
     DENSE_EVIDENCE,
     INCONCLUSIVE,
     NOT_DENSE,
+    SL2_BASIS,
     OneParamSubgroup,
     _generated_subgroup,
     ad_span,
@@ -38,7 +39,12 @@ from arithgroups.rings import QQ, GF
 
 @pytest.fixture(scope="module")
 def sl2():
-    return tangent_space_at_identity(sl_group(2))
+    return tangent_space_at_identity(sl_group(2)).basis
+
+
+def test_sl2_basis_is_the_derived_tangent_space(sl2):
+    # the verdict's constant basis is the one derived symbolically from det = 1
+    assert SL2_BASIS == sl2
 
 
 def test_is_unipotent_examples():

@@ -7,8 +7,10 @@ hashlib or OpenSSL's _hashlib: keys are hashed with CPython's built-in
 sha256.  Neither `--version` nor a warm hit on a built-in group or field
 loads fractions (or the decimal module it imports): only a generator file
 holds rationals.  No command loads dataclasses, the number-field commands
-load no matrix layer and `density check` loads no congruence code.  Each
-case runs the CLI in a fresh interpreter, as a user does, and lists the
+load no matrix layer and `density check` loads no congruence code.  Neither
+`density check` nor `lubotzky scan` loads the polynomial presentation layer
+(groups and mpoly): the density verdict works on a constant basis of sl_2.
+Each case runs the CLI in a fresh interpreter, as a user does, and lists the
 modules loaded when it exits.
 """
 
@@ -160,6 +162,17 @@ def test_cold_density_check_loads_no_congruence_code(tmp_path):
                                 "--cache-dir", str(tmp_path / "cache"))
     assert "arithgroups.density" in modules
     assert not modules & {"arithgroups.congruence", "arithgroups.closure"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("density", "check", "--group", "sanov"),
+    ("lubotzky", "scan", "--group", "sanov", "--pmax", "31"),
+], ids=["density-check", "lubotzky-scan"])
+def test_cold_dichotomy_command_loads_no_presentation_layer(tmp_path, argv):
+    # the verdict's Ad action runs on a constant sl_2 basis, not one derived from det = 1
+    _, modules = loaded_modules(tmp_path, *argv)
+    assert "arithgroups.density" in modules
+    assert not modules & {"arithgroups.groups", "arithgroups.mpoly"}
 
 
 @pytest.mark.parametrize("argv", [

@@ -234,8 +234,9 @@ def adjoint_matrix(g, basis):
 def ad_span(basis, gens, max_len=12, frontier_cap=20000):
     """Dimension of span{Ad(w) : w a word in the generators} in End(L).
 
-    L is the Lie algebra spanned by basis.  Word length increases until the dimension is stable for two consecutive
-    lengths (or the span is full).  Returns (dimension, stabilization length).
+    L is the Lie algebra spanned by basis.  Word length increases until the
+    dimension is stable for two consecutive lengths (or the span is full).
+    Returns (dimension, stabilization length).
     """
     dim = len(basis)
     width = dim * dim

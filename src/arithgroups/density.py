@@ -15,13 +15,13 @@ mpoly.
 
 from collections import namedtuple
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
 from .catalog import DEFAULT_CAP
 from .errors import NotStabilizing, Truncated, UnsupportedDimension
 from .matrix import Mat, SpanTracker, kernel_basis, solve_in_span
 from .primes import primes_upto
-from .rings import QQ, IntegersMod, QuadraticExt
+from .rings import QQ, IntegersMod
 
 DENSE_EVIDENCE = "DENSE_EVIDENCE"
 NOT_DENSE = "NOT_DENSE"
@@ -268,11 +268,8 @@ def ad_span(basis, gens, max_len=12, frontier_cap=20000):
 
 
 def _square_root_fraction(q):
-    q = Fraction(q)
     if q < 0:
         return None
-    from math import isqrt
-
     rn, rd = isqrt(q.numerator), isqrt(q.denominator)
     if rn * rn == q.numerator and rd * rd == q.denominator:
         return Fraction(rn, rd)
@@ -282,65 +279,31 @@ def _square_root_fraction(q):
 def _common_eigenvector(gens):
     """A line fixed by every generator, over Q or a quadratic extension.
 
-    Returns (field_description, vector) or None.  Scalar generators fix
-    every line, so only non-scalar ones constrain the search.
+    Returns (field_description, vector) or None.  Only the eigenlines of the
+    first non-scalar generator g = [[a, b], [c, d]] can qualify.  When g has
+    no rational eigenvalue, its eigenvector (b, w - a) is written as pairs
+    x + y*w with w^2 = tr(g) w - det(g), and a rational h fixes its line
+    exactly when h commutes with g: h then fixes the Galois-conjugate line
+    too, so it is diagonal in g's eigenbasis.
     """
-    nonscalar = []
     for g in gens:
-        a, b = g.rows[0]
-        c, d = g.rows[1]
-        if b == 0 and c == 0 and a == d:
-            continue
-        nonscalar.append(g)
-    if not nonscalar:
+        (a, b), (c, d) = g.rows
+        if b != 0 or c != 0 or a != d:
+            break
+    else:
         return ("Q (all generators scalar)", (1, 0))
-    g = nonscalar[0]
     tr = QQ.canon(g.trace())
     det = QQ.canon(g.det())
-    disc = Fraction(tr) ** 2 - 4 * Fraction(det)
-    candidates = []
-    root = _square_root_fraction(disc)
-    if root is not None:
-        for lam in {QQ.canon((Fraction(tr) + root) / 2), QQ.canon((Fraction(tr) - root) / 2)}:
-            shifted = [
-                [QQ.sub(g.rows[0][0], lam), g.rows[0][1]],
-                [g.rows[1][0], QQ.sub(g.rows[1][1], lam)],
-            ]
-            for vec in kernel_basis(QQ, shifted):
-                candidates.append((QQ, f"Q (eigenvalue {lam})", vec))
-    else:
-        ext = QuadraticExt(tr, QQ.canon(-Fraction(det)))
-        w = (0, 1)
-        a, b = g.rows[0]
-        desc = f"Q[w]/(w^2 - ({tr})w + ({det}))"
-        if b != 0:
-            v = (ext.canon(b), ext.sub(w, ext.canon(a)))
-            candidates.append((ext, desc, v))
-            wbar = ext.sub(ext.canon(tr), w)
-            vbar = (ext.canon(b), ext.sub(wbar, ext.canon(a)))
-            candidates.append((ext, desc, vbar))
-        else:
-            c, d = g.rows[1]
-            v = (ext.sub(w, ext.canon(d)), ext.canon(c))
-            candidates.append((ext, desc, v))
-            wbar = ext.sub(ext.canon(tr), w)
-            vbar = (ext.sub(wbar, ext.canon(d)), ext.canon(c))
-            candidates.append((ext, desc, vbar))
-    for ring, desc, v in candidates:
-        ok = True
-        for h in gens:
-            hv = (
-                ring.add(ring.mul(ring.canon(h.rows[0][0]), v[0]),
-                         ring.mul(ring.canon(h.rows[0][1]), v[1])),
-                ring.add(ring.mul(ring.canon(h.rows[1][0]), v[0]),
-                         ring.mul(ring.canon(h.rows[1][1]), v[1])),
-            )
-            cross = ring.sub(ring.mul(hv[0], v[1]), ring.mul(hv[1], v[0]))
-            if cross != ring.zero:
-                ok = False
-                break
-        if ok:
-            return (desc, v)
+    root = _square_root_fraction(Fraction(tr) ** 2 - 4 * Fraction(det))
+    if root is None:
+        if all(h * g == g * h for h in gens):
+            return (f"Q[w]/(w^2 - ({tr})w + ({det}))", ((b, 0), (QQ.canon(-a), 1)))
+        return None
+    for lam in {QQ.canon((Fraction(tr) + root) / 2), QQ.canon((Fraction(tr) - root) / 2)}:
+        for v in kernel_basis(QQ, [[QQ.sub(a, lam), b], [c, QQ.sub(d, lam)]]):
+            if all((h00 * v[0] + h01 * v[1]) * v[1] == (h10 * v[0] + h11 * v[1]) * v[0]
+                   for (h00, h01), (h10, h11) in (h.rows for h in gens)):
+                return (f"Q (eigenvalue {lam})", v)
     return None
 
 

@@ -225,68 +225,3 @@ class ExtField:
     def __hash__(self):
         return hash(("ExtField", self.p, self.modulus))
 
-
-class QuadraticExt:
-    """Q[x]/(q) for a monic rational quadratic q, used for eigenvalue fields.
-
-    Elements are pairs (a, b) meaning a + b*w where w^2 = s*w + t comes from
-    q(x) = x^2 - s*x - t.  Only needs to be a field when q is irreducible;
-    eigenvector searches only build it in that case.
-    """
-
-    is_field = True
-
-    def __init__(self, s, t):
-        self.s = _ratcanon(s)
-        self.t = _ratcanon(t)
-        self.zero = (0, 0)
-        self.one = (1, 0)
-
-    def canon(self, x):
-        if isinstance(x, tuple):
-            return (_ratcanon(x[0]), _ratcanon(x[1]))
-        return (_ratcanon(x), 0)
-
-    def add(self, a, b):
-        return (_ratcanon(a[0] + b[0]), _ratcanon(a[1] + b[1]))
-
-    def sub(self, a, b):
-        return (_ratcanon(a[0] - b[0]), _ratcanon(a[1] - b[1]))
-
-    def neg(self, a):
-        return (_ratcanon(-a[0]), _ratcanon(-a[1]))
-
-    def mul(self, a, b):
-        # (a0 + a1 w)(b0 + b1 w) with w^2 = s w + t
-        w2 = a[1] * b[1]
-        return (
-            _ratcanon(a[0] * b[0] + w2 * self.t),
-            _ratcanon(a[0] * b[1] + a[1] * b[0] + w2 * self.s),
-        )
-
-    def inv(self, a):
-        # conjugate of a0 + a1 w is (a0 + a1 s) - a1 w; norm is rational
-        conj = (_ratcanon(a[0] + a[1] * self.s), _ratcanon(-a[1]))
-        norm = self.mul(a, conj)
-        assert norm[1] == 0
-        if norm[0] == 0:
-            raise NotInvertible("zero divisor in quadratic extension")
-        ninv = Fraction(1, 1) / norm[0]
-        return (_ratcanon(conj[0] * ninv), _ratcanon(conj[1] * ninv))
-
-    def is_unit(self, a):
-        conj = (_ratcanon(a[0] + a[1] * self.s), _ratcanon(-a[1]))
-        return self.mul(a, conj)[0] != 0
-
-    def __repr__(self):
-        return f"Q[w; w^2={self.s}w+{self.t}]"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QuadraticExt)
-            and other.s == self.s
-            and other.t == self.t
-        )
-
-    def __hash__(self):
-        return hash(("QuadExt", self.s, self.t))

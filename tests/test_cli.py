@@ -106,6 +106,28 @@ def test_golden_dichotomy(capfd, argv, golden, digest):
     assert out.encode() == expected
 
 
+NOT_DENSE_GROUPS = {
+    "rot": "0 -1\n1 0\n",                      # discriminant -4
+    "frac": "1/2 3\n-1/3 2\n",                  # discriminant -7/4; the witness shows "-1/2"
+    "commuting": "2 1\n1 1\n\n3 2\n2 1\n",      # discriminant 5, and the pair commutes
+}
+
+
+@pytest.mark.parametrize("name, fmt, golden", [
+    ("rot", "json", "rot_density.json"),
+    ("frac", "json", "frac_density.json"),
+    ("frac", "text", "frac_density.txt"),
+    ("commuting", "json", "commuting_density.json"),
+])
+def test_golden_quadratic_not_dense_witness(capfd, tmp_path, name, fmt, golden):
+    # the common line is defined only over a quadratic field
+    path = tmp_path / f"{name}.gens"
+    path.write_text(NOT_DENSE_GROUPS[name])
+    code, out, _ = run(capfd, "density", "check", "--group", str(path), "--format", fmt)
+    assert code == 0
+    assert out.encode() == (GOLDEN / golden).read_bytes()
+
+
 def test_golden_qi_chebotarev(capfd):
     code, out, _ = run(capfd, "nf", "chebotarev", "--field", "qi", "--bound", "10000")
     assert code == 0

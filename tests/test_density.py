@@ -1,6 +1,8 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import isqrt
 
 import pytest
 
@@ -23,6 +25,7 @@ from arithgroups.density import (
     NOT_DENSE,
     SL2_BASIS,
     OneParamSubgroup,
+    _common_eigenvector,
     _generated_subgroup,
     ad_span,
     density_verdict,
@@ -282,6 +285,99 @@ def test_density_verdict_rotation_quadratic_extension():
     v = density_verdict(G)
     assert v.verdict == NOT_DENSE
     assert "w^2" in v.not_dense_witness[0]
+
+
+def _moves(h, v, s, t):
+    """True when the rational matrix h maps v off its line over Q(w), w^2 = s w + t.
+
+    The entries of v are pairs (x, y) meaning x + y w.
+    """
+    def mul(x, y):
+        return (x[0] * y[0] + x[1] * y[1] * t, x[0] * y[1] + x[1] * y[0] + x[1] * y[1] * s)
+
+    hv = [tuple(row[0] * x + row[1] * y for x, y in zip(*v)) for row in h.rows]
+    return mul(hv[0], v[1]) != mul(hv[1], v[0])
+
+
+def _rational_roots(tr, det):
+    """The rational roots of x^2 - tr x + det."""
+    disc = Fraction(tr) ** 2 - 4 * Fraction(det)
+    if disc < 0:
+        return []
+    num, den = isqrt(disc.numerator), isqrt(disc.denominator)
+    if num * num != disc.numerator or den * den != disc.denominator:
+        return []
+    return [(tr + Fraction(num, den)) / 2, (tr - Fraction(num, den)) / 2]
+
+
+def _check_common_eigenvector(gens):
+    """Check _common_eigenvector(gens) with Q(w) arithmetic; returns the kind of answer."""
+    found = _common_eigenvector(gens)
+    nonscalar = [h for h in gens if h.rows[0][1] or h.rows[1][0] or h.rows[0][0] != h.rows[1][1]]
+    if nonscalar:
+        g = nonscalar[0]
+        (a, b), (c, d) = g.rows
+        tr, det = g.trace(), g.det()
+        roots = _rational_roots(tr, det)
+    if found is None:
+        # every eigenline of the first non-scalar generator is moved
+        if roots:
+            lines = [((b, 0), (lam - a, 0)) if (b, lam) != (0, a) else ((lam - d, 0), (c, 0))
+                     for lam in roots]
+            assert all(any(_moves(h, v, 0, 0) for h in gens) for v in lines)
+        else:
+            assert any(_moves(h, ((b, 0), (-a, 1)), tr, -det) for h in gens)
+        return "none"
+    if found[0].startswith("Q[w]"):
+        assert not roots and found[0] == f"Q[w]/(w^2 - ({tr})w + ({det}))"
+        assert not any(_moves(h, found[1], tr, -det) for h in gens)
+        return "quadratic"
+    v = tuple((x, 0) for x in found[1])
+    assert v != ((0, 0), (0, 0))
+    assert not any(_moves(h, v, 0, 0) for h in gens)
+    return "rational"
+
+
+def test_common_eigenvector_is_fixed_by_every_generator():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    matrices = st.lists(rationals, min_size=4, max_size=4).map(
+        lambda e: Mat(QQ, [e[:2], e[2:]]))
+
+    @st.composite
+    def generator_sets(draw):
+        # a commuting family alpha I + beta g, sometimes with other matrices
+        g = draw(matrices)
+        coeffs = draw(st.lists(st.tuples(rationals, rationals), min_size=1, max_size=3))
+        gens = [Mat(QQ, [[a, 0], [0, a]]) + b * g for a, b in coeffs]
+        gens += draw(st.lists(matrices, max_size=2))
+        return draw(st.permutations(gens))
+
+    outcomes = Counter()
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(generator_sets())
+    def check(gens):
+        outcomes[_check_common_eigenvector(gens)] += 1
+
+    check()
+    assert set(outcomes) == {"none", "quadratic", "rational"}
+
+
+@pytest.mark.parametrize("gens, verdict, dim, reason", [
+    # the dihedral group of order 8 is finite: no word of infinite order
+    ([[[0, -1], [1, 0]], [[1, 0], [0, -1]]], INCONCLUSIVE, 3, None),
+    # the normaliser of a split torus is infinite but not Zariski-dense
+    ([[[2, 1], [1, 1]], [[0, -1], [1, 0]]], INCONCLUSIVE, 5, "trace outside [-2, 2]"),
+    ([[[-1, 1], [0, -1]], [[-1, 0], [1, -1]]], DENSE_EVIDENCE, 9,
+     "negative of a nontrivial unipotent"),
+], ids=["dihedral", "torus-normaliser", "negative-unipotents"])
+def test_density_verdict_without_common_line(gens, verdict, dim, reason):
+    v = density_verdict(SIntegerGroup([Mat(QQ, g) for g in gens], label="g"))
+    assert (v.verdict, v.ad_span_dim, v.not_dense_witness) == (verdict, dim, None)
+    witness = v.infinite_order_witness
+    assert (None if witness is None else witness["reason"]) == reason
 
 
 def test_density_verdict_requires_sl2():

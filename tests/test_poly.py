@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -100,6 +100,18 @@ def test_factor_canonical_order():
     fac = factor_poly_mod_p(f)
     keys = [(g.degree, g.coeffs) for g, _ in fac]
     assert keys == sorted(keys)
+
+
+def test_factor_over_f2_products_of_equal_degree():
+    # these reach the trace map over F_{2^d} that splits equal-degree factors
+    ring = GF(2)
+    cubics = [Poly(ring, [1, 0, 1, 1]), Poly(ring, [1, 1, 0, 1])]      # x^3+x^2+1, x^3+x+1
+    quartics = [Poly(ring, [1, 0, 0, 1, 1]), Poly(ring, [1, 1, 0, 0, 1]),
+                Poly(ring, [1, 1, 1, 1, 1])]                          # the irreducible quartics
+    for f in cubics + quartics:
+        assert factor_poly_mod_p(f) == [(f, 1)]
+    for f, g in [tuple(cubics)] + list(combinations(quartics, 2)):
+        assert factor_poly_mod_p(f * g) == [(f, 1), (g, 1)]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])

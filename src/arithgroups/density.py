@@ -27,6 +27,11 @@ DENSE_EVIDENCE = "DENSE_EVIDENCE"
 NOT_DENSE = "NOT_DENSE"
 INCONCLUSIVE = "INCONCLUSIVE"
 
+# the witness search gives up after visiting this many distinct words
+WITNESS_VISITED_CAP = 10000
+# surjective primes up to this bound get the exhaustive quasisimple check
+QUASISIMPLE_PMAX = 13
+
 # the rref kernel basis (E12, E21, E22 - E11) of the differential of det at I
 SL2_BASIS = (
     Mat(QQ, [[0, 1], [0, 0]]),
@@ -231,40 +236,34 @@ def adjoint_matrix(g, basis):
     return Mat(QQ, [[cols[j][i] for j in range(dim)] for i in range(dim)])
 
 
-def ad_span(basis, gens, max_len=12, frontier_cap=20000):
+def ad_span(basis, gens):
     """Dimension of span{Ad(w) : w a word in the generators} in End(L).
 
-    L is the Lie algebra spanned by basis.  Word length increases until the
-    dimension is stable for two consecutive lengths (or the span is full).
-    Returns (dimension, stabilization length).
+    L is the Lie algebra spanned by basis.  The span is closed as an algebra
+    from Ad(I): each round multiplies only the products that grew the span in
+    the round before by each Ad(g^+-1), so after round k it is the span of
+    the words of length <= k.  Returns (dimension, k) for the first round k
+    that makes the span full; when a round k adds nothing, no later round
+    can, and the span closes short at (dimension, k + 1): the last length at
+    which it grew, plus 2.
     """
     dim = len(basis)
     width = dim * dim
-    tracker = SpanTracker(QQ, width)
+    tracker = SpanTracker(QQ)
     ident = Mat.identity(QQ, dim)
     tracker.add(ident.flat())
     sym = [adjoint_matrix(g, basis) for _, g in _symmetrized(gens)]
-    frontier = {ident}
-    dims = [tracker.dim]
+    grew = [ident]
     length = 0
-    for length in range(1, max_len + 1):
-        nxt = set()
-        for w in frontier:
-            for ad in sym:
-                prod = w * ad
-                if prod not in nxt:
-                    nxt.add(prod)
-        for prod in nxt:
-            tracker.add(prod.flat())
-        dims.append(tracker.dim)
-        if tracker.dim == width:
-            return tracker.dim, length
-        if len(dims) >= 3 and dims[-1] == dims[-2] == dims[-3]:
-            return tracker.dim, length
-        if len(nxt) > frontier_cap:
-            break
-        frontier = nxt
-    return tracker.dim, length
+    while grew:
+        length += 1
+        previous, grew = grew, []
+        for prod in (w * ad for w in previous for ad in sym):
+            if tracker.add(prod.flat()):
+                if tracker.dim == width:
+                    return tracker.dim, length
+                grew.append(prod)
+    return tracker.dim, length + 1
 
 
 def _square_root_fraction(q):
@@ -307,7 +306,7 @@ def _common_eigenvector(gens):
     return None
 
 
-def _witness_search(gens, max_len=8, visited_cap=10000):
+def _witness_search(gens, max_len=8):
     """A word of infinite order: |trace| > 2, or +/- a nontrivial unipotent."""
     ident = Mat.identity(QQ, 2)
     neg_ident = -ident
@@ -331,7 +330,7 @@ def _witness_search(gens, max_len=8, visited_cap=10000):
                     return {"word": label, "trace": tr,
                             "reason": "negative of a nontrivial unipotent"}
                 nxt.append((label, prod))
-                if len(seen) > visited_cap:
+                if len(seen) > WITNESS_VISITED_CAP:
                     return None
         frontier = nxt
     return None
@@ -408,7 +407,7 @@ class LubotzkyReport(namedtuple("LubotzkyReport", [
     __slots__ = ()
 
 
-def lubotzky_scan(G, prime_bound, cap=DEFAULT_CAP, quasisimple_pmax=13):
+def lubotzky_scan(G, prime_bound, cap=DEFAULT_CAP):
     """Dichotomy report: density verdict plus a per-prime congruence census.
 
     For surjective primes the PSL_2(p) quotient order is attached (order/2
@@ -430,7 +429,7 @@ def lubotzky_scan(G, prime_bound, cap=DEFAULT_CAP, quasisimple_pmax=13):
         quasi = None
         if rec.surjective:
             psl = rec.target_order // 2 if p % 2 else rec.target_order
-            if p <= quasisimple_pmax:
+            if p <= QUASISIMPLE_PMAX:
                 quasi = quasisimple_check(closure).quasisimple
         elif rec.surjective is False:
             exceptional.append(p)

@@ -251,9 +251,8 @@ def kernel_basis(ring, rows):
 class SpanTracker:
     """Incremental row-space tracker over a field (dimension queries only)."""
 
-    def __init__(self, ring, width):
+    def __init__(self, ring):
         self.ring = ring
-        self.width = width
         self.pivots = {}
 
     @property

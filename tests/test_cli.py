@@ -128,6 +128,16 @@ def test_golden_quadratic_not_dense_witness(capfd, tmp_path, name, fmt, golden):
     assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
+def test_golden_ad_span_closes_short(capfd, tmp_path):
+    # the normaliser of a split torus: the Ad-span stops growing at dimension 5,
+    # so the report pins stabilization_length for a span that is not full
+    path = tmp_path / "torus_normaliser.gens"
+    path.write_text("2 1\n1 1\n\n0 -1\n1 0\n")
+    code, out, _ = run(capfd, "density", "check", "--group", str(path), "--format", "json")
+    assert code == 0
+    assert out.encode() == (GOLDEN / "torus_normaliser_density.json").read_bytes()
+
+
 def test_golden_qi_chebotarev(capfd):
     code, out, _ = run(capfd, "nf", "chebotarev", "--field", "qi", "--bound", "10000")
     assert code == 0

@@ -155,19 +155,20 @@ def test_nori_equality_sl2(p):
     assert u.order == gp.order == order_sl(2, p)
 
 
+def transvection(ring, i, j):
+    """I + E_ij in SL_3 over ring."""
+    rows = [[1 if a == b else 0 for b in range(3)] for a in range(3)]
+    rows[i][j] = 1
+    return Mat(ring, rows)
+
+
 @pytest.mark.parametrize("p", [5, 7, 11])
 def test_nori_equality_sl3_subgroups(p):
     ring = GF(p)
-
-    def transvection(i, j):
-        rows = [[1 if a == b else 0 for b in range(3)] for a in range(3)]
-        rows[i][j] = 1
-        return Mat(ring, rows)
-
     cases = [
-        [transvection(0, 1)],
-        [transvection(0, 1), transvection(0, 2)],   # commuting pair
-        [transvection(0, 1), transvection(1, 2)],   # Heisenberg pair
+        [transvection(ring, 0, 1)],
+        [transvection(ring, 0, 1), transvection(ring, 0, 2)],   # commuting pair
+        [transvection(ring, 0, 1), transvection(ring, 1, 2)],   # Heisenberg pair
     ]
     for gens in cases:
         u = unipotent_closure_subgroup(gens, max_word_len=3)
@@ -238,13 +239,29 @@ def test_ad_span_upper_triangular_pair_is_6(sl2):
     assert dim == 6 < 9
 
 
-def test_ad_span_monotone_in_word_length(sl2):
-    sanov = builtin_group("sanov")
-    dims = []
-    for max_len in (1, 2, 3, 4):
-        dim, _ = ad_span(sl2, sanov.gens, max_len=max_len)
-        dims.append(dim)
-    assert dims == sorted(dims)
+def test_ad_span_matches_the_word_oracle_at_its_length(sl2):
+    # ad_span's length is the least word length whose span is full, or, for a
+    # span that closes short, the last length at which it grew plus 2
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    entries = st.one_of(st.just(0), st.fractions(min_value=-3, max_value=3, max_denominator=2))
+    matrices = st.lists(entries, min_size=4, max_size=4).map(
+        lambda e: Mat(QQ, [e[:2], e[2:]])).filter(lambda g: g.det() != 0)
+    outcomes = Counter()
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(st.lists(matrices, min_size=1, max_size=2))
+    def check(gens):
+        dim, length = ad_span(sl2, gens)
+        full = dim == 9
+        depth = length if full else length - 2
+        assert conjugation_span_oracle(gens, words_depth=depth) == dim
+        if depth > 0:
+            assert conjugation_span_oracle(gens, words_depth=depth - 1) < dim
+        outcomes[full] += 1
+
+    check()
+    assert set(outcomes) == {True, False}
 
 
 def test_ad_span_conjugation_covariance(sl2):
@@ -256,6 +273,28 @@ def test_ad_span_conjugation_covariance(sl2):
         conj = [hconj * g * hconj.inverse() for g in pair]
         dim, _ = ad_span(sl2, conj)
         assert dim == base_dim
+
+
+@pytest.fixture(scope="module")
+def sl3():
+    return tangent_space_at_identity(sl_group(3)).basis
+
+
+def test_ad_span_sl3_transvections_full(sl3):
+    # E12, E23, E31 generate SL_3(Z), which is Zariski-dense, so Ad spans
+    # End(sl_3) by Burnside
+    gens = [transvection(QQ, 0, 1), transvection(QQ, 1, 2), transvection(QQ, 2, 0)]
+    assert ad_span(sl3, gens) == (64, 4)
+
+
+def test_ad_span_sl3_rational_rotations(sl3):
+    # sl_3 = so_3 + sym_0 as an SO_3-module, with irreducible summands of
+    # dimension 3 and 5, so two rotations generating a dense subgroup of SO_3
+    # span End(so_3) + End(sym_0), of dimension 3^2 + 5^2
+    c, s = Fraction(3, 5), Fraction(4, 5)
+    rz = Mat(QQ, [[c, -s, 0], [s, c, 0], [0, 0, 1]])
+    rx = Mat(QQ, [[1, 0, 0], [0, c, -s], [0, s, c]])
+    assert ad_span(sl3, [rz, rx]) == (34, 5)
 
 
 def test_density_verdict_sanov():

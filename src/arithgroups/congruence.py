@@ -26,6 +26,8 @@ from .primes import factorint, prime_support, primes_upto
 from .rings import IntegersMod
 
 ELEMENT_RETENTION_CAP = 10 ** 5
+# quasisimple_check lists G only when p * |G| is at most this
+QUASISIMPLE_CAP = 4 * 10 ** 5
 
 
 def reduce_generators(G, m):
@@ -788,7 +790,7 @@ class QuasisimpleReport(namedtuple("QuasisimpleReport", [
         return self.perfect and self.quotient_is_simple
 
 
-def quasisimple_check(closure, cap=4 * 10 ** 5):
+def quasisimple_check(closure):
     """Exhaustive quasisimplicity test for a full SL_2(F_p) closure.
 
     G is listed once, breadth-first from I: level by level, and within a
@@ -819,8 +821,8 @@ def quasisimple_check(closure, cap=4 * 10 ** 5):
     p, n, N = closure.modulus, closure.n, closure.order
     if closure.truncated:
         raise Truncated("quasisimple check needs the exact order")
-    if p * N > cap:
-        raise Truncated(f"{p} * {N} exceeds the exhaustive-check cap {cap}")
+    if p * N > QUASISIMPLE_CAP:
+        raise Truncated(f"{p} * {N} exceeds the exhaustive-check cap {QUASISIMPLE_CAP}")
     ident = flat_identity(n, p)
     index = {ident: 0}
     setdefault = index.setdefault

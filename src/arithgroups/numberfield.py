@@ -29,6 +29,8 @@ MAX_BOUND = 10 ** 8
 # primes per batched Frobenius powering: enough to spread the interpreter's
 # per-operation cost; scan time was flat from 16 to 48
 FROBENIUS_BATCH = 32
+# crt_check enumerates at most this many residue vectors
+CRT_ENUMERATION_CAP = 2 * 10 ** 6
 
 
 class NumberField:
@@ -81,17 +83,16 @@ class NumberField:
             ring = IntegersMod(p)
             if is_irreducible_mod_p(Poly(ring, m.coeffs)):
                 return
-        # rational root test (monic: every rational root is an integer)
         if m.coeffs[0] == 0:
             raise ReducibleMinPoly("x divides the minimal polynomial")
-        roots = _integer_roots(m, self.disc)
-        if roots:
-            raise ReducibleMinPoly(f"rational root {roots[0]}")
-        if m.degree <= 3:
-            return  # no rational root proves irreducibility up to degree 3
+        # one Hensel lift finds the rational roots (monic: integers) and every
+        # other factor; up to degree 3 a reducible m has a root
         factor = _integer_factor(self)
-        if factor is not None:
-            raise ReducibleMinPoly(f"factor {_poly_str(factor)}")
+        if factor is None:
+            return
+        if factor.degree == 1:
+            raise ReducibleMinPoly(f"rational root {-factor.coeffs[0]}")
+        raise ReducibleMinPoly(f"factor {_poly_str(factor)}")
 
     def element(self, coords):
         return NFElement(self, coords)
@@ -115,38 +116,6 @@ class NumberField:
         return hash(self.min_poly)
 
 
-def _least_good_prime(disc):
-    """The least prime not dividing disc: m mod it is squarefree."""
-    return next(q for q in count(2) if disc % q and is_prime(q))
-
-
-def _integer_roots(m, disc):
-    """The integer roots, ascending, of a monic integer Poly m with disc(m) != 0.
-
-    Modulo the least prime p not dividing disc every root is simple, so each
-    lifts uniquely by Newton's method to p^k > 2 * (1 + max |c_i|), which is
-    past twice Cauchy's bound on |root|.  Every integer root is then the
-    symmetric residue of one lift, so the time is polynomial in the size of
-    the coefficients.
-    """
-    from .padics import hensel_lift
-
-    p = _least_good_prime(disc)
-    bound = 1 + max(abs(c) for c in m.coeffs[:-1])
-    k = 1
-    while p ** k <= 2 * bound:
-        k += 1
-    mod = p ** k
-    roots = []
-    for a in range(p):
-        if m.eval(a) % p == 0:
-            r = hensel_lift(m.coeffs, a, p, k)
-            r = r - mod if r > mod // 2 else r
-            if m.eval(r) == 0:
-                roots.append(r)
-    return sorted(roots)
-
-
 def _integer_factor(K):
     """A monic integer factor of m = K.min_poly of degree 1 .. d/2, or None.
 
@@ -157,10 +126,14 @@ def _integer_factor(K):
     |g_j| <= C(k, j) * ||m||_2 for k = deg g <= d/2; once p^n is past twice
     that, g is the symmetric residue of one product.  So trying the products
     of degree at most d/2 finds a factor exactly when m is reducible.
+
+    The lines come first: an integer root r divides m(0), so |r| <= ||m||_2
+    and x - r is the symmetric residue of one linear lifted factor.  When m
+    has integer roots, x - r for the least root r is returned.
     """
     m = K.min_poly
     half = K.degree // 2
-    p = _least_good_prime(K.disc)
+    p = next(q for q in count(2) if K.disc % q and is_prime(q))
     bound = comb(half, half // 2) * (isqrt(sum(c * c for c in m.coeffs)) + 1)
     n = 1
     while p ** n <= 2 * bound:
@@ -169,12 +142,19 @@ def _integer_factor(K):
     ring = IntegersMod(mod)
     _, lifted = _lift_factor_system(K, p, n)
     lifted = [Poly(ring, h) for h in lifted]
+
+    def symmetric(g):
+        return Poly(QQ, [c - mod if c > mod // 2 else c for c in map(int, g.coeffs)])
+
+    roots = [r for r in (-symmetric(h).coeffs[0] for h in lifted if h.degree == 1)
+             if m.eval(r) == 0]
+    if roots:
+        return Poly(QQ, [-min(roots), 1])
     for size in range(1, len(lifted)):
         for subset in combinations(lifted, size):
             if sum(h.degree for h in subset) > half:
                 continue
-            g = prod(subset[1:], start=subset[0])
-            g = Poly(QQ, [c - mod if c > mod // 2 else c for c in map(int, g.coeffs)])
+            g = symmetric(prod(subset[1:], start=subset[0]))
             if (m % g).is_zero():
                 return g
     return None
@@ -535,7 +515,7 @@ class CrtReport(namedtuple("CrtReport", ["p", "n", "total_size", "component_size
     __slots__ = ()
 
 
-def crt_check(K, p, n, enumeration_cap=2 * 10 ** 6):
+def crt_check(K, p, n):
     """Exhaustively verify Z[alpha]/(p^n) = product of its component rings.
 
     Enumerates all p^(n*d) residue vectors, maps each to its tuple of images
@@ -552,7 +532,7 @@ def crt_check(K, p, n, enumeration_cap=2 * 10 ** 6):
         )
     d = K.degree
     size = p ** (n * d)
-    if n * d > 16 or size > enumeration_cap:
+    if n * d > 16 or size > CRT_ENUMERATION_CAP:
         raise ValueError(f"enumeration of {size} residues is out of desk range")
     _, lifted = _lift_factor_system(K, p, n)
     mod = p ** n

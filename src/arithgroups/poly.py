@@ -6,8 +6,6 @@ distinct-degree plus equal-degree splitting with a deterministic candidate
 sequence, so identical inputs always factor identically.
 """
 
-from fractions import Fraction
-
 from .errors import NonSquarefree
 from .rings import QQ, IntegersMod
 
@@ -324,39 +322,20 @@ def sturm_real_root_count(f):
 
 
 def resultant(f, g):
-    """Resultant of two rational polynomials via the Sylvester determinant."""
+    """Resultant of two rational polynomials by Euclid's remainder sequence.
+
+    With n = deg f, m = deg g and r = f mod g,
+    Res(f, g) = (-1)^(nm) lc(g)^(n - deg r) Res(g, r) (Cohen, GTM 138,
+    3.3).  Res(f, g) is f^m when f is a constant, g^n when g is, and 0 when
+    either is zero.
+    """
     if f.is_zero() or g.is_zero():
         return 0
     n, m = f.degree, g.degree
-    if n == 0:
-        return f.coeffs[0] ** m
-    if m == 0:
-        return g.coeffs[0] ** n
-    size = n + m
-    rows = []
-    fc = list(reversed(f.coeffs))
-    gc = list(reversed(g.coeffs))
-    for i in range(m):
-        rows.append([Fraction(0)] * i + [Fraction(c) for c in fc] + [Fraction(0)] * (size - n - 1 - i))
-    for i in range(n):
-        rows.append([Fraction(0)] * i + [Fraction(c) for c in gc] + [Fraction(0)] * (size - m - 1 - i))
-    # fraction-free style elimination with Fractions (sizes here are tiny)
-    det = Fraction(1)
-    for col in range(size):
-        piv = next((r for r in range(col, size) if rows[r][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, size):
-            if rows[r][col] != 0:
-                factor = rows[r][col] * inv
-                for c in range(col, size):
-                    rows[r][c] -= factor * rows[col][c]
-    return det.numerator if det.denominator == 1 else det
+    if n == 0 or m == 0:
+        return QQ.canon(f.coeffs[0] ** m if n == 0 else g.coeffs[0] ** n)
+    r = f % g
+    return QQ.mul((-1) ** (n * m) * g.lead() ** (n - r.degree), resultant(g, r))
 
 
 def discriminant(f):

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import enumerate_sl_n_mod_m, random_sl2z_word
 
+from arithgroups import congruence
 from arithgroups.catalog import builtin_group
 from arithgroups.congruence import (
     QuasisimpleReport,
@@ -340,10 +341,11 @@ def test_quasisimple_check_matches_brute_force(gens):
     assert quasisimple_check(c) == brute_quasisimple(c)
 
 
-def test_quasisimple_cap():
+def test_quasisimple_cap(monkeypatch):
     c = bfs_closure(elementary_generators_sl(2, 13))
+    monkeypatch.setattr(congruence, "QUASISIMPLE_CAP", 100)
     with pytest.raises(Truncated):
-        quasisimple_check(c, cap=100)
+        quasisimple_check(c)
 
 
 def test_quasisimple_check_matches_brute_force_on_random_generators():

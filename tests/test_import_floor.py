@@ -7,9 +7,11 @@ hashlib or OpenSSL's _hashlib: keys are hashed with CPython's built-in
 sha256.  Neither `--version` nor a warm hit on a built-in group or field
 loads fractions (or the decimal module it imports): only a generator file
 holds rationals.  No command loads dataclasses, the number-field commands
-load no matrix layer and `density check` loads no congruence code.  Neither
-`density check` nor `lubotzky scan` loads the polynomial presentation layer
-(groups and mpoly): the density verdict works on a constant basis of sl_2.
+load no matrix layer and `density check` loads no congruence code.
+Checking a minimal polynomial, to reject it or to build its field, loads no
+padics.  Neither `density check` nor `lubotzky scan` loads the polynomial
+presentation layer (groups and mpoly): the density verdict works on a
+constant basis of sl_2.
 Each case runs the CLI in a fresh interpreter, as a user does, and lists the
 modules loaded when it exits.
 """
@@ -58,13 +60,13 @@ runpy.run_module("arithgroups.cli", run_name="__main__", alter_sys=True)
 """
 
 
-def loaded_modules(tmp_path, *argv):
+def loaded_modules(tmp_path, *argv, returncode=0):
     listing = tmp_path / "modules.txt"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.pop("ARITHGROUPS_CACHE_DIR", None)
     proc = subprocess.run([sys.executable, "-c", LISTING_MAIN, str(listing), *argv],
                           env=env, capture_output=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.returncode == returncode, proc.stderr.decode()
     return proc.stdout, set(listing.read_text(encoding="utf-8").split("\n"))
 
 
@@ -155,6 +157,19 @@ def test_cold_number_field_command_loads_no_matrix_layer(tmp_path, argv):
     assert "arithgroups.numberfield" in modules
     assert "arithgroups.matrix" not in modules
 
+
+@pytest.mark.parametrize("minpoly, returncode", [
+    ("-1,0,1", 1),          # x^2 - 1: rejected by its rational root
+    ("1,0,0,0,1", 0),       # x^4 + 1: reducible mod every prime, built by the factor search
+], ids=["x2-1", "x4+1"])
+def test_min_poly_check_loads_no_padics(tmp_path, minpoly, returncode):
+    # the integer roots are read off the factor search's own Hensel lift
+    catalog = tmp_path / "fields.catalog"
+    catalog.write_text(f"name=k\nminpoly={minpoly}\n", encoding="utf-8")
+    _, modules = loaded_modules(tmp_path, "nf", "signature", "--field", "k",
+                                "--catalog", str(catalog), returncode=returncode)
+    assert "arithgroups.numberfield" in modules
+    assert "arithgroups.padics" not in modules
 
 def test_cold_density_check_loads_no_congruence_code(tmp_path):
     # the verdict runs no closure: congruence is imported by the functions that close groups

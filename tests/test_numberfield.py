@@ -293,7 +293,7 @@ def test_large_constant_term_builds_through_the_certificate():
     assert NumberField((10 ** 14 + 1, 0, 1)).signature == (0, 1)
     assert NumberField((10 ** 12 + 1, 0, 1)).signature == (0, 1)
     assert NumberField((2 * 10 ** 14 + 1, 0, 0, 1)).signature == (1, 1)
-    with pytest.raises(ReducibleMinPoly, match="rational root -?1000$"):
+    with pytest.raises(ReducibleMinPoly, match="rational root -1000$"):
         NumberField((-10 ** 6, 0, 1))    # x^2 - 10^6 = (x - 1000)(x + 1000)
 
 
@@ -308,6 +308,53 @@ def test_large_integer_root_is_found_fast():
     m = Poly(QQ, [3, 1]) * Poly(QQ, [-7, 0, 1]) * Poly(QQ, [2, 0, 0, 1])
     with pytest.raises(ReducibleMinPoly, match="rational root -3$"):
         NumberField(m.coeffs)    # degree 6: a rational root still decides
+
+
+def test_reducible_min_poly_names_the_least_integer_root():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def root_products(draw):
+        """(m, least root): 1-3 distinct nonzero lines times 0-2 x^2 + a, a > 0."""
+        roots = draw(st.lists(st.integers(-60, 60).filter(bool), min_size=1, max_size=3,
+                              unique=True))
+        squares = draw(st.lists(st.integers(1, 40), max_size=2, unique=True))
+        hypothesis.assume(len(roots) + 2 * len(squares) >= 2)
+        m = Poly(QQ, [1])
+        for r in roots:
+            m = m * Poly(QQ, [-r, 1])
+        for a in squares:
+            m = m * Poly(QQ, [a, 0, 1])
+        return m, min(roots)
+
+    def has_rational_root(b, c):
+        disc = b * b - 4 * c
+        return disc >= 0 and math.isqrt(disc) ** 2 == disc
+
+    @st.composite
+    def quadratic_products(draw):
+        """(x^2 + bx + c)(x^2 + b'x + c'): two distinct quadratics with no rational root."""
+        pairs = st.tuples(st.integers(-12, 12), st.integers(-30, 30)).filter(
+            lambda bc: not has_rational_root(*bc))
+        (b, c), (b2, c2) = draw(st.lists(pairs, min_size=2, max_size=2, unique=True))
+        return Poly(QQ, [c, b, 1]) * Poly(QQ, [c2, b2, 1])
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(root_products())
+    def check_root(case):
+        m, least = case
+        with pytest.raises(ReducibleMinPoly, match=f"^rational root {least}$"):
+            NumberField(m.coeffs)
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(quadratic_products())
+    def check_factor(m):
+        with pytest.raises(ReducibleMinPoly, match="^factor "):
+            NumberField(m.coeffs)
+
+    check_root()
+    check_factor()
 
 
 def test_stickelberger_parity():

@@ -5,6 +5,7 @@ from itertools import combinations, product
 import pytest
 
 from arithgroups.errors import NonSquarefree
+from arithgroups.matrix import Mat
 from arithgroups.poly import (
     Poly,
     discriminant,
@@ -206,3 +207,41 @@ def test_resultant_and_discriminant():
     # resultant of coprime polynomials is nonzero; of sharing a factor, zero
     assert resultant(Poly(QQ, [-1, 1]), Poly(QQ, [-1, 0, 1])) == 0
     assert resultant(Poly(QQ, [1, 1]), Poly(QQ, [1, 0, 1])) == 2
+
+
+def sylvester_resultant(f, g):
+    """det of the Sylvester matrix of f (degree n) and g (degree m), n, m >= 0."""
+    n, m = f.degree, g.degree
+    if n + m == 0:
+        return 1
+    fc, gc = list(reversed(f.coeffs)), list(reversed(g.coeffs))
+    rows = [[0] * i + fc + [0] * (m - 1 - i) for i in range(m)]
+    rows += [[0] * i + gc + [0] * (n - 1 - i) for i in range(n)]
+    return Mat(QQ, rows).det()
+
+
+def test_resultant_matches_the_sylvester_determinant():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    ratios = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+    @st.composite
+    def rational_polys(draw):
+        """A rational Poly of degree -1 (zero) to 5; constants included."""
+        degree = draw(st.integers(-1, 5))
+        if degree < 0:
+            return Poly(QQ, [])
+        lead = draw(ratios.filter(bool))
+        return Poly(QQ, draw(st.lists(ratios, min_size=degree, max_size=degree)) + [lead])
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(rational_polys(), rational_polys())
+    def check(f, g):
+        res = resultant(f, g)
+        if f.is_zero() or g.is_zero():
+            assert res == 0
+            return
+        assert res == sylvester_resultant(f, g)
+        assert res == (-1) ** (f.degree * g.degree % 2) * resultant(g, f)
+
+    check()

@@ -312,10 +312,11 @@ def _witness_search(gens, max_len=8):
     neg_ident = -ident
     frontier = [("e", ident)]
     seen = {ident}
+    sym = _symmetrized(gens)
     for _ in range(max_len):
         nxt = []
         for word, w in frontier:
-            for name, g in _symmetrized(gens):
+            for name, g in sym:
                 prod = w * g
                 if prod in seen:
                     continue

@@ -1,13 +1,17 @@
 """Exact dense matrices over Q, Z/m, or an extension field.
 
 Matrices are immutable; every operation returns a fresh value, so instances
-can be shared freely between concurrent scans.  Linear algebra over fields
-uses exact Gaussian elimination; determinants over composite Z/m lift to Z
-and use fraction-free (Bareiss) elimination.
+can be shared freely between concurrent scans.  The determinant and the
+inverse, over Q and Z/m (prime or composite), come from one fraction-free
+elimination on an integer lift of the matrix.  rref, and the kernels, spans
+and solutions built on it, use exact Gaussian elimination over any field.
 """
 
+from fractions import Fraction
+from math import lcm
+
 from .errors import NotInvertible
-from .rings import IntegersMod
+from .rings import QQ, IntegersMod
 
 
 class Mat:
@@ -115,95 +119,69 @@ class Mat:
         return tuple(x for row in self.rows for x in row)
 
     def det(self):
+        """The determinant, over Q or Z/m."""
         n = self.n
-        r = self.ring
-        if isinstance(r, IntegersMod) and not r.is_field:
-            return _bareiss_det([[x for x in row] for row in self.rows]) % r.m
-        rows = [list(row) for row in self.rows]
-        det = r.one
-        for col in range(n):
-            piv = next((i for i in range(col, n) if rows[i][col] != r.zero), None)
-            if piv is None:
-                return r.zero
-            if piv != col:
-                rows[col], rows[piv] = rows[piv], rows[col]
-                det = r.neg(det)
-            pivval = rows[col][col]
-            det = r.mul(det, pivval)
-            inv = r.inv(pivval)
-            for i in range(col + 1, n):
-                if rows[i][col] != r.zero:
-                    factor = r.mul(rows[i][col], inv)
-                    for j in range(col, n):
-                        rows[i][j] = r.sub(rows[i][j], r.mul(factor, rows[col][j]))
-        return det
+        rows, scale = self._lift()
+        d = _fraction_free(rows)[0]
+        if isinstance(self.ring, IntegersMod):
+            return d % self.ring.m
+        return QQ.canon(Fraction(d, scale ** n))
 
     def inverse(self):
+        """The inverse, over Q or Z/m; NotInvertible when the det is not a unit."""
         n = self.n
+        rows, scale = self._lift()
+        d, rows = _fraction_free([row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)])
         r = self.ring
-        if isinstance(r, IntegersMod) and not r.is_field:
-            return self._inverse_adjugate()
-        rows = [list(row) + [r.one if i == j else r.zero for j in range(n)]
-                for i, row in enumerate(self.rows)]
-        for col in range(n):
-            piv = next((i for i in range(col, n) if rows[i][col] != r.zero), None)
-            if piv is None:
-                raise NotInvertible("matrix is singular")
-            if piv != col:
-                rows[col], rows[piv] = rows[piv], rows[col]
-            inv = r.inv(rows[col][col])
-            rows[col] = [r.mul(inv, x) for x in rows[col]]
-            for i in range(n):
-                if i != col and rows[i][col] != r.zero:
-                    factor = rows[i][col]
-                    rows[i] = [r.sub(a, r.mul(factor, b)) for a, b in zip(rows[i], rows[col])]
-        return Mat(r, [row[n:] for row in rows])
+        if isinstance(r, IntegersMod):
+            if not r.is_unit(d):
+                raise NotInvertible(f"det {d % r.m} is not a unit mod {r.m}")
+            dinv = r.inv(d % r.m)
+            return Mat(r, [[x * dinv for x in row[n:]] for row in rows])
+        if d == 0:
+            raise NotInvertible("matrix is singular")
+        return Mat(r, [[Fraction(scale * x, d) for x in row[n:]] for row in rows])
 
-    def _inverse_adjugate(self):
-        # over composite Z/m a unit pivot may not exist even for invertible
-        # matrices, so use the adjugate with integer cofactors
-        n = self.n
-        r = self.ring
-        d = self.det()
-        if not r.is_unit(d):
-            raise NotInvertible(f"det {d} is not a unit mod {r.m}")
-        dinv = r.inv(d)
-        lifted = [list(row) for row in self.rows]
-        adj = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                minor = [
-                    [lifted[a][b] for b in range(n) if b != j]
-                    for a in range(n) if a != i
-                ]
-                c = _bareiss_det(minor) if minor else 1
-                if (i + j) % 2:
-                    c = -c
-                adj[j][i] = c % r.m
-        return Mat(r, [[dinv * adj[i][j] % r.m for j in range(n)] for i in range(n)])
+    def _lift(self):
+        """(B, D) with B = D * self an integer matrix.
+
+        Over Z/m B holds the residues and D = 1; over Q, D is the lcm of the
+        entry denominators.
+        """
+        if isinstance(self.ring, IntegersMod):
+            return [list(row) for row in self.rows], 1
+        scale = lcm(*(x.denominator for row in self.rows for x in row))
+        return [[x.numerator * (scale // x.denominator) for x in row] for row in self.rows], scale
 
 
-def _bareiss_det(rows):
-    """Exact integer determinant by fraction-free elimination."""
+def _fraction_free(rows):
+    """Fraction-free (Bareiss) elimination on the integer rows of [A | C], in place.
+
+    A is the leading n x n block, n = len(rows).  Returns (d, rows) with
+    d = det A; when d != 0 the columns of C then read d * A^-1 C, so on
+    [A | I] they hold the adjugate of A.  Every division is exact
+    (Sylvester's identity), and a row swap negates the row it moves down, so
+    d keeps its sign.  The rows above the pivot are cleared too (Gauss-Jordan)
+    only when there is a C; without one, forward elimination is all d needs.
+    """
     n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(map(int, r)) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    d = 1
+    for k in range(n):
+        piv = k
+        while not rows[piv][k]:
+            piv += 1
+            if piv == n:
+                return 0, rows
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], [-x for x in rows[k]]
+        pivot_row = rows[k]
+        p = pivot_row[k]
+        for i in range(n) if len(pivot_row) > n else range(k + 1, n):
+            if i != k:
+                c = rows[i][k]
+                rows[i] = [(p * a - c * b) // d for a, b in zip(rows[i], pivot_row)]
+        d = p
+    return d, rows
 
 
 def rref(ring, rows):

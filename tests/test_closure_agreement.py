@@ -93,7 +93,7 @@ def assert_matches_reference(engine, gens, n, m, cap, keep):
 @hypothesis.settings(max_examples=200, deadline=None)
 @hypothesis.given(closure_cases())
 @hypothesis.example(MINUS_ONE_WIDE)
-def test_row_tables_match_reference(case):
+def test_closure_matches_reference(case):
     assert_matches_reference(run_closure, *case)
 
 

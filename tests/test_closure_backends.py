@@ -28,14 +28,14 @@ TRUNCATION_CASE = ([(1, 1, 0, 1), (1, 0, 1, 1)], 2, 101, 500)   # gens, n, m, ca
 
 
 @pytest.mark.parametrize("gens,n,m", CASES)
-def test_backends_agree(gens, n, m):
+def test_closure_matches_known_orders(gens, n, m):
     known = KNOWN_ORDERS[n, m]
     order, truncated, elements = run_closure(list(gens), n, m, 10 ** 6, True)
     assert (order, truncated) == (known, False)
     assert len(set(elements)) == known
 
 
-def test_backends_agree_on_truncation():
+def test_closure_truncates_past_the_cap():
     gens, n, m, cap = TRUNCATION_CASE
     order, truncated, elements = run_closure(list(gens), n, m, cap, True)
     assert truncated and elements is None

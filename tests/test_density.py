@@ -8,7 +8,7 @@ import pytest
 
 from conftest import random_sl2z_word
 
-from arithgroups import closure, congruence
+from arithgroups import closure, congruence, density
 from arithgroups.catalog import builtin_group
 from arithgroups.closure import run_closure
 from arithgroups.congruence import (
@@ -417,6 +417,20 @@ def test_density_verdict_without_common_line(gens, verdict, dim, reason):
     assert (v.verdict, v.ad_span_dim, v.not_dense_witness) == (verdict, dim, None)
     witness = v.infinite_order_witness
     assert (None if witness is None else witness["reason"]) == reason
+
+
+def test_witness_search_inverts_the_generators_once(monkeypatch):
+    calls = []
+    symmetrized = density._symmetrized
+    monkeypatch.setattr(density, "_symmetrized", lambda gens: calls.append(gens) or symmetrized(gens))
+    dihedral = [Mat(QQ, [[0, -1], [1, 0]]), Mat(QQ, [[1, 0], [0, -1]])]
+    # the group is finite, so the search visits every one of its 8 elements
+    assert density._witness_search(dihedral) is None
+    assert len(calls) == 1
+    calls.clear()
+    # one call for the Ad-span and one for the witness search
+    assert density_verdict(SIntegerGroup(dihedral, label="g")).infinite_order_witness is None
+    assert len(calls) == 2
 
 
 def test_density_verdict_requires_sl2():

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import permutations
+from math import gcd
 
 import pytest
 
@@ -101,3 +103,69 @@ def test_pow_negative_exponent():
 def test_fraction_entries_roundtrip():
     a = Mat(QQ, [[Fraction(1, 2), 0], [0, 2]])
     assert a * a.inverse() == Mat.identity(QQ, 2)
+
+
+def leibniz_det(rows):
+    """The determinant as the signed sum over permutations (exponential in n)."""
+    total = 0
+    for perm in permutations(range(len(rows))):
+        term = -1 if sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:]) % 2 else 1
+        for row, j in zip(rows, perm):
+            term *= row[j]
+        total += term
+    return total
+
+
+def square_rows(data, st, entries):
+    n = data.draw(st.integers(0, 4))
+    return data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+def test_det_and_inverse_over_q_match_leibniz():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    entries = st.one_of(
+        st.integers(-2, 2),
+        st.fractions(min_value=-3, max_value=3, max_denominator=6),
+        st.integers(-10 ** 12, 10 ** 12),
+    )
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        a = Mat(QQ, square_rows(data, st, entries))
+        expected = QQ.canon(leibniz_det(a.rows))
+        d = a.det()
+        assert d == expected and type(d) is type(expected)
+        if d == 0:
+            with pytest.raises(NotInvertible):
+                a.inverse()
+        else:
+            ident = Mat.identity(QQ, a.nrows)
+            assert a * a.inverse() == ident == a.inverse() * a
+
+    check()
+
+
+def test_det_and_inverse_mod_m_match_the_rational_det():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    moduli = [2, 3, 5, 65537, 4, 8, 9, 121, 994009, 6, 12, 35, 1573]
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        m = data.draw(st.sampled_from(moduli))
+        rows = square_rows(data, st, st.one_of(st.integers(0, 3), st.integers(-m, 2 * m)))
+        ring = IntegersMod(m)
+        a = Mat(ring, rows)
+        d = Mat(QQ, rows).det()
+        assert a.det() == d % m
+        if gcd(d, m) == 1:
+            ident = Mat.identity(ring, a.nrows)
+            assert a * a.inverse() == ident == a.inverse() * a
+        else:
+            with pytest.raises(NotInvertible):
+                a.inverse()
+
+    check()

@@ -117,6 +117,7 @@ def leibniz_det(rows):
 
 
 def square_rows(data, st, entries):
+    """An n x n list of rows drawn from entries, n = 0..4."""
     n = data.draw(st.integers(0, 4))
     return data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
 

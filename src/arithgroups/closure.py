@@ -2,7 +2,7 @@
 
 It lists every element, for the callers that need the element set
 (gamma_plus and unipotent_closure_subgroup, mostly at n = 2), and is the
-oracle for congruence._chain_order, which counts an image without listing it.
+oracle for chain._chain_order, which counts an image without listing it.
 No CLI command runs a closure, so this is the plain orbit loop (Holt, Eick and
 O'Brien, Handbook of Computational Group Theory, 2005, §4.1) over flat tuples:
 packed rows, row tables and batches paid only for the order-only closures of

@@ -223,7 +223,11 @@ def adjoint_matrix(g, basis):
     Columns hold the coordinates of the conjugated basis elements, so
     Ad(gh) = Ad(g) Ad(h) as matrices acting on coordinate columns.
     """
-    ginv = g.inverse()
+    return _adjoint_matrix(g, g.inverse(), basis)
+
+
+def _adjoint_matrix(g, ginv, basis):
+    """adjoint_matrix(g, basis), given ginv = g^-1."""
     vecs = [b.flat() for b in basis]
     cols = []
     for b in basis:
@@ -252,7 +256,10 @@ def ad_span(basis, gens):
     tracker = SpanTracker(QQ)
     ident = Mat.identity(QQ, dim)
     tracker.add(ident.flat())
-    sym = [adjoint_matrix(g, basis) for _, g in _symmetrized(gens)]
+    pairs = _symmetrized(gens)
+    sym = []
+    for (_, g), (_, g_inv) in zip(pairs[::2], pairs[1::2]):    # each g is followed by g^-1
+        sym += [_adjoint_matrix(g, g_inv, basis), _adjoint_matrix(g_inv, g, basis)]
     grew = [ident]
     length = 0
     while grew:

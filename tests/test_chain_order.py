@@ -1,6 +1,6 @@
 """The stabiliser chain that counts order-only congruence images.
 
-``congruence._chain_order`` must give exactly the (order, truncated) pair the
+``chain._chain_order`` must give exactly the (order, truncated) pair the
 breadth-first closure gives: on random generator sets over Z/m, squarefree
 or not, at caps that do and do not truncate, and on the named cases where
 the base order, the cap or a trivial group matters.  The chain stops once
@@ -15,11 +15,9 @@ import pytest
 
 from arithgroups.catalog import builtin_group
 from arithgroups.closure import run_closure
+from arithgroups.chain import _AffineLevel, _BasicOrbit, _chain_order
 from arithgroups.congruence import (
     DEFAULT_CAP,
-    _AffineLevel,
-    _BasicOrbit,
-    _chain_order,
     filtration_closure,
     flat_identity,
     order_sl,

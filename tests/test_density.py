@@ -8,7 +8,7 @@ import pytest
 
 from conftest import random_sl2z_word
 
-from arithgroups import closure, congruence, density
+from arithgroups import chain, closure, density
 from arithgroups.catalog import builtin_group
 from arithgroups.closure import run_closure
 from arithgroups.congruence import (
@@ -433,6 +433,16 @@ def test_witness_search_inverts_the_generators_once(monkeypatch):
     assert len(calls) == 2
 
 
+def test_density_verdict_inverts_each_generator_once_per_symmetrization(monkeypatch):
+    inverted = []
+    inverse = Mat.inverse
+    monkeypatch.setattr(Mat, "inverse", lambda self: inverted.append(self) or inverse(self))
+    sanov = builtin_group("sanov")
+    assert density_verdict(sanov).verdict == DENSE_EVIDENCE
+    # the Ad-span takes Ad(g^-1) from the inverse _symmetrized made, not from a second inversion
+    assert inverted == 2 * list(sanov.gens)
+
+
 def test_density_verdict_requires_sl2():
     G = SIntegerGroup([Mat.identity(QQ, 3)], label="big")
     with pytest.raises(ValueError):
@@ -458,7 +468,7 @@ def test_lubotzky_scan_sanov():
 def test_lubotzky_scan_closes_each_prime_once(monkeypatch):
     closed = []
     counted = []
-    chain_order = congruence._chain_order
+    chain_order = chain._chain_order
 
     def closing(*args):
         closed.append(args[2])
@@ -469,7 +479,7 @@ def test_lubotzky_scan_closes_each_prime_once(monkeypatch):
         return chain_order(*args)
 
     monkeypatch.setattr(closure, "run_closure", closing)
-    monkeypatch.setattr(congruence, "_chain_order", counting)
+    monkeypatch.setattr(chain, "_chain_order", counting)
     rep = lubotzky_scan(builtin_group("sanov"), 31)
     # every prime is only counted; the quasisimple check lists G itself from the count
     assert closed == []

@@ -15,8 +15,8 @@ import pytest
 
 from arithgroups.catalog import SIntegerGroup, builtin_group
 from arithgroups.closure import run_closure
+from arithgroups.chain import _KernelSifter
 from arithgroups.congruence import (
-    _KernelSifter,
     exact_image_record,
     filtration_closure,
     image_record,

@@ -11,7 +11,8 @@ load no matrix layer and `density check` loads no congruence code.
 Checking a minimal polynomial, to reject it or to build its field, loads no
 padics.  Neither `density check` nor `lubotzky scan` loads the polynomial
 presentation layer (groups and mpoly): the density verdict works on a
-constant basis of sl_2.
+constant basis of sl_2.  Only a command that counts an image order loads the
+stabiliser chain.
 Each case runs the CLI in a fresh interpreter, as a user does, and lists the
 modules loaded when it exits.
 """
@@ -27,6 +28,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 COMPUTE_MODULES = {
     "arithgroups.abelian",
+    "arithgroups.chain",
     "arithgroups.closure",
     "arithgroups.congruence",
     "arithgroups.density",
@@ -200,3 +202,14 @@ def test_cold_scan_loads_no_closure_engine(tmp_path, argv):
     _, modules = loaded_modules(tmp_path, *argv)
     assert "arithgroups.congruence" in modules
     assert "arithgroups.closure" not in modules
+
+
+@pytest.mark.parametrize("argv, counts", [
+    (("density", "check", "--group", "sanov"), False),
+    (("cong", "index", "--size", "2", "--mod", "12"), False),
+    (("cong", "image", "--group", "sanov", "--mod", "25"), True),
+], ids=["density-check", "cong-index", "cong-image"])
+def test_only_a_counted_image_loads_the_chain(tmp_path, argv, counts):
+    # congruence imports the chain inside filtration_closure, its one caller
+    _, modules = loaded_modules(tmp_path, *argv)
+    assert ("arithgroups.chain" in modules) == counts

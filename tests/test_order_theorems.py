@@ -1,6 +1,6 @@
 """Image orders checked against theorems, with no listing of G.
 
-``filtration_closure`` and ``_chain_order`` are checked against the
+``filtration_closure`` and ``chain._chain_order`` are checked against the
 breadth-first closure only where it can list G.  Each check here follows from
 a theorem instead, so it holds at any modulus:
 

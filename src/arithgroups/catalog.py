@@ -6,9 +6,9 @@ lines; generator files hold one matrix per block with exact rational entries.
 This module is on the path of every CLI command, a cache hit included, so it
 imports no compute module, not the matrix layer and not fractions at load
 time: numberfield is imported by the functions that build a field, matrix,
-rings and primes by those that build a group, and fractions by those that
-read or write a rational.  read_group gives a group's exact rows without
-building it.
+rings and primes by those that build a group, and fractions only for a
+rational that is not an integer: a generator file's integer tokens are read
+as ints.  read_group gives a group's exact rows without building it.
 """
 
 from .errors import NotInvertible, UsageError, read_user_file
@@ -20,8 +20,6 @@ class SIntegerGroup:
     """A finitely generated subgroup of GL_n(Z_S) given by its generators."""
 
     def __init__(self, gens, label="group"):
-        from fractions import Fraction
-
         from .matrix import Mat
         from .primes import prime_support
         from .rings import QQ
@@ -38,9 +36,9 @@ class SIntegerGroup:
         for g in mats:
             for row in g.rows:
                 for x in row:
-                    support |= prime_support(Fraction(x).denominator)
+                    support |= prime_support(x.denominator)
         for g in mats:
-            d = Fraction(g.det())
+            d = g.det()
             if d == 0:
                 raise NotInvertible(f"generator of {label} is singular")
             if not (prime_support(d.numerator) | prime_support(d.denominator)) <= support:
@@ -204,14 +202,25 @@ def _parse_automorphisms(text):
         raise ValueError(f"automorphisms: not ';'-separated lists of rationals: {text!r}") from None
 
 
+def _rational_token(tok):
+    # int accepts more than [+-]?[0-9]+ (underscores, non-ASCII digits), so
+    # every other token goes to Fraction, whose grammar the file format keeps
+    digits = tok[1:] if tok[0] in "+-" else tok
+    if digits.isascii() and digits.isdigit():
+        return int(tok)
+    from fractions import Fraction
+
+    return Fraction(tok)
+
+
 def read_generator_file(path):
     """One matrix per block, rows of whitespace-separated rationals 'a/b'.
 
-    Returns the matrices as lists of Fraction rows.  A file that is not a list
-    of square matrices of one size raises UsageError naming the file.
+    Returns the matrices as lists of rows of exact rationals: an int for an
+    ASCII integer literal [+-]?[0-9]+, a Fraction for any other token Fraction
+    accepts.  A file that is not a list of square matrices of one size raises
+    UsageError naming the file.
     """
-    from fractions import Fraction
-
     blocks = [[]]
     for lineno, raw in enumerate(read_user_file(path, "generator file"), 1):
         line = raw.strip()
@@ -222,7 +231,7 @@ def read_generator_file(path):
                 blocks.append([])
             continue
         try:
-            blocks[-1].append([Fraction(tok) for tok in line.split()])
+            blocks[-1].append([_rational_token(tok) for tok in line.split()])
         except (ValueError, ZeroDivisionError):
             raise UsageError(f"{path}:{lineno}: not a row of rationals a/b: {line!r}") from None
     blocks = [b for b in blocks if b]

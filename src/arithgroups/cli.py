@@ -8,9 +8,11 @@ Each command imports the compute modules it runs inside its own function (for a
 cached scan, inside the compute() it hands to cached_scan), so that
 `--version` and a cache hit load only argv parsing, the catalog and the cache.
 A cached scan reads its groups as exact rows and builds them inside compute(),
-so a hit loads no matrix layer either.  Nor does this path import fractions at
-load time: a built-in group's rows hold ints, so `--version` and a hit on a
-built-in group or field never make a Fraction.
+so a hit loads no matrix layer either.  Nor do `--version`, a hit on a
+built-in group or field, or a `cong` command on an integral group import
+fractions: a built-in group's rows and a generator file's integer tokens are
+ints, and the matrix layer keeps integral values as ints, so none of them
+makes a Fraction.
 
 Every subcommand is one entry of the COMMANDS table.  dispatch builds the
 parser for the subcommand argv names only; build_parser() with no argv builds

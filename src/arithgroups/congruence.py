@@ -16,7 +16,6 @@ counted order.  Surjectivity is decided only by exact order equality.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from itertools import chain, islice
 from math import gcd, prod
 
@@ -40,12 +39,11 @@ def reduce_generators(G, m):
         for row in g.rows:
             new = []
             for x in row:
-                q = Fraction(x)
-                shared = gcd(q.denominator, m)
+                shared = gcd(x.denominator, m)
                 if shared != 1:
                     p = min(prime_support(shared))
                     raise NonInvertibleDenominator(p)
-                new.append(q.numerator * pow(q.denominator, -1, m) % m)
+                new.append(x.numerator * pow(x.denominator, -1, m) % m)
             rows.append(new)
         out.append(Mat(ring, rows))
     return out

@@ -7,11 +7,10 @@ elimination on an integer lift of the matrix.  rref, and the kernels, spans
 and solutions built on it, use exact Gaussian elimination over any field.
 """
 
-from fractions import Fraction
 from math import lcm
 
 from .errors import NotInvertible
-from .rings import QQ, IntegersMod
+from .rings import IntegersMod, rational
 
 
 class Mat:
@@ -125,7 +124,7 @@ class Mat:
         d = _fraction_free(rows)[0]
         if isinstance(self.ring, IntegersMod):
             return d % self.ring.m
-        return QQ.canon(Fraction(d, scale ** n))
+        return rational(d, scale ** n)
 
     def inverse(self):
         """The inverse, over Q or Z/m; NotInvertible when the det is not a unit."""
@@ -140,7 +139,7 @@ class Mat:
             return Mat(r, [[x * dinv for x in row[n:]] for row in rows])
         if d == 0:
             raise NotInvertible("matrix is singular")
-        return Mat(r, [[Fraction(scale * x, d) for x in row[n:]] for row in rows])
+        return Mat(r, [[rational(scale * x, d) for x in row[n:]] for row in rows])
 
     def _lift(self):
         """(B, D) with B = D * self an integer matrix.

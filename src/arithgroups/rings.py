@@ -7,18 +7,30 @@ Python values so they hash and compare cheaply:
     IntegersMod(m) -> canonical residue in [0, m)
     ExtField(p, modulus) -> coefficient tuple of length deg(modulus)
 
-All values are immutable and safe to share between tasks.
+All values are immutable and safe to share between tasks.  fractions is
+imported only where a non-integral rational first appears, by rational and
+_ratcanon, so arithmetic on integral values never loads it; a rational is
+told from an int by its denominator, which ints also have.
 """
-
-from fractions import Fraction
 
 from .errors import NotInvertible, OutOfRange
 from .primes import is_prime
 
 
+def rational(a, b):
+    """The exact a/b of ints a and b != 0: an int when b divides a, else a Fraction."""
+    if a % b == 0:
+        return a // b
+    from fractions import Fraction
+
+    return Fraction(a, b)
+
+
 def _ratcanon(x):
     if isinstance(x, int):
         return x
+    from fractions import Fraction
+
     f = Fraction(x)
     return f.numerator if f.denominator == 1 else f
 
@@ -46,7 +58,7 @@ class Rationals:
     def inv(self, a):
         if a == 0:
             raise NotInvertible("0 has no inverse in Q")
-        return _ratcanon(Fraction(1, 1) / a)
+        return rational(a.denominator, a.numerator)
 
     def is_unit(self, a):
         return a != 0
@@ -77,13 +89,14 @@ class IntegersMod:
         self.is_field = is_prime(m)
 
     def canon(self, x):
-        if isinstance(x, Fraction):
-            return self.from_rational(x)
-        return x % self.m
+        if isinstance(x, int) or not hasattr(x, "denominator"):
+            return x % self.m
+        return self.from_rational(x)
 
     def from_rational(self, q):
-        """Reduce a rational with denominator coprime to m."""
-        q = Fraction(q)
+        """Reduce a rational (an int or a Fraction) with denominator coprime to m."""
+        if isinstance(q, int):
+            return q % self.m
         return q.numerator * self.inv(q.denominator % self.m) % self.m
 
     def add(self, a, b):

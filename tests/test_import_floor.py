@@ -4,10 +4,12 @@
 and read the cached bytes; neither may load a compute module, the matrix
 layer or json.  Neither `--version` nor any cached run, miss or hit, loads
 hashlib or OpenSSL's _hashlib: keys are hashed with CPython's built-in
-sha256.  Neither `--version` nor a warm hit on a built-in group or field
-loads fractions (or the decimal module it imports): only a generator file
-holds rationals.  No command loads dataclasses, the number-field commands
-load no matrix layer and `density check` loads no congruence code.
+sha256.  Neither `--version`, nor a warm hit on a built-in group or field,
+nor a cold `cong` command on a built-in group or on a generator file of
+integers loads fractions (or the decimal module it imports); a `cong` command
+on a generator file with an entry such as 1/2 does.  No command loads
+dataclasses, the number-field commands load no matrix layer and `density
+check` loads no congruence code.
 Checking a minimal polynomial, to reject it or to build its field, loads no
 padics.  Neither `density check` nor `lubotzky scan` loads the polynomial
 presentation layer (groups and mpoly): the density verdict works on a
@@ -40,8 +42,12 @@ COMPUTE_MODULES = {
 }
 # what a warm hit or --version has no use for, beyond the compute modules
 MATRIX_LAYER = {"arithgroups.matrix", "arithgroups.rings", "arithgroups.primes", "json"}
-# what no run without a rational in its input has a use for
+# what no run without a non-integral rational in its input has a use for
 RATIONALS = {"fractions", "decimal"}
+# generator files read in cases below: integer tokens with signs and leading
+# zeros (Sanov's group), and the same shape with non-integral entries
+INTEGERS = "1 +2\n-0 1\n\n1 0\n0002 1\n"
+HALVES = "1 1/2\n0 1\n\n1 0\n-2/4 1\n"
 # what no run has a use for: keys are hashed without OpenSSL
 HASHLIB = {"hashlib", "_hashlib"}
 
@@ -121,7 +127,7 @@ def test_warm_hit_on_a_builtin_group_loads_no_fractions(tmp_path, argv, computin
 def test_warm_hit_on_a_generator_file_builds_no_group(tmp_path, argv, computing_module):
     # the file is read as exact rows; only a miss builds the group from them
     gens = tmp_path / "halves.gens"
-    gens.write_text("1 1/2\n0 1\n\n1 0\n-2/4 1\n", encoding="utf-8")
+    gens.write_text(HALVES, encoding="utf-8")
     argv = [str(gens) if a == "{file}" else a for a in argv]
     argv += ["--cache-dir", str(tmp_path / "cache")]
     assert_warm_hit_loads_no_compute_module(tmp_path, argv, computing_module)
@@ -213,3 +219,32 @@ def test_only_a_counted_image_loads_the_chain(tmp_path, argv, counts):
     # congruence imports the chain inside filtration_closure, its one caller
     _, modules = loaded_modules(tmp_path, *argv)
     assert ("arithgroups.chain" in modules) == counts
+
+
+@pytest.mark.parametrize("argv, gens", [
+    (("cong", "scan", "--group", "sl2z", "--pmax", "13", "--cache-dir", "{cache}"), None),
+    (("cong", "scan", "--group", "{file}", "--pmax", "13", "--cache-dir", "{cache}"), INTEGERS),
+    (("cong", "image", "--group", "sanov", "--mod", "25"), None),
+    (("cong", "image", "--group", "transvection", "--mod", "65537"), None),
+    (("cong", "image", "--group", "{file}", "--mod", "12"), INTEGERS),
+    (("cong", "oneforall", "--group", "sanov", "--group", "transvection", "--pmax", "7",
+      "--bad", "2", "--cache-dir", "{cache}"), None),
+    (("cong", "oneforall", "--group", "{file}", "--group", "sl2z", "--pmax", "7",
+      "--cache-dir", "{cache}"), INTEGERS),
+    (("cong", "index", "--size", "2", "--mod", "12"), None),
+    (("cong", "scan", "--group", "{file}", "--pmax", "13"), HALVES),
+    (("cong", "image", "--group", "{file}", "--mod", "9"), HALVES),
+], ids=["scan-sl2z", "scan-file", "image-sanov", "image-transvection", "image-file",
+        "oneforall", "oneforall-file", "index", "scan-halves", "image-halves"])
+def test_only_a_non_integral_entry_loads_fractions(tmp_path, argv, gens):
+    # integral values stay ints through the catalog, the matrix layer and the reduction mod m
+    path = tmp_path / "words.gens"
+    if gens is not None:
+        path.write_text(gens, encoding="utf-8")
+    subs = {"{file}": str(path), "{cache}": str(tmp_path / "cache")}
+    _, modules = loaded_modules(tmp_path, *(subs.get(a, a) for a in argv))
+    assert "arithgroups.congruence" in modules
+    if gens == HALVES:
+        assert "fractions" in modules
+    else:
+        assert not modules & RATIONALS

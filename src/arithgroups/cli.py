@@ -9,10 +9,11 @@ cached scan, inside the compute() it hands to cached_scan), so that
 `--version` and a cache hit load only argv parsing, the catalog and the cache.
 A cached scan reads its groups as exact rows and builds them inside compute(),
 so a hit loads no matrix layer either.  Nor do `--version`, a hit on a
-built-in group or field, or a `cong` command on an integral group import
-fractions: a built-in group's rows and a generator file's integer tokens are
-ints, and the matrix layer keeps integral values as ints, so none of them
-makes a Fraction.
+built-in group or field, or a `cong`, `density` or `lubotzky` command on an
+integral group import fractions: a built-in group's rows and a generator
+file's integer tokens are ints, and the matrix layer keeps integral values as
+ints, so none of them makes a Fraction, unless a NOT_DENSE line it prints has
+a non-integral entry.
 
 Every subcommand is one entry of the COMMANDS table.  dispatch builds the
 parser for the subcommand argv names only; build_parser() with no argv builds
@@ -447,7 +448,12 @@ def cmd_cong_oneforall(args, cfg):
 def _verdict_payload(v):
     from .density import CRITERION_NOTE
 
-    return {**jsonable(v), "criterion": CRITERION_NOTE}
+    payload = {**jsonable(v), "criterion": CRITERION_NOTE}
+    if v.infinite_order_witness is not None:
+        # the trace prints as a/b even when it is an int
+        t = v.infinite_order_witness["trace"]
+        payload["infinite_order_witness"]["trace"] = f"{t.numerator}/{t.denominator}"
+    return payload
 
 
 def cmd_density_check(args, cfg):

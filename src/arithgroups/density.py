@@ -10,18 +10,20 @@ back INCONCLUSIVE.
 The adjoint action is computed on a constant basis of sl_2, the one that
 groups.tangent_space_at_identity(sl_group(2)) derives from det = 1, so the
 verdict needs no polynomial layer: this module does not import groups or
-mpoly.
+mpoly.  Traces, eigenvalues and eigenlines are QQ values, ints when
+integral, and the elimination over Q is fraction-free, so a verdict on an
+integral group makes a Fraction only to print a witness line with a
+non-integral entry.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from math import comb, isqrt
 
 from .catalog import DEFAULT_CAP
 from .errors import NotStabilizing, Truncated, UnsupportedDimension
 from .matrix import Mat, SpanTracker, kernel_basis, solve_in_span
 from .primes import primes_upto
-from .rings import QQ, IntegersMod
+from .rings import QQ, IntegersMod, rational
 
 DENSE_EVIDENCE = "DENSE_EVIDENCE"
 NOT_DENSE = "NOT_DENSE"
@@ -274,11 +276,12 @@ def ad_span(basis, gens):
 
 
 def _square_root_fraction(q):
+    """The rational square root of the rational q, or None."""
     if q < 0:
         return None
     rn, rd = isqrt(q.numerator), isqrt(q.denominator)
     if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
+        return rational(rn, rd)
     return None
 
 
@@ -290,7 +293,9 @@ def _common_eigenvector(gens):
     no rational eigenvalue, its eigenvector (b, w - a) is written as pairs
     x + y*w with w^2 = tr(g) w - det(g), and a rational h fixes its line
     exactly when h commutes with g: h then fixes the Galois-conjugate line
-    too, so it is diagonal in g's eigenbasis.
+    too, so it is diagonal in g's eigenbasis.  A rational line is tested on
+    the direction (-y, x) of a nonzero row (x, y) of g - lam, integral when g
+    is; only the line returned is written as kernel_basis normalises it.
     """
     for g in gens:
         (a, b), (c, d) = g.rows
@@ -298,19 +303,24 @@ def _common_eigenvector(gens):
             break
     else:
         return ("Q (all generators scalar)", (1, 0))
-    tr = QQ.canon(g.trace())
-    det = QQ.canon(g.det())
-    root = _square_root_fraction(Fraction(tr) ** 2 - 4 * Fraction(det))
+    tr = g.trace()
+    det = g.det()
+    root = _square_root_fraction(QQ.sub(QQ.mul(tr, tr), QQ.mul(4, det)))
     if root is None:
         if all(h * g == g * h for h in gens):
-            return (f"Q[w]/(w^2 - ({tr})w + ({det}))", ((b, 0), (QQ.canon(-a), 1)))
+            return (f"Q[w]/(w^2 - ({tr})w + ({det}))", ((b, 0), (QQ.neg(a), 1)))
         return None
-    for lam in {QQ.canon((Fraction(tr) + root) / 2), QQ.canon((Fraction(tr) - root) / 2)}:
-        for v in kernel_basis(QQ, [[QQ.sub(a, lam), b], [c, QQ.sub(d, lam)]]):
-            if all((h00 * v[0] + h01 * v[1]) * v[1] == (h10 * v[0] + h11 * v[1]) * v[0]
-                   for (h00, h01), (h10, h11) in (h.rows for h in gens)):
-                return (f"Q (eigenvalue {lam})", v)
+    for lam in {_half(QQ.add(tr, root)), _half(QQ.sub(tr, root))}:
+        shifted = [[QQ.sub(a, lam), b], [c, QQ.sub(d, lam)]]
+        x, y = shifted[0] if any(shifted[0]) else shifted[1]
+        if all((h00 * y - h01 * x) * x == (h11 * x - h10 * y) * y
+               for (h00, h01), (h10, h11) in (h.rows for h in gens)):
+            return (f"Q (eigenvalue {lam})", kernel_basis(QQ, shifted)[0])
     return None
+
+
+def _half(q):
+    return rational(q.numerator, 2 * q.denominator)
 
 
 def _witness_search(gens, max_len=8):
@@ -329,7 +339,7 @@ def _witness_search(gens, max_len=8):
                     continue
                 seen.add(prod)
                 label = name if word == "e" else f"{word}*{name}"
-                tr = Fraction(prod.trace())
+                tr = prod.trace()
                 if abs(tr) > 2:
                     return {"word": label, "trace": tr, "reason": "trace outside [-2, 2]"}
                 if tr == 2 and prod != ident:

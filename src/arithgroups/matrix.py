@@ -2,15 +2,18 @@
 
 Matrices are immutable; every operation returns a fresh value, so instances
 can be shared freely between concurrent scans.  The determinant and the
-inverse, over Q and Z/m (prime or composite), come from one fraction-free
-elimination on an integer lift of the matrix.  rref, and the kernels, spans
-and solutions built on it, use exact Gaussian elimination over any field.
+inverse, over Q and Z/m (prime or composite), and rref over Q (with the
+kernels and solutions built on it) come from one fraction-free elimination on
+an integer lift of the matrix.  Over Q each result is divided out once, at
+the end, through rings.rational, so no Fraction is made unless a result is
+not an integer.  Over Z/p and an extension field rref is Gauss-Jordan
+elimination in the field.
 """
 
-from math import lcm
+from math import gcd, lcm
 
 from .errors import NotInvertible
-from .rings import IntegersMod, rational
+from .rings import IntegersMod, Rationals, rational
 
 
 class Mat:
@@ -121,7 +124,9 @@ class Mat:
         """The determinant, over Q or Z/m."""
         n = self.n
         rows, scale = self._lift()
-        d = _fraction_free(rows)[0]
+        d, pivots = _fraction_free(rows, n)
+        if len(pivots) < n:
+            return 0
         if isinstance(self.ring, IntegersMod):
             return d % self.ring.m
         return rational(d, scale ** n)
@@ -130,7 +135,10 @@ class Mat:
         """The inverse, over Q or Z/m; NotInvertible when the det is not a unit."""
         n = self.n
         rows, scale = self._lift()
-        d, rows = _fraction_free([row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)])
+        rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+        d, pivots = _fraction_free(rows, n)
+        if len(pivots) < n:
+            d = 0
         r = self.ring
         if isinstance(r, IntegersMod):
             if not r.is_unit(d):
@@ -149,42 +157,62 @@ class Mat:
         """
         if isinstance(self.ring, IntegersMod):
             return [list(row) for row in self.rows], 1
-        scale = lcm(*(x.denominator for row in self.rows for x in row))
-        return [[x.numerator * (scale // x.denominator) for x in row] for row in self.rows], scale
+        return _integral(self.rows)
 
 
-def _fraction_free(rows):
-    """Fraction-free (Bareiss) elimination on the integer rows of [A | C], in place.
+def _integral(rows):
+    """(B, D) with B = D * rows an integer matrix, D the lcm of the rationals' denominators."""
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
 
-    A is the leading n x n block, n = len(rows).  Returns (d, rows) with
-    d = det A; when d != 0 the columns of C then read d * A^-1 C, so on
-    [A | I] they hold the adjugate of A.  Every division is exact
-    (Sylvester's identity), and a row swap negates the row it moves down, so
-    d keeps its sign.  The rows above the pivot are cleared too (Gauss-Jordan)
-    only when there is a C; without one, forward elimination is all d needs.
+
+def _fraction_free(rows, width):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination on integer rows, in place.
+
+    Pivots are taken column by column in the first width columns, each from
+    the first row, at or below the rows pivoted so far, that is nonzero there.
+    Returns (d, pivots), pivots the list of pivot columns.  Then rows[i]
+    holds the pivot of pivots[i], which is d, and 0 in every other pivot
+    column; the rows past len(pivots) are 0 in the first width columns.  So
+    dividing the pivot rows by d gives the reduced row echelon form.  When A,
+    the leading n x n block of n rows, is nonsingular its pivots are its n
+    columns and d = det A, and the columns past n read d * A^-1 C for
+    [A | C]: on [A | I] they hold the adjugate of A.  Every entry is a minor
+    of the input, so every division is exact (Sylvester's identity); a row
+    swap negates the row it moves down, so d keeps its sign.
     """
-    n = len(rows)
     d = 1
-    for k in range(n):
-        piv = k
-        while not rows[piv][k]:
-            piv += 1
-            if piv == n:
-                return 0, rows
+    pivots = []
+    for col in range(width):
+        k = len(pivots)
+        piv = next((i for i in range(k, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
         if piv != k:
             rows[k], rows[piv] = rows[piv], [-x for x in rows[k]]
         pivot_row = rows[k]
-        p = pivot_row[k]
-        for i in range(n) if len(pivot_row) > n else range(k + 1, n):
+        p = pivot_row[col]
+        for i, row in enumerate(rows):
             if i != k:
-                c = rows[i][k]
-                rows[i] = [(p * a - c * b) // d for a, b in zip(rows[i], pivot_row)]
+                c = row[col]
+                rows[i] = [(p * a - c * b) // d for a, b in zip(row, pivot_row)]
+        pivots.append(col)
         d = p
-    return d, rows
+        if k + 1 == len(rows):
+            break
+    return d, pivots
 
 
 def rref(ring, rows):
-    """Reduced row echelon form over a field; returns (rows, pivot columns)."""
+    """Reduced row echelon form over a field; returns (rows, pivot columns).
+
+    Over Q the elimination is fraction-free and each pivot row is divided by
+    the common pivot once, so an entry is an int exactly when it is integral.
+    """
+    if isinstance(ring, Rationals):
+        rows, _ = _integral(rows)
+        d, pivots = _fraction_free(rows, len(rows[0]) if rows else 0)
+        return [tuple(rational(x, d) for x in row) for row in rows[:len(pivots)]], pivots
     rows = [list(r) for r in rows]
     nr = len(rows)
     nc = len(rows[0]) if rows else 0
@@ -226,7 +254,13 @@ def kernel_basis(ring, rows):
 
 
 class SpanTracker:
-    """Incremental row-space tracker over a field (dimension queries only)."""
+    """Incremental row-space tracker over a field (dimension queries only).
+
+    pivots maps each pivot column to a row of the span that is 0 in the pivot
+    columns before it.  Over Q the rows are primitive integer vectors, reduced
+    by cross-multiplication, so a vector of ints makes no Fraction; over any
+    other field they are scaled to a leading 1.
+    """
 
     def __init__(self, ring):
         self.ring = ring
@@ -239,6 +273,8 @@ class SpanTracker:
     def add(self, vec):
         """Reduce vec against the span; returns True when the span grew."""
         r = self.ring
+        if isinstance(r, Rationals):
+            return self._add_integral(_integral([vec])[0][0])
         v = list(vec)
         for col in sorted(self.pivots):
             if v[col] != r.zero:
@@ -250,6 +286,20 @@ class SpanTracker:
             return False
         inv = r.inv(v[lead])
         self.pivots[lead] = tuple(r.mul(inv, x) for x in v)
+        return True
+
+    def _add_integral(self, v):
+        for col in sorted(self.pivots):
+            if v[col]:
+                pivrow = self.pivots[col]
+                g = gcd(v[col], pivrow[col])
+                p, c = pivrow[col] // g, v[col] // g
+                v = [p * a - c * b for a, b in zip(v, pivrow)]
+        content = gcd(*v)
+        if not content:
+            return False
+        lead = next(i for i, x in enumerate(v) if x)
+        self.pivots[lead] = tuple(x // content for x in v)
         return True
 
 

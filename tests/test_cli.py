@@ -106,6 +106,20 @@ def test_golden_dichotomy(capfd, argv, golden, digest):
     assert out.encode() == expected
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (("density", "check", "--group", "sanov", "--format", "text"),
+     "fb2063bd18c4fbc8513e95917feff012b65b069b40f309a621d389f4e5096e2a"),
+    (("lubotzky", "scan", "--group", "sanov", "--pmax", "13", "--format", "text"),
+     "a9676e6c9c0a5145bd75f6f3be8d24774272ec3f8086e6103fa1a49ef9b2e40d"),
+], ids=["density-sanov", "lubotzky-sanov"])
+def test_text_report_prints_an_integral_witness_trace_as_a_fraction(capfd, argv, digest):
+    # the verdict's trace is the int 2; the report keeps the "2/1" a Fraction printed
+    code, out, _ = run(capfd, *argv)
+    assert code == 0
+    assert '"trace": "2/1"' in out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 NOT_DENSE_GROUPS = {
     "rot": "0 -1\n1 0\n",                      # discriminant -4
     "frac": "1/2 3\n-1/3 2\n",                  # discriminant -7/4; the witness shows "-1/2"

@@ -36,7 +36,7 @@ from arithgroups.density import (
     unipotent_closure_subgroup,
 )
 from arithgroups.groups import sl_group, tangent_space_at_identity
-from arithgroups.matrix import Mat, rref
+from arithgroups.matrix import Mat, kernel_basis, rref
 from arithgroups.rings import QQ, GF
 
 
@@ -402,6 +402,68 @@ def test_common_eigenvector_is_fixed_by_every_generator():
 
     check()
     assert set(outcomes) == {"none", "quadratic", "rational"}
+
+
+def _line_by_field_elimination(g, lam):
+    """The eigenline of g for lam as a normalised Fraction kernel vector."""
+    (a, b), (c, d) = ([Fraction(x) for x in row] for row in g.rows)
+    rows = [[a - lam, b], [c, d - lam]]
+    row = next(r for r in rows if r[0]) if any(r[0] for r in rows) else None
+    v = (1, 0) if row is None else (-row[1] / row[0], 1)
+    return tuple(x.numerator if x.denominator == 1 else x for x in map(Fraction, v))
+
+
+def _random_line_sets(rng):
+    """Generator sets with a common rational line, some with a second generator
+    that moves it, integral and rational, and det-1 words in S and T."""
+    h = random_sl2z_word(rng, rng.randint(0, 4)) * Mat(QQ, [[rng.choice((1, 2, 3)), 0], [0, 1]])
+    tri = []
+    for _ in range(rng.randint(1, 3)):
+        x, z = rng.choice((1, 2, -1, Fraction(1, 2))), rng.choice((1, -1, 3, Fraction(2, 3)))
+        tri.append(h * Mat(QQ, [[x, rng.randint(-3, 3)], [0, z]]) * h.inverse())
+    if rng.random() < 0.4:
+        tri.append(random_sl2z_word(rng, rng.randint(1, 5)))
+    return tri if rng.random() < 0.8 else [random_sl2z_word(rng) for _ in range(2)]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_common_rational_line_matches_field_elimination(seed):
+    # each candidate line is tested on a direction (-y, x) of g - lam; the line
+    # returned is the one kernel_basis gives, and the one the Fraction
+    # elimination of g - lam gives, types included
+    rng = random.Random(seed)
+    rational_lines = 0
+    for _ in range(400):
+        gens = _random_line_sets(rng)
+        found = _common_eigenvector(gens)
+        nonscalar = [g for g in gens if g.rows[0][1] or g.rows[1][0] or g.rows[0][0] != g.rows[1][1]]
+        if not nonscalar:
+            continue
+        g = nonscalar[0]
+        roots = {QQ.canon(x) for x in _rational_roots(g.trace(), g.det())}
+        (a, b), (c, d) = g.rows
+        fixed = [(lam, _line_by_field_elimination(g, lam)) for lam in roots]
+        fixed = [(lam, v) for lam, v in fixed if not any(_moves(h, [(x, 0) for x in v], 0, 0)
+                                                         for h in gens)]
+        if not roots or not fixed:
+            assert found is None or found[0].startswith("Q[w]")
+            continue
+        lam, v = fixed[0]
+        assert found == (f"Q (eigenvalue {lam})", v)
+        assert [type(x) for x in found[1]] == [type(x) for x in v]
+        assert found[1] == kernel_basis(QQ, [[QQ.sub(a, lam), b], [c, QQ.sub(d, lam)]])[0]
+        rational_lines += 1
+    assert rational_lines > 100
+
+
+def test_witness_trace_is_an_int_for_an_integral_group():
+    # the CLI still prints it as "2/1"
+    trace = density_verdict(builtin_group("sanov")).infinite_order_witness["trace"]
+    assert trace == Fraction(2, 1) and type(trace) is int
+    half = Mat(QQ, [[2, 0], [0, Fraction(1, 2)]])
+    g = SIntegerGroup([Mat(QQ, [[1, 1], [0, 1]]) * half, Mat(QQ, [[1, 0], [1, 1]])], label="g")
+    trace = density_verdict(g).infinite_order_witness["trace"]
+    assert trace == Fraction(5, 2)
 
 
 @pytest.mark.parametrize("gens, verdict, dim, reason", [

@@ -5,9 +5,12 @@ and read the cached bytes; neither may load a compute module, the matrix
 layer or json.  Neither `--version` nor any cached run, miss or hit, loads
 hashlib or OpenSSL's _hashlib: keys are hashed with CPython's built-in
 sha256.  Neither `--version`, nor a warm hit on a built-in group or field,
-nor a cold `cong` command on a built-in group or on a generator file of
-integers loads fractions (or the decimal module it imports); a `cong` command
-on a generator file with an entry such as 1/2 does.  No command loads
+nor a cold `cong`, `density check` or `lubotzky scan` command on a built-in
+group or on a generator file of integers loads fractions (or the decimal
+module it imports): over Q the matrix layer eliminates fraction-free and
+divides once, at the end.  A command on a generator file with an entry such
+as 1/2 does, and so may a density verdict on integers whose printed common
+line has such an entry, with the bytes it always printed.  No command loads
 dataclasses, the number-field commands load no matrix layer and `density
 check` loads no congruence code.
 Checking a minimal polynomial, to reject it or to build its field, loads no
@@ -19,6 +22,7 @@ Each case runs the CLI in a fresh interpreter, as a user does, and lists the
 modules loaded when it exits.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -48,6 +52,10 @@ RATIONALS = {"fractions", "decimal"}
 # zeros (Sanov's group), and the same shape with non-integral entries
 INTEGERS = "1 +2\n-0 1\n\n1 0\n0002 1\n"
 HALVES = "1 1/2\n0 1\n\n1 0\n-2/4 1\n"
+# a unipotent whose one eigenline is spanned by (1/2, 1), alone and with a
+# second generator that moves that line
+HALF_LINE = "3 -1\n4 -1\n"
+HALF_LINE_MOVED = HALF_LINE + "\n1 1\n0 1\n"
 # what no run has a use for: keys are hashed without OpenSSL
 HASHLIB = {"hashlib", "_hashlib"}
 
@@ -248,3 +256,50 @@ def test_only_a_non_integral_entry_loads_fractions(tmp_path, argv, gens):
         assert "fractions" in modules
     else:
         assert not modules & RATIONALS
+
+
+DICHOTOMY_COMMANDS = {
+    "density": ("density", "check", "--group", "{group}"),
+    "lubotzky": ("lubotzky", "scan", "--group", "{group}", "--pmax", "7"),
+}
+
+
+def dichotomy_run(tmp_path, command, group, gens=None):
+    if gens is not None:
+        group = tmp_path / "words.gens"
+        group.write_text(gens, encoding="utf-8")
+    argv = [str(group) if a == "{group}" else a for a in DICHOTOMY_COMMANDS[command]]
+    return loaded_modules(tmp_path, *argv)
+
+
+@pytest.mark.parametrize("command", sorted(DICHOTOMY_COMMANDS))
+@pytest.mark.parametrize("group, gens", [
+    ("sanov", None),
+    ("sl2z", None),
+    ("transvection", None),
+    ("triangular", None),
+    (None, INTEGERS),
+    (None, HALF_LINE_MOVED),
+], ids=["sanov", "sl2z", "transvection", "triangular", "integers-file", "moved-line-file"])
+def test_cold_dichotomy_command_on_integers_loads_no_fractions(tmp_path, command, group, gens):
+    # traces, eigenvalues and the span stay ints; a rejected line is tested on integers
+    _, modules = dichotomy_run(tmp_path, command, group, gens)
+    assert "arithgroups.density" in modules
+    assert not modules & RATIONALS
+
+
+@pytest.mark.parametrize("command", sorted(DICHOTOMY_COMMANDS))
+def test_cold_dichotomy_command_on_halves_loads_fractions(tmp_path, command):
+    _, modules = dichotomy_run(tmp_path, command, None, HALVES)
+    assert RATIONALS <= modules
+
+
+@pytest.mark.parametrize("command, digest", [
+    ("density", "8cd8320b0873c793cddad1d40545bb506bbd964d9a9e6b789902034c5e7e1132"),
+    ("lubotzky", "4e7175d402b2d7912eb5713ab609bd1e01bcec9d5b9f108d16e92e70e1d7cef6"),
+])
+def test_common_line_with_a_half_prints_its_bytes(tmp_path, command, digest):
+    # the NOT_DENSE line is ["1/2", 1]: the one Fraction the verdict makes
+    out, _ = dichotomy_run(tmp_path, command, None, HALF_LINE)
+    assert b'"1/2"' in out
+    assert hashlib.sha256(out).hexdigest() == digest

@@ -8,7 +8,7 @@ import pytest
 from conftest import random_invertible, random_rational
 
 from arithgroups.errors import NotInvertible
-from arithgroups.matrix import Mat, kernel_basis, rref, solve_in_span
+from arithgroups.matrix import Mat, SpanTracker, kernel_basis, rref, solve_in_span
 from arithgroups.rings import QQ, GF, IntegersMod
 
 
@@ -170,3 +170,103 @@ def test_det_and_inverse_mod_m_match_the_rational_det():
                 a.inverse()
 
     check()
+
+
+def _canon(q):
+    return q.numerator if q.denominator == 1 else q
+
+
+def field_rref(rows):
+    """Gauss-Jordan over Q in Fractions, each pivot row scaled to a leading 1."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    width = len(rows[0]) if rows else 0
+    pivots = []
+    for col in range(width):
+        k = len(pivots)
+        piv = next((i for i in range(k, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[k], rows[piv] = rows[piv], rows[k]
+        rows[k] = [x / rows[k][col] for x in rows[k]]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if i != k and f:
+                rows[i] = [a - f * b for a, b in zip(row, rows[k])]
+        pivots.append(col)
+    return [tuple(_canon(x) for x in row) for row in rows[:len(pivots)]], pivots
+
+
+def field_kernel(rows):
+    width = len(rows[0])
+    red, pivots = field_rref(rows)
+    basis = []
+    for fc in (c for c in range(width) if c not in pivots):
+        vec = [0] * width
+        vec[fc] = 1
+        for row, pc in zip(red, pivots):
+            vec[pc] = _canon(-Fraction(row[fc]))
+        basis.append(tuple(vec))
+    return basis
+
+
+def field_solve(vecs, target):
+    k = len(vecs)
+    red, pivots = field_rref([[v[i] for v in vecs] + [target[i]] for i in range(len(target))])
+    if k in pivots:
+        return None
+    coords = [0] * k
+    for row, pc in zip(red, pivots):
+        coords[pc] = row[k]
+    return tuple(coords)
+
+
+def random_rational_rows(rng):
+    """Rows over Q of rank at most r: combinations of r random rows, with zero
+    rows, repeated rows, zero columns and non-unit integral pivots."""
+    nr, width, r = rng.randint(0, 6), rng.randint(1, 6), rng.randint(0, 4)
+    basis = [[random_rational(rng, den_pool=(1, 1, 1, 2, 3, 4)) * rng.choice((1, 2, 3, 6))
+              for _ in range(width)] for _ in range(r)]
+    rows = [[sum((c * b[j] for c, b in zip(coeffs, basis)), Fraction(0)) for j in range(width)]
+            for coeffs in ([rng.randint(-2, 2) for _ in basis] for _ in range(nr))]
+    if rows and rng.random() < 0.3:
+        rows.insert(rng.randrange(len(rows) + 1), list(rng.choice(rows)))
+    if rng.random() < 0.3:
+        col = rng.randrange(width)
+        for row in rows:
+            row[col] = 0
+    if rng.random() < 0.5:      # canonical entries, as Mat rows hold them
+        rows = [[_canon(Fraction(x)) for x in row] for row in rows]
+    return rows
+
+
+def types(rows):
+    return [[type(x) for x in row] for row in rows]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_rational_elimination_matches_field_gauss_jordan(seed):
+    # rref over QQ is fraction-free; the reduced form is unique, so values and
+    # their types (int exactly when integral) match the field elimination
+    rng = random.Random(seed)
+    for _ in range(500):
+        rows = random_rational_rows(rng)
+        red, pivots = rref(QQ, rows)
+        want, want_pivots = field_rref(rows)
+        assert (red, pivots) == (want, want_pivots)
+        assert types(red) == types(want)
+        if not rows:
+            continue
+        kernel, want = kernel_basis(QQ, rows), field_kernel(rows)
+        assert kernel == want and types(kernel) == types(want)
+        target = ([sum(c * v[i] for c, v in zip(range(1, 7), rows)) for i in range(len(rows[0]))]
+                  if rng.random() < 0.5 else [random_rational(rng) for _ in rows[0]])
+        coords = solve_in_span(QQ, rows, target)
+        want = field_solve(rows, target)
+        assert coords == want
+        assert coords is None or types([coords]) == types([want])
+        tracker = SpanTracker(QQ)
+        for i, row in enumerate(rows):
+            before = tracker.dim
+            grew = tracker.add(row)
+            assert tracker.dim == len(field_rref(rows[:i + 1])[1])
+            assert grew == (tracker.dim > before)

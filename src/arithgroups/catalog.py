@@ -7,8 +7,9 @@ This module is on the path of every CLI command, a cache hit included, so it
 imports no compute module, not the matrix layer and not fractions at load
 time: numberfield is imported by the functions that build a field, matrix,
 rings and primes by those that build a group, and fractions only for a
-rational that is not an integer: a generator file's integer tokens are read
-as ints.  read_group gives a group's exact rows without building it.
+rational that is not an integer: the integer tokens of a generator file and
+of an abelian certificate are read as ints.  read_group gives a group's exact
+rows without building it.
 """
 
 from .errors import NotInvertible, UsageError, read_user_file
@@ -194,10 +195,8 @@ def _parse_bool(text):
 
 
 def _parse_automorphisms(text):
-    from fractions import Fraction
-
     try:
-        return tuple(tuple(Fraction(c) for c in r.split(",")) for r in text.split(";"))
+        return tuple(tuple(_rational_token(c) for c in r.split(",")) for r in text.split(";"))
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"automorphisms: not ';'-separated lists of rationals: {text!r}") from None
 
@@ -205,7 +204,7 @@ def _parse_automorphisms(text):
 def _rational_token(tok):
     # int accepts more than [+-]?[0-9]+ (underscores, non-ASCII digits), so
     # every other token goes to Fraction, whose grammar the file format keeps
-    digits = tok[1:] if tok[0] in "+-" else tok
+    digits = tok[1:] if tok[:1] in ("+", "-") else tok
     if digits.isascii() and digits.isdigit():
         return int(tok)
     from fractions import Fraction

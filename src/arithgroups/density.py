@@ -253,12 +253,16 @@ def ad_span(basis, gens):
     can, and the span closes short at (dimension, k + 1): the last length at
     which it grew, plus 2.
     """
+    return _ad_span(basis, _symmetrized(gens))
+
+
+def _ad_span(basis, pairs):
+    """ad_span(basis, gens), given pairs = _symmetrized(gens)."""
     dim = len(basis)
     width = dim * dim
     tracker = SpanTracker(QQ)
     ident = Mat.identity(QQ, dim)
     tracker.add(ident.flat())
-    pairs = _symmetrized(gens)
     sym = []
     for (_, g), (_, g_inv) in zip(pairs[::2], pairs[1::2]):    # each g is followed by g^-1
         sym += [_adjoint_matrix(g, g_inv, basis), _adjoint_matrix(g_inv, g, basis)]
@@ -323,13 +327,15 @@ def _half(q):
     return rational(q.numerator, 2 * q.denominator)
 
 
-def _witness_search(gens, max_len=8):
-    """A word of infinite order: |trace| > 2, or +/- a nontrivial unipotent."""
+def _witness_search(sym, max_len=8):
+    """A word of infinite order: |trace| > 2, or +/- a nontrivial unipotent.
+
+    The words are in the generators and their inverses, sym = _symmetrized(gens).
+    """
     ident = Mat.identity(QQ, 2)
     neg_ident = -ident
     frontier = [("e", ident)]
     seen = {ident}
-    sym = _symmetrized(gens)
     for _ in range(max_len):
         nxt = []
         for word, w in frontier:
@@ -389,8 +395,10 @@ def density_verdict(G, max_word_len=8):
             infinite_order_witness=None,
             not_dense_witness=eig,
         )
-    dim, stab = ad_span(SL2_BASIS, G.gens)
-    witness = _witness_search(G.gens, max_len=max_word_len)
+    # one inversion of each generator serves the span and the search
+    sym = _symmetrized(G.gens)
+    dim, stab = _ad_span(SL2_BASIS, sym)
+    witness = _witness_search(sym, max_len=max_word_len)
     full = dim == 9
     if full and witness is not None:
         verdict = DENSE_EVIDENCE

@@ -4,12 +4,18 @@ Prime factorization works through the order Z[alpha].  At primes whose square
 divides disc(m) the result can differ from the true splitting in the maximal
 order, so factorizations carry a `verified` flag: true when p does not divide
 disc(m) or when the caller asserted that the power basis is maximal.
+
+chebotarev_scan counts the split primes up to its bound.  Where splitting
+depends only on p mod |disc(m)| and that modulus is small, it reads the
+sieve's prime counts per class and decides each class once; otherwise it
+goes prime by prime.  Building a field of integer coefficients and scanning
+it make no Fraction, so the nf commands do not import fractions: the
+report's ratio and expected are exact "a/b" strings.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from itertools import combinations, count, product
-from math import comb, isqrt, prod
+from math import comb, gcd, isqrt, prod
 
 from .errors import DivisionByZero, OutOfRange, ReducibleMinPoly, Unverified
 from .poly import (
@@ -17,10 +23,11 @@ from .poly import (
     discriminant,
     factor_poly_mod_p,
     is_irreducible_mod_p,
+    poly_str,
     poly_xgcd,
     sturm_real_root_count,
 )
-from .primes import WINDOW, is_prime, iter_primes
+from .primes import WINDOW, count_primes_by_class, is_prime, iter_primes
 from .rings import QQ, ExtField, IntegersMod
 
 _CERT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
@@ -59,7 +66,7 @@ class NumberField:
         self.disc = int(discriminant(m))
         if self.disc == 0:
             raise ReducibleMinPoly("zero discriminant: repeated root")
-        self.name = name or "Q[x]/(" + _poly_str(m) + ")"
+        self.name = name or "Q[x]/(" + poly_str(m) + ")"
         self.galois = galois
         self.power_basis_maximal = power_basis_maximal
         self._check_irreducible()
@@ -92,7 +99,7 @@ class NumberField:
             return
         if factor.degree == 1:
             raise ReducibleMinPoly(f"rational root {-factor.coeffs[0]}")
-        raise ReducibleMinPoly(f"factor {_poly_str(factor)}")
+        raise ReducibleMinPoly(f"factor {poly_str(factor)}")
 
     def element(self, coords):
         return NFElement(self, coords)
@@ -347,12 +354,14 @@ def _split_by_frobenius(K, primes):
     """For each unramified prime p, whether x^p == x (mod m, p).
 
     That holds exactly when m divides x^p - x mod p, i.e. when p splits
-    completely.  All the primes share one batched powering.
+    completely.  The primes share one batched powering per FROBENIUS_BATCH
+    of them.
     """
     m = K.min_poly.coeffs
     x = [0, 1] + [0] * (K.degree - 2)
-    return [r == ([-m[0] % p] if K.degree == 1 else x)
-            for p, r in zip(primes, _frobenius_residues(m, primes))]
+    residues = [r for i in range(0, len(primes), FROBENIUS_BATCH)
+                for r in _frobenius_residues(m, primes[i : i + FROBENIUS_BATCH])]
+    return [r == ([-m[0] % p] if K.degree == 1 else x) for p, r in zip(primes, residues)]
 
 
 def is_split(K, p):
@@ -371,14 +380,17 @@ def is_split(K, p):
     )
 
 
-# the entries of chebotarev_scan's class table; 0 is a class not yet asked
+# the entries of _split_per_prime's class table; 0 is a class not yet asked
 _CLASS_OF_VERDICT = {False: 1, True: 2, None: 3}
 _VERDICT_OF_CLASS = (None, False, True, None)
+# the largest |disc(m)| whose primes chebotarev_scan counts per class: past
+# it, a strided slice per class and window costs more than an int per prime
+CLASS_COUNT_MAX = 1 << 11
 
 
-class ChebotarevReport(namedtuple("ChebotarevReport", [
-        "field", "bound", "split", "total", "ratio", "expected", "sample_only"])):
-    """ratio and expected are Fractions."""
+class ChebotarevReport(namedtuple(
+        "ChebotarevReport", "field bound split total ratio expected sample_only")):
+    """ratio and expected are exact fractions "a/b" in lowest terms; "0/1" is the ratio of an empty scan."""
 
     __slots__ = ()
 
@@ -387,24 +399,70 @@ def chebotarev_scan(K, bound):
     """Count completely split primes p <= bound with p not dividing disc(m).
 
     The limiting ratio 1/d is a theorem only for Galois fields; scans over
-    fields not flagged Galois are marked sample_only.  The primes are
-    streamed from the sieve.  When |disc(m)| <= WINDOW, the sieve's width,
-    a table of one byte per class mod |disc(m)| holds the quadratic
-    character's verdict, asked once per class; otherwise the character is
-    asked once per prime.  So memory stays at one window, one table of at
-    most WINDOW bytes and one batch.  The primes the character leaves open
-    share one Frobenius powering per batch.
+    fields not flagged Galois are marked sample_only.  A bound above
+    MAX_BOUND raises OutOfRange before any sieving.
 
-    A field with an abelian certificate (see NumberField) has its conductor
-    f dividing disc(K) (conductor-discriminant formula), and disc(K) divides
-    disc(m).  So the Frobenius of an unramified p, and whether p splits,
-    depend only on p mod |disc(m)|: in the table, the first prime of an open
-    class, p = 2 included, takes the Frobenius test alone, and its verdict
-    is stored for the whole class.  A bound above MAX_BOUND raises
-    OutOfRange before any sieving.
+    A field of degree <= 2 is abelian, and so is one with an abelian
+    certificate (see NumberField).  An abelian K has its conductor f
+    dividing disc(K) (conductor-discriminant formula), and disc(K) divides
+    disc(m), so whether an unramified p splits depends only on p mod
+    |disc(m)|.  For these fields, while |disc(m)| <= CLASS_COUNT_MAX, the
+    sieve counts the primes of each class and the scan decides each class
+    once (see _split_by_class).  Any other field, and any larger |disc(m)|,
+    is scanned prime by prime (see _split_per_prime).  Both hand
+    _frobenius_residues the same primes, in ascending order.
     """
     if bound > MAX_BOUND:
         raise OutOfRange(f"bound must be <= 10^8, got {bound}")
+    by_class = abs(K.disc) <= CLASS_COUNT_MAX and (K.automorphisms or K.degree <= 2)
+    split, total = (_split_by_class if by_class else _split_per_prime)(K, bound)
+    g = gcd(split, total)
+    return ChebotarevReport(
+        field=K.name,
+        bound=bound,
+        split=split,
+        total=total,
+        ratio=f"{split // g}/{total // g}" if total else "0/1",
+        expected=f"1/{K.degree}",
+        sample_only=not K.galois,
+    )
+
+
+def _split_by_class(K, bound):
+    """chebotarev_scan's (split, total) from the prime counts per class mod |disc(m)|.
+
+    For an abelian K.  Only the least prime of each class is made an int.
+    A class holding a prime that divides disc(m) holds only that prime, and
+    is skipped.  The verdict at the least prime of a class, 2 included, is
+    the class's: the character's where it speaks, and otherwise the
+    Frobenius test's, which the least primes of the open classes take
+    together, ascending.
+    """
+    split = total = 0
+    opened = []  # (least prime, primes in its class) where the character is silent
+    for p, n in count_primes_by_class(bound, abs(K.disc)):
+        if K.disc % p:
+            total += n
+            verdict = _split_by_character(K, p)
+            if verdict is None:
+                opened.append((p, n))
+            else:
+                split += verdict * n
+    verdicts = _split_by_frobenius(K, [p for p, _ in opened])
+    return split + sum(n for (_, n), s in zip(opened, verdicts) if s), total
+
+
+def _split_per_prime(K, bound):
+    """chebotarev_scan's (split, total), streaming the primes from the sieve.
+
+    When |disc(m)| <= WINDOW, the sieve's width, a table of one byte per
+    class mod |disc(m)| holds the quadratic character's verdict, asked once
+    per class; otherwise the character is asked once per prime.  So memory
+    stays at one window, one table of at most WINDOW bytes and one batch.
+    For a certified field, the first prime of an open class, p = 2
+    included, takes the Frobenius test alone, and its verdict is stored for
+    the whole class.
+    """
     disc = K.disc
     modulus = abs(disc)
     # a verdict per class mod |disc|, 0 until first asked: the character's,
@@ -438,16 +496,7 @@ def chebotarev_scan(K, bound):
             pending = []
     if pending:
         split += sum(_split_by_frobenius(K, pending))
-    ratio = Fraction(split, total) if total else Fraction(0)
-    return ChebotarevReport(
-        field=K.name,
-        bound=bound,
-        split=split,
-        total=total,
-        ratio=ratio,
-        expected=Fraction(1, K.degree),
-        sample_only=not K.galois,
-    )
+    return split, total
 
 
 def residue_field(factor):
@@ -558,17 +607,3 @@ def crt_check(K, p, n):
         component_sizes=comp_sizes,
         bijective=bijective,
     )
-
-
-def _poly_str(f):
-    terms = []
-    for i, c in enumerate(f.coeffs):
-        if c == 0:
-            continue
-        if i == 0:
-            terms.append(str(c))
-        elif i == 1:
-            terms.append(f"{c}x" if c != 1 else "x")
-        else:
-            terms.append(f"{c}x^{i}" if c != 1 else f"x^{i}")
-    return " + ".join(reversed(terms)) if terms else "0"

@@ -3,11 +3,15 @@
 Coefficients are stored constant term first with no trailing zeros; the zero
 polynomial has an empty coefficient tuple.  Factorization over F_p uses
 distinct-degree plus equal-degree splitting with a deterministic candidate
-sequence, so identical inputs always factor identically.
+sequence, so identical inputs always factor identically.  The resultant and
+the Sturm chain of rational polynomials are computed over Z by
+pseudo-remainders, so integer polynomials make no Fraction there.
 """
 
+from math import gcd, lcm
+
 from .errors import NonSquarefree
-from .rings import QQ, IntegersMod
+from .rings import QQ, IntegersMod, rational
 
 
 class Poly:
@@ -289,53 +293,106 @@ def is_irreducible_mod_p(f):
 
 
 def sturm_real_root_count(f):
-    """Number of distinct real roots of a squarefree rational polynomial."""
+    """Number of distinct real roots of a squarefree rational polynomial.
+
+    The count reads only the degrees and leading signs of Sturm's chain f,
+    f', -rem(f, f'), ...  Scaling a member by a positive number keeps both,
+    so the chain is built over Z: f times its least common denominator,
+    then signed pseudo-remainders, each divided by its content.  It ends at
+    gcd(f, f'), so f is squarefree exactly when it ends at a constant.
+    """
     if f.ring != QQ:
         raise ValueError("Sturm count expects a rational polynomial")
     if f.degree <= 0:
         return 0
-    if poly_gcd(f, f.derivative()).degree > 0:
-        raise NonSquarefree("input has a repeated root; divide by gcd(f, f') first")
-    chain = [f, f.derivative()]
-    while chain[-1].degree > 0:
-        rem = chain[-2] % chain[-1]
-        if rem.is_zero():
+    a = _integer_lift(f.coeffs)[1]
+    chain = [a, [i * c for i, c in enumerate(a)][1:]]
+    while len(chain[-1]) > 1:
+        b = chain[-1]
+        rem = _prem(chain[-2], b)
+        if not rem:
             break
-        chain.append(-rem)
+        # rem is lc(b)^(deg a - deg b + 1) rem(a, b): keep that factor positive
+        if b[-1] < 0 and (len(chain[-2]) - len(b)) % 2 == 0:
+            rem = [-c for c in rem]
+        content = gcd(*rem)
+        chain.append([-c // content for c in rem])
+    if len(chain[-1]) > 1:
+        raise NonSquarefree("input has a repeated root; divide by gcd(f, f') first")
+    pos = [1 if c[-1] > 0 else -1 for c in chain]
+    neg = [s if len(c) % 2 else -s for s, c in zip(pos, chain)]
+    return sum(x != y for x, y in zip(neg, neg[1:])) - sum(x != y for x, y in zip(pos, pos[1:]))
 
-    def variations(signs):
-        signs = [s for s in signs if s != 0]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
 
-    def sign_at_inf(g, positive):
-        if g.is_zero():
-            return 0
-        lead = g.lead()
-        s = 1 if lead > 0 else -1
-        if not positive and g.degree % 2 == 1:
+def _integer_lift(coeffs):
+    """(u, a): u > 0 the least common denominator of the rationals coeffs, a = u * coeffs as ints."""
+    u = lcm(*(c.denominator for c in coeffs))
+    return u, [c.numerator * (u // c.denominator) for c in coeffs]
+
+
+def _prem(a, b):
+    """lc(b)^(deg a - deg b + 1) a mod b for int coefficient lists, constant first.
+
+    The pseudo-remainder, with no trailing zeros: it divides by nothing.
+    """
+    r = list(a)
+    lead = b[-1]
+    for k in range(len(a) - len(b), -1, -1):
+        c = r.pop()
+        r = [lead * x for x in r]
+        for i, y in enumerate(b[:-1], k):
+            r[i] -= c * y
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def _subresultant(a, b):
+    """Res(a, b) for int coefficient lists of degree >= 1 (Cohen, GTM 138, Alg. 3.3.7).
+
+    Each division in the sub-resultant remainder sequence is exact in Z.
+    """
+    ca, cb = gcd(*a), gcd(*b)
+    a = [x // ca for x in a]
+    b = [x // cb for x in b]
+    t = ca ** (len(b) - 1) * cb ** (len(a) - 1)
+    s = 1
+    if len(a) < len(b):
+        a, b = b, a
+        s = -1 if (len(a) - 1) * (len(b) - 1) % 2 else 1
+    g = h = 1
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        if (len(a) - 1) * (len(b) - 1) % 2:
             s = -s
-        return s
-
-    neg = [sign_at_inf(g, positive=False) for g in chain]
-    pos = [sign_at_inf(g, positive=True) for g in chain]
-    return variations(neg) - variations(pos)
+        r = _prem(a, b)
+        if not r:
+            return 0
+        a, b = b, [x // (g * h ** delta) for x in r]
+        g = a[-1]
+        if delta:
+            h = g ** delta // h ** (delta - 1)
+    d = len(a) - 1
+    return s * t * (b[0] ** d // h ** (d - 1))
 
 
 def resultant(f, g):
-    """Resultant of two rational polynomials by Euclid's remainder sequence.
+    """Resultant of two rational polynomials by the sub-resultant sequence over Z.
 
-    With n = deg f, m = deg g and r = f mod g,
-    Res(f, g) = (-1)^(nm) lc(g)^(n - deg r) Res(g, r) (Cohen, GTM 138,
-    3.3).  Res(f, g) is f^m when f is a constant, g^n when g is, and 0 when
-    either is zero.
+    With n = deg f, m = deg g and f = a/u, g = b/v for integer polynomials
+    a, b and least common denominators u, v, Res(f, g) = Res(a, b) / (u^m v^n),
+    and Res(a, b) is computed in Z.  So the result is an int when it is
+    integral, and integer polynomials make no Fraction.  Res(f, g) is f^m
+    when f is a constant, g^n when g is, and 0 when either is zero.
     """
     if f.is_zero() or g.is_zero():
         return 0
     n, m = f.degree, g.degree
     if n == 0 or m == 0:
         return QQ.canon(f.coeffs[0] ** m if n == 0 else g.coeffs[0] ** n)
-    r = f % g
-    return QQ.mul((-1) ** (n * m) * g.lead() ** (n - r.degree), resultant(g, r))
+    u, a = _integer_lift(f.coeffs)
+    v, b = _integer_lift(g.coeffs)
+    return rational(_subresultant(a, b), u ** m * v ** n)
 
 
 def discriminant(f):
@@ -344,3 +401,18 @@ def discriminant(f):
     res = resultant(f, f.derivative())
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     return sign * res
+
+
+def poly_str(f):
+    """f as text, highest term first: "x^2 + 3x + -2", "0" for the zero polynomial."""
+    terms = []
+    for i, c in enumerate(f.coeffs):
+        if c == 0:
+            continue
+        if i == 0:
+            terms.append(str(c))
+        elif i == 1:
+            terms.append(f"{c}x" if c != 1 else "x")
+        else:
+            terms.append(f"{c}x^{i}" if c != 1 else f"x^{i}")
+    return " + ".join(reversed(terms)) if terms else "0"

@@ -1,4 +1,10 @@
-"""Small prime utilities: sieve, deterministic primality, trial factorization."""
+"""Small prime utilities: sieve, per-class prime counts, deterministic primality, trial factorization.
+
+One windowed sieve serves both iter_primes, which makes an int of every
+prime, and count_primes_by_class, which reads each window's bytes with one
+strided slice per residue class and makes an int only for the least prime
+of a class.
+"""
 
 from functools import lru_cache
 from itertools import compress
@@ -10,11 +16,11 @@ from math import isqrt
 WINDOW = 1 << 18
 
 
-def iter_primes(n):
-    """The primes <= n, ascending, sieved one WINDOW of integers at a time.
+def _windows(n):
+    """(lo, window) for each WINDOW of the integers 2 .. n, ascending.
 
-    Memory stays at one window of bytes and the primes up to sqrt(n), so a
-    caller that only iterates never holds all the primes up to n.
+    window[i] is 1 when lo + i is prime and 0 otherwise.  Memory stays at one
+    window of bytes and the primes up to sqrt(n).
     """
     if n < 2:
         return
@@ -28,7 +34,42 @@ def iter_primes(n):
             start = max(p * p, -(-lo // p) * p)  # the first multiple to strike
             if start < hi:
                 sieve[start - lo :: p] = bytes((hi - 1 - start) // p + 1)
-        yield from compress(range(lo, hi), sieve)
+        yield lo, sieve
+
+
+def iter_primes(n):
+    """The primes <= n, ascending, sieved one WINDOW of integers at a time.
+
+    A caller that only iterates never holds all the primes up to n.
+    """
+    for lo, window in _windows(n):
+        yield from compress(range(lo, lo + len(window)), window)
+
+
+def count_primes_by_class(n, modulus):
+    """(p, k) for each class mod modulus that holds primes <= n, ascending in p.
+
+    p is the least prime of the class and k the number of primes <= n in it.
+    Each window costs one strided slice per class it reaches, min(modulus,
+    window length) of them, and an int is made only for the least prime of
+    a class, so this beats iter_primes while modulus is small beside the
+    number of primes in a window.  Memory is one window and two lists of
+    min(modulus, n + 1) entries, since a prime p <= n is in class p when
+    modulus > n.
+    """
+    size = min(modulus, n + 1)
+    counts = [0] * size
+    firsts = [0] * size
+    for lo, window in _windows(n):
+        for off in range(min(modulus, len(window))):
+            row = window[off::modulus]
+            k = row.count(1)
+            if k:
+                c = (lo + off) % modulus
+                if not counts[c]:
+                    firsts[c] = lo + off + row.index(1) * modulus
+                counts[c] += k
+    return sorted((p, k) for p, k in zip(firsts, counts) if k)
 
 
 def primes_upto(n):

@@ -27,12 +27,15 @@ def rational(a, b):
 
 
 def _ratcanon(x):
+    # Fraction arithmetic already gives lowest terms: only a value without a
+    # denominator (a float, a string) goes through Fraction
     if isinstance(x, int):
         return x
-    from fractions import Fraction
+    if not hasattr(x, "denominator"):
+        from fractions import Fraction
 
-    f = Fraction(x)
-    return f.numerator if f.denominator == 1 else f
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 class Rationals:

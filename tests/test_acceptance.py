@@ -67,10 +67,10 @@ def test_criterion_1_chebotarev_density():
         big = chebotarev_scan(K, 10 ** 5)
         elapsed = time.time() - t0
         assert elapsed < 10, f"{name} scan took {elapsed:.1f}s"
-        assert abs(big.ratio - Fraction(1, 2)) <= Fraction(3, 100)
+        assert abs(Fraction(big.ratio) - Fraction(1, 2)) <= Fraction(3, 100)
         small = chebotarev_scan(K, 10 ** 4)
-        assert abs(small.ratio - Fraction(1, 2)) <= Fraction(5, 100)
-        details.append(f"{name}: {float(big.ratio):.4f} in {elapsed:.1f}s")
+        assert abs(Fraction(small.ratio) - Fraction(1, 2)) <= Fraction(5, 100)
+        details.append(f"{name}: {float(Fraction(big.ratio)):.4f} in {elapsed:.1f}s")
     report("1 (Chebotarev density 1/2)", True, "; ".join(details))
 
 

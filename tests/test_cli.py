@@ -500,7 +500,7 @@ def no_sieve(monkeypatch):
         raise AssertionError(f"sieve of {n} allocated")
 
     for module, sieve in ((congruence, "primes_upto"), (density, "primes_upto"),
-                          (numberfield, "iter_primes")):
+                          (numberfield, "iter_primes"), (numberfield, "count_primes_by_class")):
         monkeypatch.setattr(module, sieve, refuse)
 
 
@@ -532,6 +532,7 @@ def test_scan_range_limits_are_inclusive(monkeypatch):
 
     assert cli.RunConfig(pmax=cli.MAX_PMAX).validate().pmax == 10 ** 6
     monkeypatch.setattr(numberfield, "iter_primes", lambda n: iter(()))
+    monkeypatch.setattr(numberfield, "count_primes_by_class", lambda n, modulus: [])
     rep = numberfield.chebotarev_scan(builtin_field("qi"), numberfield.MAX_BOUND)
     assert (rep.bound, rep.total) == (10 ** 8, 0)
 

@@ -487,12 +487,12 @@ def test_witness_search_inverts_the_generators_once(monkeypatch):
     monkeypatch.setattr(density, "_symmetrized", lambda gens: calls.append(gens) or symmetrized(gens))
     dihedral = [Mat(QQ, [[0, -1], [1, 0]]), Mat(QQ, [[1, 0], [0, -1]])]
     # the group is finite, so the search visits every one of its 8 elements
-    assert density._witness_search(dihedral) is None
+    assert density._witness_search(density._symmetrized(dihedral)) is None
     assert len(calls) == 1
     calls.clear()
-    # one call for the Ad-span and one for the witness search
+    # one call serves both the Ad-span and the witness search
     assert density_verdict(SIntegerGroup(dihedral, label="g")).infinite_order_witness is None
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_density_verdict_inverts_each_generator_once_per_symmetrization(monkeypatch):
@@ -501,8 +501,9 @@ def test_density_verdict_inverts_each_generator_once_per_symmetrization(monkeypa
     monkeypatch.setattr(Mat, "inverse", lambda self: inverted.append(self) or inverse(self))
     sanov = builtin_group("sanov")
     assert density_verdict(sanov).verdict == DENSE_EVIDENCE
-    # the Ad-span takes Ad(g^-1) from the inverse _symmetrized made, not from a second inversion
-    assert inverted == 2 * list(sanov.gens)
+    # the Ad-span takes Ad(g^-1) from the inverse _symmetrized made, not from a second
+    # inversion, and the witness search words in the same inverses
+    assert inverted == list(sanov.gens)
 
 
 def test_density_verdict_requires_sl2():

@@ -8,9 +8,13 @@ sha256.  Neither `--version`, nor a warm hit on a built-in group or field,
 nor a cold `cong`, `density check` or `lubotzky scan` command on a built-in
 group or on a generator file of integers loads fractions (or the decimal
 module it imports): over Q the matrix layer eliminates fraction-free and
-divides once, at the end.  A command on a generator file with an entry such
-as 1/2 does, and so may a density verdict on integers whose printed common
-line has such an entry, with the bytes it always printed.  No command loads
+divides once, at the end.  Nor does a cold `nf` command on a built-in field
+or on a catalog field whose minimal polynomial and certificate are integral:
+the resultant and the Sturm chain are computed over Z, and the Chebotarev
+ratios are strings.  A command on a generator file with an entry such as 1/2
+does, and so may a density verdict on integers whose printed common line has
+such an entry, with the bytes it always printed, and a certificate with a
+coefficient such as -4/2.  No command loads
 dataclasses, the number-field commands load no matrix layer and `density
 check` loads no congruence code.
 Checking a minimal polynomial, to reject it or to build its field, loads no
@@ -30,7 +34,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+import arithgroups
+
+# the tree this run imports, so that a run with PYTHONPATH pointing at another
+# tree checks that tree in its subprocesses as well as in-process
+SRC = Path(arithgroups.__file__).resolve().parent.parent
 
 COMPUTE_MODULES = {
     "arithgroups.abelian",
@@ -56,6 +64,11 @@ HALVES = "1 1/2\n0 1\n\n1 0\n-2/4 1\n"
 # second generator that moves that line
 HALF_LINE = "3 -1\n4 -1\n"
 HALF_LINE_MOVED = HALF_LINE + "\n1 1\n0 1\n"
+# field catalogs: a certified cubic with integer certificate coefficients, an
+# uncertified cubic, and the certified cubic with one coefficient written -4/2
+CUBICS = ("name=abelian7\nminpoly=-1,-2,1,1\nautomorphisms=0,1;-2,0,1;1,-1,-1\ngalois=true\n\n"
+          "name=plain\nminpoly=3,1,0,1\n")
+HALF_CERTIFICATE = "name=abelian7\nminpoly=-1,-2,1,1\nautomorphisms=0,1;-4/2,0,1;1,-1,-1\n"
 # what no run has a use for: keys are hashed without OpenSSL
 HASHLIB = {"hashlib", "_hashlib"}
 
@@ -168,10 +181,12 @@ def test_cold_command_loads_no_dataclasses(tmp_path, argv):
     ("nf", "signature", "--field", "qsqrt2"),
 ], ids=["chebotarev", "factor", "signature"])
 def test_cold_number_field_command_loads_no_matrix_layer(tmp_path, argv):
-    # only regular_representation, which no nf command runs, builds a Mat
+    # only regular_representation, which no nf command runs, builds a Mat;
+    # and a built-in field is built and used without a Fraction
     _, modules = loaded_modules(tmp_path, *argv)
     assert "arithgroups.numberfield" in modules
     assert "arithgroups.matrix" not in modules
+    assert not modules & RATIONALS
 
 
 @pytest.mark.parametrize("minpoly, returncode", [
@@ -303,3 +318,34 @@ def test_common_line_with_a_half_prints_its_bytes(tmp_path, command, digest):
     out, _ = dichotomy_run(tmp_path, command, None, HALF_LINE)
     assert b'"1/2"' in out
     assert hashlib.sha256(out).hexdigest() == digest
+
+
+@pytest.mark.parametrize("field, catalog", [
+    ("qi", None),
+    ("qsqrt2", None),
+    ("qcbrt2", None),
+    ("zeta5", None),
+    ("abelian7", CUBICS),
+    ("plain", CUBICS),
+], ids=["qi", "qsqrt2", "qcbrt2", "zeta5", "catalog-certified", "catalog-plain"])
+def test_cold_chebotarev_loads_no_fractions(tmp_path, field, catalog):
+    # the discriminant is a sub-resultant over Z, the Sturm chain is built
+    # from signed pseudo-remainders, and the report's fractions are strings
+    argv = ["nf", "chebotarev", "--field", field, "--bound", "100000"]
+    if catalog is not None:
+        path = tmp_path / "fields.catalog"
+        path.write_text(catalog, encoding="utf-8")
+        argv += ["--catalog", str(path)]
+    out, modules = loaded_modules(tmp_path, *argv)
+    assert b'"ratio": "' in out
+    assert "arithgroups.numberfield" in modules
+    assert not modules & RATIONALS
+
+
+def test_cold_chebotarev_on_a_rational_certificate_loads_fractions(tmp_path):
+    path = tmp_path / "fields.catalog"
+    path.write_text(HALF_CERTIFICATE, encoding="utf-8")
+    out, modules = loaded_modules(tmp_path, "nf", "chebotarev", "--field", "abelian7",
+                                  "--catalog", str(path), "--bound", "1000")
+    assert b'"split": 55' in out
+    assert "fractions" in modules

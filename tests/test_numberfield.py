@@ -132,7 +132,7 @@ def test_chebotarev_qi_100(catalog):
     assert (split, total) == (11, 24)
     rep = chebotarev_scan(catalog["qi"], 100)
     assert (rep.split, rep.total) == (11, 24)
-    assert rep.ratio == Fraction(11, 24)
+    assert Fraction(rep.ratio) == Fraction(11, 24)
     assert not rep.sample_only
 
 
@@ -589,3 +589,109 @@ def test_quadratic_character_is_constant_on_classes_mod_disc():
     assert shared > 10 ** 4
     # D = 3 is no discriminant: 7 and 13 share a class mod 3, not a value
     assert pow(3, 3, 7) != pow(3, 6, 13)
+
+
+def reference_counts(K, bound):
+    """(split, total) over the unramified primes <= bound, one is_split call each."""
+    unramified = [p for p in primes_upto(bound) if K.disc % p]
+    return sum(is_split(K, p) for p in unramified), len(unramified)
+
+
+def scan_with_count_max(K, bound, count_max):
+    """chebotarev_scan(K, bound) at CLASS_COUNT_MAX = count_max, and the primes
+    it passed to _frobenius_residues, in order."""
+    opened = []
+    saved = numberfield.CLASS_COUNT_MAX, numberfield._frobenius_residues
+    residues = saved[1]
+    numberfield.CLASS_COUNT_MAX = count_max
+    numberfield._frobenius_residues = lambda m, primes: opened.extend(primes) or residues(m, primes)
+    try:
+        return chebotarev_scan(K, bound), opened
+    finally:
+        numberfield.CLASS_COUNT_MAX, numberfield._frobenius_residues = saved
+
+
+def test_scan_matches_is_split_on_both_sides_of_the_class_count_bound():
+    # the count per class (|disc(m)| <= CLASS_COUNT_MAX) and the loop per
+    # prime (one past it) must count what is_split finds prime by prime, and
+    # hand the Frobenius test the same primes in the same order
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def fields(draw):
+        if draw(st.booleans()):
+            coeffs, automorphisms = CERTIFIED[draw(st.sampled_from(sorted(CERTIFIED)))]
+            return NumberField(coeffs, automorphisms=automorphisms)
+        d = draw(st.integers(2, 4))
+        coeffs = tuple(draw(st.lists(st.integers(-30, 30), min_size=d, max_size=d))) + (1,)
+        try:
+            return NumberField(coeffs)
+        except ReducibleMinPoly:
+            hypothesis.assume(False)
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(fields(), st.integers(0, 3000))
+    @hypothesis.example(NumberField((1, 0, 1)), 3000)     # disc -4: 2 ramifies
+    @hypothesis.example(NumberField((1, 1, 1)), 3000)     # disc -3 = 5 mod 8: 2 is inert
+    @hypothesis.example(NumberField((2, 1, 1)), 3000)     # disc -7 = 1 mod 8: 2 splits
+    @hypothesis.example(NumberField((-1, 1, 1)), 2)       # disc 5: the scan of 2 alone
+    @hypothesis.example(NumberField((1, 1, 1, 1, 1), automorphisms=CERTIFIED["zeta5"][1]), 3000)
+    def check(K, bound):
+        split, total = reference_counts(K, bound)
+        modulus = abs(K.disc)
+        scans = [scan_with_count_max(K, bound, count_max) for count_max in (modulus - 1, modulus)]
+        for rep, opened in scans:
+            assert (rep.split, rep.total) == (split, total), (K, bound)
+            assert rep.ratio == (f"{split // math.gcd(split, total)}/{total // math.gcd(split, total)}"
+                                 if total else "0/1")
+            assert rep.expected == f"1/{K.degree}"
+            assert opened == scans[0][1], (K, bound)
+
+    check()
+
+
+@pytest.mark.parametrize("coeffs, by_class", [
+    ((1, 0, 1), True),                    # qi, disc -4
+    ((-3, 1), True),                      # Q itself, disc 1: every prime in one class
+    ((2, 1, 1), True),                    # disc -7, odd: 2 decides its class by Frobenius
+    ((-512, 0, 1), True),                 # disc 2048 = CLASS_COUNT_MAX
+    ((-513, 0, 1), False),                # disc 2052, one class table per prime
+    ((-70001, 0, 1), False),              # disc 280,004 > WINDOW, no class table
+    ((-2, 0, 0, 1), False),               # qcbrt2: its character leaves classes open
+], ids=["qi", "Q", "disc-7", "at-the-bound", "past-the-bound", "past-the-window", "qcbrt2"])
+def test_scan_regime_is_chosen_from_the_discriminant(coeffs, by_class, monkeypatch):
+    K = NumberField(coeffs)
+    assert numberfield.CLASS_COUNT_MAX == 2048
+    want = reference_counts(K, 3000)
+
+    def refuse(*args):
+        raise AssertionError("the scan took the other regime")
+
+    monkeypatch.setattr(numberfield, "iter_primes" if by_class else "count_primes_by_class", refuse)
+    rep = chebotarev_scan(K, 3000)
+    assert (rep.split, rep.total) == want
+
+
+@pytest.mark.parametrize("name, by_class", [("zeta5", True), ("biquadratic", False)])
+def test_certified_scan_regime_is_chosen_from_the_discriminant(name, by_class, monkeypatch):
+    coeffs, automorphisms = CERTIFIED[name]
+    K = NumberField(coeffs, automorphisms=automorphisms)
+    assert (abs(K.disc) <= numberfield.CLASS_COUNT_MAX) == by_class
+    want = reference_counts(K, 3000)
+
+    def refuse(*args):
+        raise AssertionError("the scan took the other regime")
+
+    monkeypatch.setattr(numberfield, "iter_primes" if by_class else "count_primes_by_class", refuse)
+    rep = chebotarev_scan(K, 3000)
+    assert (rep.split, rep.total) == want
+
+
+def test_report_fractions_are_exact_strings_in_lowest_terms(catalog):
+    # the strings the report printed when ratio and expected were Fractions
+    assert chebotarev_scan(catalog["qcbrt2"], 10 ** 5)[4:6] == ("1559/9590", "1/3")
+    assert chebotarev_scan(catalog["qi"], 10 ** 4)[4:6] == ("609/1228", "1/2")
+    assert chebotarev_scan(catalog["qi"], 17)[2:5] == (3, 6, "1/2")       # 5, 13, 17 of 3 .. 17
+    assert chebotarev_scan(catalog["qi"], 1).ratio == "0/1"
+    assert chebotarev_scan(catalog["qi"], 2).ratio == "0/1"     # 2 ramifies: no prime counted

@@ -200,6 +200,78 @@ def test_sturm_matches_grid_scan_random():
         checked += 1
 
 
+def test_sturm_counts_the_real_roots_of_a_product():
+    # distinct rational roots times quadratics with no real root, often sparse
+    # (x^2 + b), so the chain skips degrees where a leading sign is negative
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))
+
+    @st.composite
+    def products(draw):
+        roots = draw(st.lists(rationals, max_size=4, unique=True))
+        quadratics = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 12)), max_size=2))
+        hypothesis.assume(roots or quadratics)
+        f = Poly(QQ, [draw(st.sampled_from([-3, -1, Fraction(-1, 2), 1, 2]))])
+        for r in roots:
+            f = f * Poly(QQ, [-r, 1])
+        for a, b in quadratics:
+            hypothesis.assume(a * a < 4 * b)
+            f = f * Poly(QQ, [b, a, 1])
+        return f, len(roots), len(set(quadratics)) < len(quadratics)
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(products())
+    @hypothesis.example((Poly(QQ, [-1, 0, 0, 0, -1]) * Poly(QQ, [-2, 1]), 1, False))
+    def check(case):
+        f, real_roots, repeated = case
+        if repeated:
+            with pytest.raises(NonSquarefree):
+                sturm_real_root_count(f)
+        else:
+            assert sturm_real_root_count(f) == real_roots
+
+    check()
+
+
+def field_sturm_count(f):
+    """Sturm's count with the chain f, f', -rem(f, f'), ... divided out over Q."""
+    chain = [f, f.derivative()]
+    while chain[-1].degree > 0:
+        rem = chain[-2] % chain[-1]
+        if rem.is_zero():
+            break
+        chain.append(-rem)
+    signs = [(1 if g.lead() > 0 else -1, g.degree) for g in chain]
+    pos = [s for s, _ in signs]
+    neg = [s * (-1) ** d for s, d in signs]
+    return sum(x != y for x, y in zip(neg, neg[1:])) - sum(x != y for x, y in zip(pos, pos[1:]))
+
+
+def test_sturm_matches_the_chain_over_q_on_sparse_polynomials():
+    # sparse coefficients make the chain skip degrees, where a negative
+    # leading coefficient to an odd power flips a pseudo-remainder's sign
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    coefficient = st.one_of(st.just(0), st.just(0), st.integers(-9, 9),
+                            st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)))
+
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(st.lists(coefficient, min_size=2, max_size=7),
+                      st.sampled_from([-3, -1, Fraction(-1, 2), 1, 2]))
+    @hypothesis.example([0, 5, 0, 0], 1)                 # x^4 + 5x: 2 real roots
+    @hypothesis.example([8, 0, 0, 0, -3], -3)            # -3x^5 - 3x^4 + 8
+    def check(coeffs, lead):
+        f = Poly(QQ, coeffs + [lead])
+        if poly_gcd(f, f.derivative()).degree > 0:
+            with pytest.raises(NonSquarefree):
+                sturm_real_root_count(f)
+        else:
+            assert sturm_real_root_count(f) == field_sturm_count(f)
+
+    check()
+
+
 def test_resultant_and_discriminant():
     # disc(x^2 + bx + c) = b^2 - 4c, via two instances
     assert discriminant(Poly(QQ, [1, 0, 1])) == -4
@@ -244,4 +316,24 @@ def test_resultant_matches_the_sylvester_determinant():
         assert res == sylvester_resultant(f, g)
         assert res == (-1) ** (f.degree * g.degree % 2) * resultant(g, f)
 
+    @st.composite
+    def integer_polys(draw):
+        """An integer Poly of degree 0 to 6, with coefficients large enough to share factors."""
+        degree = draw(st.integers(0, 6))
+        coeffs = st.integers(-60, 60)
+        lead = draw(coeffs.filter(bool))
+        return Poly(QQ, draw(st.lists(coeffs, min_size=degree, max_size=degree)) + [lead])
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(integer_polys(), integer_polys())
+    @hypothesis.example(Poly(QQ, [-2, 0, 1]), Poly(QQ, [0, 2]))             # qsqrt2's m, m'
+    @hypothesis.example(Poly(QQ, [-2, 0, 0, 1]), Poly(QQ, [0, 0, 3]))       # qcbrt2's m, m'
+    @hypothesis.example(Poly(QQ, [6, -5, 1]), Poly(QQ, [-6, 1, 1]))         # a common root 2
+    def check_integral(f, g):
+        # the sub-resultant sequence divides only exactly: an integer pair gives an int
+        res = resultant(f, g)
+        assert type(res) is int
+        assert res == sylvester_resultant(f, g)
+
     check()
+    check_integral()

@@ -6,11 +6,11 @@ order, so factorizations carry a `verified` flag: true when p does not divide
 disc(m) or when the caller asserted that the power basis is maximal.
 
 chebotarev_scan counts the split primes up to its bound.  Where splitting
-depends only on p mod |disc(m)| and that modulus is small, it reads the
-sieve's prime counts per class and decides each class once; otherwise it
-goes prime by prime.  Building a field of integer coefficients and scanning
-it make no Fraction, so the nf commands do not import fractions: the
-report's ratio and expected are exact "a/b" strings.
+depends only on p mod |disc(m)| and that modulus is small beside the bound,
+it reads the sieve's prime counts per class and decides each class once;
+otherwise it goes prime by prime.  Building a field of integer coefficients
+and scanning it make no Fraction, so the nf commands do not import
+fractions: the report's ratio and expected are exact "a/b" strings.
 """
 
 from collections import namedtuple
@@ -383,9 +383,6 @@ def is_split(K, p):
 # the entries of _split_per_prime's class table; 0 is a class not yet asked
 _CLASS_OF_VERDICT = {False: 1, True: 2, None: 3}
 _VERDICT_OF_CLASS = (None, False, True, None)
-# the largest |disc(m)| whose primes chebotarev_scan counts per class: past
-# it, a strided slice per class and window costs more than an int per prime
-CLASS_COUNT_MAX = 1 << 11
 
 
 class ChebotarevReport(namedtuple(
@@ -406,16 +403,14 @@ def chebotarev_scan(K, bound):
     certificate (see NumberField).  An abelian K has its conductor f
     dividing disc(K) (conductor-discriminant formula), and disc(K) divides
     disc(m), so whether an unramified p splits depends only on p mod
-    |disc(m)|.  For these fields, while |disc(m)| <= CLASS_COUNT_MAX, the
-    sieve counts the primes of each class and the scan decides each class
-    once (see _split_by_class).  Any other field, and any larger |disc(m)|,
-    is scanned prime by prime (see _split_per_prime).  Both hand
-    _frobenius_residues the same primes, in ascending order.
+    |disc(m)|.  Such a field is scanned class by class (see _split_by_class)
+    when that costs less than the per-prime loop (see _split_per_prime),
+    which scans every other field.  The count hands _frobenius_residues the
+    least prime of each open class, the loop every open prime, ascending.
     """
     if bound > MAX_BOUND:
         raise OutOfRange(f"bound must be <= 10^8, got {bound}")
-    by_class = abs(K.disc) <= CLASS_COUNT_MAX and (K.automorphisms or K.degree <= 2)
-    split, total = (_split_by_class if by_class else _split_per_prime)(K, bound)
+    split, total = (_split_by_class if _counts_by_class(K, bound) else _split_per_prime)(K, bound)
     g = gcd(split, total)
     return ChebotarevReport(
         field=K.name,
@@ -426,6 +421,28 @@ def chebotarev_scan(K, bound):
         expected=f"1/{K.degree}",
         sample_only=not K.galois,
     )
+
+
+def _counts_by_class(K, bound):
+    """Whether chebotarev_scan takes K's primes <= bound class by class.
+
+    A certified field's open classes take the Frobenius test once each
+    where the loop tests every open prime.  So such a field is counted by
+    class once the bound reaches |disc(m)| (below it no class holds two
+    primes, both regimes test the same primes, and the loop costs less),
+    and while |disc(m)| <= WINDOW keeps the count's lists at most one
+    window long.  A field of degree <= 2 opens no class but 2's, so there
+    the regimes differ only in reading the sieve.  Over w windows and
+    M = min(|disc(m)|, bound) classes, the count costs about 0.4 loop steps
+    per strided slice, w * M of them, and 0.7 per class for its
+    bookkeeping; the loop costs one step per prime, about bound / ln(bound)
+    of them, and bound.bit_length() / 1.44 is about ln(bound).  These two
+    weights were fitted to timings on quadratic fields, also in README.
+    """
+    modulus = abs(K.disc)
+    if K.degree > 2:
+        return K.automorphisms is not None and modulus <= min(bound, WINDOW)
+    return min(modulus, bound) * (4 * -(-bound // WINDOW) + 7) * bound.bit_length() <= 14 * bound
 
 
 def _split_by_class(K, bound):
@@ -459,14 +476,10 @@ def _split_per_prime(K, bound):
     class mod |disc(m)| holds the quadratic character's verdict, asked once
     per class; otherwise the character is asked once per prime.  So memory
     stays at one window, one table of at most WINDOW bytes and one batch.
-    For a certified field, the first prime of an open class, p = 2
-    included, takes the Frobenius test alone, and its verdict is stored for
-    the whole class.
+    Every prime the character leaves open takes the Frobenius test.
     """
     disc = K.disc
     modulus = abs(disc)
-    # a verdict per class mod |disc|, 0 until first asked: the character's,
-    # or for a certified field the final one
     classes = bytearray(modulus) if modulus <= WINDOW else None
     split = 0
     total = 0
@@ -476,16 +489,13 @@ def _split_per_prime(K, bound):
             continue
         total += 1
         # the character does not speak for 2, though its class mod |disc| may
-        # hold other primes; the Frobenius verdict of a certified field does
-        if classes is None or p == 2 and not K.automorphisms:
+        # hold odd primes it speaks for
+        if classes is None or p == 2:
             verdict = _split_by_character(K, p)
         else:
             c = p % modulus
             if not classes[c]:
-                verdict = _split_by_character(K, p)
-                if verdict is None and K.automorphisms:
-                    verdict = _split_by_frobenius(K, [p])[0]
-                classes[c] = _CLASS_OF_VERDICT[verdict]
+                classes[c] = _CLASS_OF_VERDICT[_split_by_character(K, p)]
             verdict = _VERDICT_OF_CLASS[classes[c]]
         if verdict is not None:
             split += verdict

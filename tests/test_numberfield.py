@@ -597,31 +597,35 @@ def reference_counts(K, bound):
     return sum(is_split(K, p) for p in unramified), len(unramified)
 
 
-def scan_with_count_max(K, bound, count_max):
-    """chebotarev_scan(K, bound) at CLASS_COUNT_MAX = count_max, and the primes
-    it passed to _frobenius_residues, in order."""
+# x^4 - 16x^2 + 4, Q(sqrt3, sqrt5), a certified field with |disc(m)| = 3,686,400 > WINDOW
+WIDE_CERTIFIED = ((4, 0, -16, 0, 1),
+                  ((0, 1), (0, -1), (0, -8, 0, Fraction(1, 2)), (0, 8, 0, Fraction(-1, 2))))
+
+
+def frobenius_primes(scan, K, bound):
+    """scan(K, bound), and the primes it passed to _frobenius_residues, in order."""
     opened = []
-    saved = numberfield.CLASS_COUNT_MAX, numberfield._frobenius_residues
-    residues = saved[1]
-    numberfield.CLASS_COUNT_MAX = count_max
+    residues = numberfield._frobenius_residues
     numberfield._frobenius_residues = lambda m, primes: opened.extend(primes) or residues(m, primes)
     try:
-        return chebotarev_scan(K, bound), opened
+        return scan(K, bound), opened
     finally:
-        numberfield.CLASS_COUNT_MAX, numberfield._frobenius_residues = saved
+        numberfield._frobenius_residues = residues
 
 
-def test_scan_matches_is_split_on_both_sides_of_the_class_count_bound():
-    # the count per class (|disc(m)| <= CLASS_COUNT_MAX) and the loop per
-    # prime (one past it) must count what is_split finds prime by prime, and
-    # hand the Frobenius test the same primes in the same order
+def test_both_regimes_match_is_split():
+    # the count per class (for an abelian field) and the loop per prime (for
+    # any field) must count what is_split finds prime by prime; the count
+    # tests the least prime of each class the character leaves open, the
+    # loop every prime it leaves open, and chebotarev_scan does what the
+    # regime _counts_by_class picks does
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
     @st.composite
     def fields(draw):
         if draw(st.booleans()):
-            coeffs, automorphisms = CERTIFIED[draw(st.sampled_from(sorted(CERTIFIED)))]
+            coeffs, automorphisms = draw(st.sampled_from([*CERTIFIED.values(), WIDE_CERTIFIED]))
             return NumberField(coeffs, automorphisms=automorphisms)
         d = draw(st.integers(2, 4))
         coeffs = tuple(draw(st.lists(st.integers(-30, 30), min_size=d, max_size=d))) + (1,)
@@ -636,56 +640,106 @@ def test_scan_matches_is_split_on_both_sides_of_the_class_count_bound():
     @hypothesis.example(NumberField((1, 1, 1)), 3000)     # disc -3 = 5 mod 8: 2 is inert
     @hypothesis.example(NumberField((2, 1, 1)), 3000)     # disc -7 = 1 mod 8: 2 splits
     @hypothesis.example(NumberField((-1, 1, 1)), 2)       # disc 5: the scan of 2 alone
+    @hypothesis.example(NumberField((-79, 0, 1)), 3000)   # disc 316: the last count at 3000
+    @hypothesis.example(NumberField((-80, 0, 1)), 3000)   # disc 320: the first loop at 3000
     @hypothesis.example(NumberField((1, 1, 1, 1, 1), automorphisms=CERTIFIED["zeta5"][1]), 3000)
+    @hypothesis.example(NumberField(WIDE_CERTIFIED[0], automorphisms=WIDE_CERTIFIED[1]), 3000)
     def check(K, bound):
         split, total = reference_counts(K, bound)
         modulus = abs(K.disc)
-        scans = [scan_with_count_max(K, bound, count_max) for count_max in (modulus - 1, modulus)]
-        for rep, opened in scans:
-            assert (rep.split, rep.total) == (split, total), (K, bound)
-            assert rep.ratio == (f"{split // math.gcd(split, total)}/{total // math.gcd(split, total)}"
-                                 if total else "0/1")
-            assert rep.expected == f"1/{K.degree}"
-            assert opened == scans[0][1], (K, bound)
+        unramified = [p for p in primes_upto(bound) if K.disc % p]
+        least = {}
+        for p in unramified:
+            least.setdefault(p % modulus, p)
+        silent = [p for p in unramified if numberfield._split_by_character(K, p) is None]
+        regimes = {numberfield._split_per_prime: silent}
+        if K.degree <= 2 or K.automorphisms:
+            regimes[numberfield._split_by_class] = [p for p in silent if least[p % modulus] == p]
+        for scan, want in regimes.items():
+            assert frobenius_primes(scan, K, bound) == ((split, total), want), (K, bound, scan)
+        rep, opened = frobenius_primes(chebotarev_scan, K, bound)
+        chosen = numberfield._split_by_class if numberfield._counts_by_class(K, bound) else numberfield._split_per_prime
+        assert opened == regimes[chosen], (K, bound)
+        assert (rep.split, rep.total) == (split, total), (K, bound)
+        assert rep.ratio == (f"{split // math.gcd(split, total)}/{total // math.gcd(split, total)}"
+                             if total else "0/1")
+        assert rep.expected == f"1/{K.degree}"
 
     check()
 
 
-@pytest.mark.parametrize("coeffs, by_class", [
-    ((1, 0, 1), True),                    # qi, disc -4
-    ((-3, 1), True),                      # Q itself, disc 1: every prime in one class
-    ((2, 1, 1), True),                    # disc -7, odd: 2 decides its class by Frobenius
-    ((-512, 0, 1), True),                 # disc 2048 = CLASS_COUNT_MAX
-    ((-513, 0, 1), False),                # disc 2052, one class table per prime
-    ((-70001, 0, 1), False),              # disc 280,004 > WINDOW, no class table
-    ((-2, 0, 0, 1), False),               # qcbrt2: its character leaves classes open
-], ids=["qi", "Q", "disc-7", "at-the-bound", "past-the-bound", "past-the-window", "qcbrt2"])
-def test_scan_regime_is_chosen_from_the_discriminant(coeffs, by_class, monkeypatch):
+@pytest.mark.parametrize("coeffs, bound, by_class", [
+    ((1, 0, 1), 3000, True),              # qi, disc -4
+    ((-3, 1), 3000, True),                # Q itself, disc 1: every prime in one class
+    ((2, 1, 1), 3000, True),              # disc -7, odd: 2 decides its class by Frobenius
+    ((-79, 0, 1), 3000, True),            # disc 316: 316 * 11 * 12 <= 14 * 3000
+    ((-80, 0, 1), 3000, False),           # disc 320: 320 * 11 * 12 > 14 * 3000
+    ((-512, 0, 1), 3000, False),          # disc 2048: more slices than primes at 3000
+    ((-512, 0, 1), 10 ** 5, True),        # but fewer at 10^5
+    ((-70001, 0, 1), 3000, False),        # disc 280,004 > WINDOW, no class table
+    ((-2, 0, 0, 1), 3000, False),         # qcbrt2: not known to be abelian
+], ids=["qi", "Q", "disc-7", "at-the-bound", "past-the-bound", "2048-at-3000",
+        "2048-at-1e5", "past-the-window", "qcbrt2"])
+def test_scan_regime_is_chosen_from_the_discriminant_and_the_bound(coeffs, bound, by_class, monkeypatch):
     K = NumberField(coeffs)
-    assert numberfield.CLASS_COUNT_MAX == 2048
-    want = reference_counts(K, 3000)
+    assert numberfield._counts_by_class(K, bound) == by_class
+    want = reference_counts(K, bound)
 
     def refuse(*args):
         raise AssertionError("the scan took the other regime")
 
     monkeypatch.setattr(numberfield, "iter_primes" if by_class else "count_primes_by_class", refuse)
-    rep = chebotarev_scan(K, 3000)
+    rep = chebotarev_scan(K, bound)
     assert (rep.split, rep.total) == want
 
 
-@pytest.mark.parametrize("name, by_class", [("zeta5", True), ("biquadratic", False)])
-def test_certified_scan_regime_is_chosen_from_the_discriminant(name, by_class, monkeypatch):
-    coeffs, automorphisms = CERTIFIED[name]
+@pytest.mark.parametrize("k, bound, by_class", [
+    (7608, 10 ** 6, True),                # disc 30,432 over 4 windows
+    (7609, 10 ** 6, False),               # disc 30,436
+    (8946, 10 ** 7, True),                # disc 35,784 over 39 windows
+    (8947, 10 ** 7, False),               # disc 35,788
+])
+def test_scan_regime_weighs_the_slices_of_every_window(k, bound, by_class):
+    # min(|disc|, bound) * (4 w + 7) * bound.bit_length() <= 14 * bound,
+    # w = 4 windows at 10^6 and 39 at 10^7; too slow to scan in a test
+    assert numberfield._counts_by_class(NumberField((-k, 0, 1)), bound) == by_class
+
+
+@pytest.mark.parametrize("certificate, bound, by_class", [
+    (CERTIFIED["zeta5"], 3000, True),           # disc 125
+    (CERTIFIED["zeta5"], 124, False),           # no class holds two primes
+    (CERTIFIED["zeta5"], 125, True),
+    (CERTIFIED["cyclic7"], 48, False),          # disc 49
+    (CERTIFIED["cyclic7"], 49, True),
+    (CERTIFIED["biquadratic"], 3000, False),    # disc 147,456
+    (WIDE_CERTIFIED, 3000, False),              # disc 3,686,400 > WINDOW
+], ids=["zeta5", "zeta5-past-the-bound", "zeta5-at-the-bound", "cyclic7-past-the-bound",
+        "cyclic7-at-the-bound", "biquadratic", "past-the-window"])
+def test_certified_scan_regime_is_chosen_from_the_discriminant_and_the_bound(
+        certificate, bound, by_class, monkeypatch):
+    coeffs, automorphisms = certificate
     K = NumberField(coeffs, automorphisms=automorphisms)
-    assert (abs(K.disc) <= numberfield.CLASS_COUNT_MAX) == by_class
-    want = reference_counts(K, 3000)
+    assert numberfield._counts_by_class(K, bound) == by_class
+    # the per-prime loop is checked against is_split in test_both_regimes_match_is_split
+    want = reference_counts(K, bound)
 
     def refuse(*args):
         raise AssertionError("the scan took the other regime")
 
     monkeypatch.setattr(numberfield, "iter_primes" if by_class else "count_primes_by_class", refuse)
-    rep = chebotarev_scan(K, 3000)
+    rep = chebotarev_scan(K, bound)
     assert (rep.split, rep.total) == want
+
+
+def test_certified_regime_follows_the_bound_only_within_the_window():
+    # a count whose lists would outgrow a window is never chosen, however
+    # large the bound; below WINDOW, a bound of |disc(m)| is enough
+    coeffs, automorphisms = CERTIFIED["biquadratic"]
+    K = NumberField(coeffs, automorphisms=automorphisms)
+    assert [numberfield._counts_by_class(K, b) for b in (147455, 147456, numberfield.MAX_BOUND)] == [
+        False, True, True]
+    K = NumberField(WIDE_CERTIFIED[0], automorphisms=WIDE_CERTIFIED[1])
+    assert not numberfield._counts_by_class(K, numberfield.MAX_BOUND)
 
 
 def test_report_fractions_are_exact_strings_in_lowest_terms(catalog):

@@ -248,7 +248,7 @@ def cached_scan(cfg, operation, canonical_input, compute, out_path=None, groups=
 
 
 def cmd_nf_factor(args, cfg):
-    from .numberfield import factor_prime
+    from .ideals import factor_prime
 
     K = load_field(args.field, cfg.catalog)
     fac = factor_prime(K, args.prime)

@@ -4,7 +4,7 @@ A presentation is a matrix size n plus polynomials in the n^2 coordinates
 x_ij (flattened row-major) whose common zeros inside GL_n form the group.
 From it we compute the tangent space at the identity with its bracket
 structure, restriction of scalars along a number field, and reductions
-mod p.  numberfield is imported only by the two functions that restrict
+mod p.  ideals is imported only by the two functions that restrict
 scalars.  The density checks do not load this module: density holds the
 adjoint action and sl_2's basis as a constant.
 """
@@ -246,7 +246,7 @@ def restriction_of_scalars(G, K):
     linear functionals cutting the image of the regular representation on
     every block.
     """
-    from .numberfield import regular_representation
+    from .ideals import regular_representation
 
     n, d = G.n, K.degree
     N = n * d
@@ -324,7 +324,7 @@ def _primitive(vec):
 
 def ros_point(K, entries):
     """Blockwise embedding M_n(k) -> M_{nd}(Q) by the regular representation."""
-    from .numberfield import regular_representation
+    from .ideals import regular_representation
 
     n = len(entries)
     d = K.degree

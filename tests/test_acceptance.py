@@ -44,7 +44,8 @@ from arithgroups.groups import (
 )
 from arithgroups.matrix import Mat
 from arithgroups.mpoly import MPoly
-from arithgroups.numberfield import chebotarev_scan, factor_prime
+from arithgroups.ideals import factor_prime
+from arithgroups.numberfield import chebotarev_scan
 from arithgroups.padics import PadicInt, hensel_lift, padic_add, padic_mul, tower_consistency
 from arithgroups.poly import Poly, factor_poly_mod_p, poly_gcd
 from arithgroups.primes import primes_upto

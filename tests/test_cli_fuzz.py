@@ -47,7 +47,8 @@ from arithgroups.catalog import (
 )
 from arithgroups.cli import dispatch
 from arithgroups.errors import DomainError, UsageError
-from arithgroups.numberfield import factor_prime, is_split
+from arithgroups.ideals import factor_prime
+from arithgroups.numberfield import is_split
 from arithgroups.primes import primes_upto
 
 hypothesis = pytest.importorskip("hypothesis")

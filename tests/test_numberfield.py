@@ -9,21 +9,19 @@ from arithgroups import numberfield
 from arithgroups.catalog import builtin_field, field_aliases
 from arithgroups.errors import DivisionByZero, ReducibleMinPoly, Unverified
 from arithgroups.matrix import Mat
-from arithgroups.numberfield import (
-    NumberField,
-    _split_by_character,
-    chebotarev_scan,
+from arithgroups.ideals import (
+    ExtField,
     crt_check,
     factor_prime,
-    is_split,
     nf_inverse,
     nf_mul,
     regular_representation,
     residue_field,
 )
+from arithgroups.numberfield import NumberField, _split_by_character, chebotarev_scan, is_split
 from arithgroups.poly import Poly, discriminant, factor_poly_mod_p, is_irreducible_mod_p
 from arithgroups.primes import WINDOW, primes_upto
-from arithgroups.rings import QQ, ExtField, IntegersMod
+from arithgroups.rings import QQ, IntegersMod
 
 
 @pytest.fixture(scope="module")

@@ -165,10 +165,13 @@ class ExtField:
 
 
 def _hensel_lift_pair(m_coeffs, a_coeffs, b_coeffs, p, target):
-    """Lift m = a*b (mod p), gcd(a,b)=1, to a factorization mod p^target.
+    """Lift m = a*b (mod p), gcd(a,b)=1, to a factorization mod target, a power of p.
 
     All polynomials monic, coefficients plain ints; returns (A, B) coefficient
-    lists with m = A*B mod p^target, A = a mod p, B = b mod p.
+    lists with m = A*B mod target, A = a mod p, B = b mod p.  The Bezout pair
+    s*A + t*B = 1 is lifted with the factors, so each step squares the
+    modulus (quadratic Hensel lifting).  Monic lifts are unique, so A and B
+    are those of the one-power-of-p-a-step lift.
     """
     ring = IntegersMod(p)
     ga, sa, ta = poly_xgcd(Poly(ring, a_coeffs), Poly(ring, b_coeffs))
@@ -178,17 +181,23 @@ def _hensel_lift_pair(m_coeffs, a_coeffs, b_coeffs, p, target):
     A, B = list(a_coeffs), list(b_coeffs)
     mod = p
     while mod < target:
-        mod *= p
+        mod = min(mod * mod, target)
         ringk = IntegersMod(mod)
         Pm = Poly(ringk, m_coeffs)
         PA, PB = Poly(ringk, A), Poly(ringk, B)
         Ps, Pt = Poly(ringk, s), Poly(ringk, t)
         delta = Pm - PA * PB
-        # correction: A += t*delta mod A ; B += s*delta mod B (classic step)
-        dA = (Pt * delta) % PA
-        dB = (Ps * delta) % PB
-        A = _pad([int(c) for c in (PA + dA).coeffs], len(A))
-        B = _pad([int(c) for c in (PB + dB).coeffs], len(B))
+        # correction: A += t*delta mod A ; B += s*delta mod B, exact to mod
+        # while s*A + t*B = 1 holds to its square root
+        PA = PA + (Pt * delta) % PA
+        PB = PB + (Ps * delta) % PB
+        A = _pad([int(c) for c in PA.coeffs], len(A))
+        B = _pad([int(c) for c in PB.coeffs], len(B))
+        if mod < target:
+            # Newton step: s*A + t*B = 1 + e becomes 1 - e^2 with s, t scaled by 1 - e
+            e = Ps * PA + Pt * PB - Poly(ringk, [1])
+            s = [int(c) for c in ((Ps - Ps * e) % PB).coeffs]
+            t = [int(c) for c in ((Pt - Pt * e) % PA).coeffs]
     return A, B
 
 

@@ -11,6 +11,7 @@ from arithgroups.errors import DivisionByZero, ReducibleMinPoly, Unverified
 from arithgroups.matrix import Mat
 from arithgroups.ideals import (
     ExtField,
+    _hensel_lift_pair,
     crt_check,
     factor_prime,
     nf_inverse,
@@ -19,7 +20,7 @@ from arithgroups.ideals import (
     residue_field,
 )
 from arithgroups.numberfield import NumberField, _split_by_character, chebotarev_scan, is_split
-from arithgroups.poly import Poly, discriminant, factor_poly_mod_p, is_irreducible_mod_p
+from arithgroups.poly import Poly, discriminant, factor_poly_mod_p, is_irreducible_mod_p, poly_xgcd
 from arithgroups.primes import WINDOW, primes_upto
 from arithgroups.rings import QQ, IntegersMod
 
@@ -306,6 +307,63 @@ def test_large_integer_root_is_found_fast():
     m = Poly(QQ, [3, 1]) * Poly(QQ, [-7, 0, 1]) * Poly(QQ, [2, 0, 0, 1])
     with pytest.raises(ReducibleMinPoly, match="rational root -3$"):
         NumberField(m.coeffs)    # degree 6: a rational root still decides
+
+
+def linear_hensel_lift_pair(m_coeffs, a_coeffs, b_coeffs, p, target):
+    """The lift one power of p a step, with the Bezout pair fixed mod p."""
+    ring = IntegersMod(p)
+    ga, sa, ta = poly_xgcd(Poly(ring, a_coeffs), Poly(ring, b_coeffs))
+    assert ga.degree == 0
+    A, B = list(a_coeffs), list(b_coeffs)
+    mod = p
+    while mod < target:
+        mod *= p
+        ringk = IntegersMod(mod)
+        PA, PB = Poly(ringk, A), Poly(ringk, B)
+        delta = Poly(ringk, m_coeffs) - PA * PB
+        dA = (Poly(ringk, ta.coeffs) * delta) % PA
+        dB = (Poly(ringk, sa.coeffs) * delta) % PB
+        A = [int(c) for c in (PA + dA).coeffs] + [0] * (len(A) - PA.degree - 1)
+        B = [int(c) for c in (PB + dB).coeffs] + [0] * (len(B) - PB.degree - 1)
+    return A, B
+
+
+def test_quadratic_hensel_lift_matches_the_linear_lift():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def lifts(draw):
+        """(m, a, b, p, target): monic a, b coprime mod p, m = a*b mod p, target p^1..p^64."""
+        p = draw(st.sampled_from((2, 3, 5, 7, 13)))
+        ring = IntegersMod(p)
+
+        def monic(degree):
+            return Poly(ring, draw(st.lists(st.integers(0, p - 1), min_size=degree,
+                                            max_size=degree)) + [1])
+
+        a = monic(draw(st.integers(1, 4)))
+        b = monic(draw(st.integers(1, 4)))
+        hypothesis.assume(poly_xgcd(a, b)[0].degree == 0)
+        # m is a*b plus p times an integer polynomial of lower degree
+        d = a.degree + b.degree
+        noise = draw(st.lists(st.integers(-10 ** 40, 10 ** 40), min_size=d, max_size=d))
+        m = [int(c) + p * e for c, e in zip((a * b).coeffs, noise + [0])]
+        target = p ** draw(st.integers(1, 64))
+        return m, [int(c) for c in a.coeffs], [int(c) for c in b.coeffs], p, target
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(lifts())
+    @hypothesis.example(([-10 ** 30, 1, -10 ** 30, 1], [2, 1], [1, 0, 1], 3, 3 ** 63))
+    def check(case):
+        m, a, b, p, target = case
+        A, B = _hensel_lift_pair(m, a, b, p, target)
+        assert (A, B) == linear_hensel_lift_pair(m, a, b, p, target)
+        ring = IntegersMod(target)
+        assert Poly(ring, m) == Poly(ring, A) * Poly(ring, B)
+        assert [c % p for c in A] == a and [c % p for c in B] == b
+
+    check()
 
 
 def test_reducible_min_poly_names_the_least_integer_root():

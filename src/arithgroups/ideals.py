@@ -14,9 +14,8 @@ reducible m among products of the lifts, for NumberField's irreducibility
 check.  NFElement is an element of the field in the power basis, with its
 product, inverse and regular representation.
 
-numberfield.py holds the field and its splitting test, which a Chebotarev
-scan runs; it imports from here only inside the functions that need this
-layer, so a scan does not compile it.
+numberfield imports this module only inside the functions that use it, so a
+Chebotarev scan does not compile it.
 """
 
 from collections import namedtuple

@@ -47,6 +47,7 @@ COMPUTE_MODULES = {
     "arithgroups.congruence",
     "arithgroups.density",
     "arithgroups.groups",
+    "arithgroups.ideals",
     "arithgroups.mpoly",
     "arithgroups.numberfield",
     "arithgroups.padics",
@@ -201,6 +202,28 @@ def test_min_poly_check_loads_no_padics(tmp_path, minpoly, returncode):
                                 "--catalog", str(catalog), returncode=returncode)
     assert "arithgroups.numberfield" in modules
     assert "arithgroups.padics" not in modules
+
+
+@pytest.mark.parametrize("argv, catalog, loads_ideals", [
+    (("nf", "chebotarev", "--field", "qi", "--bound", "100000"), None, False),
+    (("nf", "chebotarev", "--field", "qsqrt2", "--bound", "100000"), None, False),
+    (("nf", "chebotarev", "--field", "qcbrt2", "--bound", "100000"), None, False),
+    (("nf", "chebotarev", "--field", "zeta5", "--bound", "100000"), None, False),
+    (("nf", "factor", "--field", "qcbrt2", "--prime", "5"), None, True),
+    (("nf", "signature", "--field", "k"), "name=k\nminpoly=1,0,0,0,1\n", True),
+], ids=["chebotarev-qi", "chebotarev-qsqrt2", "chebotarev-qcbrt2", "chebotarev-zeta5",
+        "factor", "x4+1"])
+def test_only_factoring_loads_the_ideal_layer(tmp_path, argv, catalog, loads_ideals):
+    # a scan decides splitting by the character and the Frobenius test; x^4 + 1
+    # is reducible mod every prime, so only the factor search proves it irreducible
+    if catalog is not None:
+        path = tmp_path / "fields.catalog"
+        path.write_text(catalog, encoding="utf-8")
+        argv += ("--catalog", str(path))
+    _, modules = loaded_modules(tmp_path, *argv)
+    assert "arithgroups.numberfield" in modules
+    assert ("arithgroups.ideals" in modules) == loads_ideals
+
 
 def test_cold_density_check_loads_no_congruence_code(tmp_path):
     # the verdict runs no closure: congruence is imported by the functions that close groups

@@ -354,7 +354,7 @@ def test_quadratic_hensel_lift_matches_the_linear_lift():
 
     @hypothesis.settings(max_examples=150, deadline=None)
     @hypothesis.given(lifts())
-    @hypothesis.example(([-10 ** 30, 1, -10 ** 30, 1], [2, 1], [1, 0, 1], 3, 3 ** 63))
+    @hypothesis.example(([-10 ** 30, 1, -10 ** 30, 1], [2, 1], [1, 0, 1], 3, 3 ** 64))
     def check(case):
         m, a, b, p, target = case
         A, B = _hensel_lift_pair(m, a, b, p, target)

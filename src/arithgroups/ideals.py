@@ -170,7 +170,7 @@ def _hensel_lift_pair(m_coeffs, a_coeffs, b_coeffs, p, target):
     lists with m = A*B mod target, A = a mod p, B = b mod p.  The Bezout pair
     s*A + t*B = 1 is lifted with the factors, so each step squares the
     modulus (quadratic Hensel lifting).  Monic lifts are unique, so A and B
-    are those of the one-power-of-p-a-step lift.
+    do not depend on how the modulus grows.
     """
     ring = IntegersMod(p)
     ga, sa, ta = poly_xgcd(Poly(ring, a_coeffs), Poly(ring, b_coeffs))

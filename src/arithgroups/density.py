@@ -234,7 +234,7 @@ def _adjoint_matrix(g, ginv, basis):
     cols = []
     for b in basis:
         conj = g * b * ginv
-        coords = solve_in_span(QQ, vecs, conj.flat())
+        coords = solve_in_span(vecs, conj.flat())
         if coords is None:
             raise NotStabilizing("conjugation does not preserve the span of the Lie algebra")
         cols.append(coords)
@@ -260,7 +260,7 @@ def _ad_span(basis, pairs):
     """ad_span(basis, gens), given pairs = _symmetrized(gens)."""
     dim = len(basis)
     width = dim * dim
-    tracker = SpanTracker(QQ)
+    tracker = SpanTracker()
     ident = Mat.identity(QQ, dim)
     tracker.add(ident.flat())
     sym = []
@@ -319,7 +319,7 @@ def _common_eigenvector(gens):
         x, y = shifted[0] if any(shifted[0]) else shifted[1]
         if all((h00 * y - h01 * x) * x == (h11 * x - h10 * y) * y
                for (h00, h01), (h10, h11) in (h.rows for h in gens)):
-            return (f"Q (eigenvalue {lam})", kernel_basis(QQ, shifted)[0])
+            return (f"Q (eigenvalue {lam})", kernel_basis(shifted)[0])
     return None
 
 

@@ -10,8 +10,8 @@ adjoint action and sl_2's basis as a constant.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from itertools import combinations, permutations
+from math import gcd
 
 from .errors import (
     BadReduction,
@@ -23,7 +23,7 @@ from .errors import (
 )
 from .matrix import Mat, kernel_basis, rref, solve_in_span
 from .mpoly import MPoly, eval_matrix
-from .rings import QQ, IntegersMod
+from .rings import QQ, IntegersMod, integral
 
 
 def var_index(i, j, n):
@@ -41,10 +41,10 @@ class GroupPresentation(namedtuple("GroupPresentation", ["n", "polys", "label"])
                 raise ValueError(f"identity violates a defining polynomial of {label}")
         return super().__new__(cls, n, polys, label)
 
-    def satisfied_by(self, mat, ring=QQ):
-        """True when every defining polynomial vanishes on the matrix."""
+    def satisfied_by(self, mat):
+        """True when every defining polynomial vanishes on the rational matrix."""
         flat = mat.flat() if isinstance(mat, Mat) else tuple(mat)
-        return all(P.eval(flat, ring) == ring.zero for P in self.polys)
+        return all(P.eval(flat) == 0 for P in self.polys)
 
 
 def _perm_sign(perm):
@@ -111,7 +111,7 @@ def form_group(P):
     polys = []
     for a in range(n):
         for b in range(n):
-            acc = MPoly.const(nv, -Fraction(P.rows[a][b]))
+            acc = MPoly.const(nv, -P.rows[a][b])
             for i in range(n):
                 for j in range(n):
                     c = P.rows[i][j]
@@ -149,7 +149,7 @@ def _closure_structure(basis):
         row = []
         for j, bj in enumerate(basis):
             target = lie_bracket(bi, bj).flat()
-            coords = solve_in_span(QQ, vecs, target)
+            coords = solve_in_span(vecs, target)
             if coords is None:
                 raise BracketNotClosed(
                     f"[b{i}, b{j}] lies outside the span: the input is not a group presentation"
@@ -172,7 +172,7 @@ def tangent_space_at_identity(pres):
     for P in pres.polys:
         rows.append(tuple(P.deriv(k).eval(ident) for k in range(nv)))
     if rows:
-        basis_vecs = kernel_basis(QQ, rows)
+        basis_vecs = kernel_basis(rows)
     else:
         basis_vecs = [tuple(QQ.one if k == t else QQ.zero for k in range(nv)) for t in range(nv)]
     basis = tuple(
@@ -218,7 +218,7 @@ def is_solvable_lie(L):
             for j in range(i + 1, len(mats)):
                 brackets.append(lie_bracket(mats[i], mats[j]))
         vecs = [b.flat() for b in brackets]
-        reduced, _ = rref(QQ, vecs)
+        reduced, _ = rref(vecs)
         if len(reduced) == dims[-1]:
             return SolvabilityReport(solvable=False, series_dims=tuple(dims))
         dims.append(len(reduced))
@@ -275,7 +275,7 @@ def restriction_of_scalars(G, K):
     for _ in range(d - 1):
         alpha_pows.append(alpha_pows[-1] * alpha)
     rho_vecs = [regular_representation(h).flat() for h in alpha_pows]
-    functionals = kernel_basis(QQ, rho_vecs)
+    functionals = kernel_basis(rho_vecs)
     functionals = [_primitive(vec) for vec in functionals]
 
     fam2 = []
@@ -306,20 +306,13 @@ def restriction_of_scalars(G, K):
 
 def _primitive(vec):
     """Scale a rational vector to coprime integers with positive lead."""
-    from math import gcd, lcm
-
-    fr = [Fraction(x) for x in vec]
-    denom = lcm(*(f.denominator for f in fr)) if fr else 1
-    ints = [int(f * denom) for f in fr]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g:
-        ints = [x // g for x in ints]
-    lead = next((x for x in ints if x != 0), 1)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+    (ints,), _ = integral([vec])
+    g = gcd(*ints)
+    if not g:
+        return tuple(ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
 
 
 def ros_point(K, entries):
@@ -329,7 +322,7 @@ def ros_point(K, entries):
     n = len(entries)
     d = K.degree
     N = n * d
-    out = [[Fraction(0)] * N for _ in range(N)]
+    out = [[0] * N for _ in range(N)]
     for s in range(n):
         for t in range(n):
             rho = regular_representation(entries[s][t])

@@ -132,8 +132,6 @@ class ExtField:
         return self._reduce(tuple(out))
 
     def inv(self, a):
-        from .poly import Poly, poly_xgcd
-
         if all(c == 0 for c in a):
             raise NotInvertible("0 has no inverse")
         ring = IntegersMod(self.p)
@@ -145,8 +143,6 @@ class ExtField:
 
     def elements(self):
         """All p^f elements, lexicographic by coefficient tuple."""
-        from itertools import product
-
         return [tuple(t) for t in product(range(self.p), repeat=self.f)]
 
     def __repr__(self):

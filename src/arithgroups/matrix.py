@@ -1,4 +1,4 @@
-"""Exact dense matrices over Q, Z/m, or an extension field.
+"""Exact dense matrices over Q or Z/m, and linear algebra over Q.
 
 Matrices are immutable; every operation returns a fresh value, so instances
 can be shared freely between concurrent scans.  The determinant and the
@@ -6,17 +6,18 @@ inverse, over Q and Z/m (prime or composite), and rref over Q (with the
 kernels and solutions built on it) come from one fraction-free elimination on
 an integer lift of the matrix.  Over Q each result is divided out once, at
 the end, through rings.rational, so no Fraction is made unless a result is
-not an integer.  Over Z/p and an extension field rref is Gauss-Jordan
-elimination in the field.
+not an integer.
 """
 
-from math import gcd, lcm
+from math import gcd
 
 from .errors import NotInvertible
-from .rings import IntegersMod, Rationals, rational
+from .rings import IntegersMod, integral, rational
 
 
 class Mat:
+    """An immutable matrix over QQ or IntegersMod(m), rows of canonical elements."""
+
     __slots__ = ("ring", "rows")
 
     def __init__(self, ring, rows):
@@ -157,13 +158,7 @@ class Mat:
         """
         if isinstance(self.ring, IntegersMod):
             return [list(row) for row in self.rows], 1
-        return _integral(self.rows)
-
-
-def _integral(rows):
-    """(B, D) with B = D * rows an integer matrix, D the lcm of the rationals' denominators."""
-    scale = lcm(*(x.denominator for row in rows for x in row))
-    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
+        return integral(self.rows)
 
 
 def _fraction_free(rows, width):
@@ -203,67 +198,43 @@ def _fraction_free(rows, width):
     return d, pivots
 
 
-def rref(ring, rows):
-    """Reduced row echelon form over a field; returns (rows, pivot columns).
+def rref(rows):
+    """Reduced row echelon form over Q; returns (rows, pivot columns).
 
-    Over Q the elimination is fraction-free and each pivot row is divided by
-    the common pivot once, so an entry is an int exactly when it is integral.
+    The elimination is fraction-free and each pivot row is divided by the
+    common pivot once, so an entry is an int exactly when it is integral.
     """
-    if isinstance(ring, Rationals):
-        rows, _ = _integral(rows)
-        d, pivots = _fraction_free(rows, len(rows[0]) if rows else 0)
-        return [tuple(rational(x, d) for x in row) for row in rows[:len(pivots)]], pivots
-    rows = [list(r) for r in rows]
-    nr = len(rows)
-    nc = len(rows[0]) if rows else 0
-    pivots = []
-    rank = 0
-    for col in range(nc):
-        piv = next((i for i in range(rank, nr) if rows[i][col] != ring.zero), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = ring.inv(rows[rank][col])
-        rows[rank] = [ring.mul(inv, x) for x in rows[rank]]
-        for i in range(nr):
-            if i != rank and rows[i][col] != ring.zero:
-                f = rows[i][col]
-                rows[i] = [ring.sub(a, ring.mul(f, b)) for a, b in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == nr:
-            break
-    return [tuple(r) for r in rows[:rank]], pivots
+    rows, _ = integral(rows)
+    d, pivots = _fraction_free(rows, len(rows[0]) if rows else 0)
+    return [tuple(rational(x, d) for x in row) for row in rows[:len(pivots)]], pivots
 
 
-def kernel_basis(ring, rows):
-    """Basis of the right kernel of a matrix over a field, in rref order."""
+def kernel_basis(rows):
+    """Basis of the right kernel of a rational matrix, in rref order."""
     if not rows:
         return []
     nc = len(rows[0])
-    red, pivots = rref(ring, rows)
+    red, pivots = rref(rows)
     free = [c for c in range(nc) if c not in pivots]
     basis = []
     for fc in free:
-        vec = [ring.zero] * nc
-        vec[fc] = ring.one
+        vec = [0] * nc
+        vec[fc] = 1
         for r, pc in zip(red, pivots):
-            vec[pc] = ring.neg(r[fc])
+            vec[pc] = -r[fc]
         basis.append(tuple(vec))
     return basis
 
 
 class SpanTracker:
-    """Incremental row-space tracker over a field (dimension queries only).
+    """Incremental row-space tracker over Q (dimension queries only).
 
     pivots maps each pivot column to a row of the span that is 0 in the pivot
-    columns before it.  Over Q the rows are primitive integer vectors, reduced
-    by cross-multiplication, so a vector of ints makes no Fraction; over any
-    other field they are scaled to a leading 1.
+    columns before it.  The rows are primitive integer vectors, reduced by
+    cross-multiplication, so a vector of ints makes no Fraction.
     """
 
-    def __init__(self, ring):
-        self.ring = ring
+    def __init__(self):
         self.pivots = {}
 
     @property
@@ -272,23 +243,7 @@ class SpanTracker:
 
     def add(self, vec):
         """Reduce vec against the span; returns True when the span grew."""
-        r = self.ring
-        if isinstance(r, Rationals):
-            return self._add_integral(_integral([vec])[0][0])
-        v = list(vec)
-        for col in sorted(self.pivots):
-            if v[col] != r.zero:
-                c = v[col]
-                pivrow = self.pivots[col]
-                v = [r.sub(a, r.mul(c, b)) for a, b in zip(v, pivrow)]
-        lead = next((i for i, x in enumerate(v) if x != r.zero), None)
-        if lead is None:
-            return False
-        inv = r.inv(v[lead])
-        self.pivots[lead] = tuple(r.mul(inv, x) for x in v)
-        return True
-
-    def _add_integral(self, v):
+        (v,), _ = integral([vec])
         for col in sorted(self.pivots):
             if v[col]:
                 pivrow = self.pivots[col]
@@ -303,18 +258,18 @@ class SpanTracker:
         return True
 
 
-def solve_in_span(ring, basis_vecs, target):
-    """Coordinates of target in the span of basis_vecs, or None.
+def solve_in_span(basis_vecs, target):
+    """Coordinates of the rational target in the span of basis_vecs, or None.
 
     Solves B^T c = target by elimination; basis_vecs need not be echelonized.
     """
     if not basis_vecs:
-        return None if any(x != ring.zero for x in target) else ()
+        return None if any(target) else ()
     k = len(basis_vecs)
     width = len(basis_vecs[0])
     aug = [[basis_vecs[j][i] for j in range(k)] + [target[i]] for i in range(width)]
-    red, pivots = rref(ring, aug)
-    coords = [ring.zero] * k
+    red, pivots = rref(aug)
+    coords = [0] * k
     for row, pc in zip(red, pivots):
         if pc == k:
             return None  # inconsistent

@@ -5,8 +5,6 @@ Group presentations flatten the n x n coordinates x_ij row-major, so variable
 k corresponds to x_{k//n, k%n}.
 """
 
-from fractions import Fraction
-
 from .rings import QQ, IntegersMod
 
 
@@ -54,7 +52,7 @@ class MPoly:
         return f"MPoly({self.nvars}, {self.terms})"
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, MPoly):
             other = MPoly.const(self.nvars, other)
         out = dict(self.terms)
         for e, c in other.terms.items():
@@ -62,7 +60,7 @@ class MPoly:
         return MPoly(self.nvars, out)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, MPoly):
             other = MPoly.const(self.nvars, other)
         out = dict(self.terms)
         for e, c in other.terms.items():
@@ -73,7 +71,7 @@ class MPoly:
         return MPoly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, MPoly):
             return MPoly(self.nvars, {e: c * other for e, c in self.terms.items()})
         out = {}
         for e1, c1 in self.terms.items():
@@ -107,14 +105,14 @@ class MPoly:
     def denominator_lcm(self):
         from math import lcm
 
-        return lcm(*(Fraction(c).denominator for c in self.terms.values())) if self.terms else 1
+        return lcm(*(c.denominator for c in self.terms.values()))
 
     def reduce_mod(self, p):
         """Coefficients reduced mod p; denominators must be prime to p."""
         ring = IntegersMod(p)
         out = {}
         for e, c in self.terms.items():
-            r = ring.from_rational(Fraction(c))
+            r = ring.from_rational(c)
             if r:
                 out[e] = r
         return MPoly(self.nvars, out)
@@ -125,11 +123,13 @@ class MPoly:
             return "0"
         items = sorted(self.terms.items())
         return " ".join(
-            ",".join(str(x) for x in e) + ":" + _frac_str(c) for e, c in items
+            ",".join(str(x) for x in e) + ":" + str(c) for e, c in items
         )
 
     @staticmethod
     def decode(nvars, text):
+        from fractions import Fraction
+
         text = text.strip()
         if text == "0":
             return MPoly(nvars)
@@ -145,13 +145,8 @@ def _coerce_coeff(c, ring):
     if ring is QQ or isinstance(ring, type(QQ)):
         return QQ.canon(c)
     if isinstance(ring, IntegersMod):
-        return ring.from_rational(Fraction(c))
+        return ring.from_rational(c)
     return ring.canon(c)
-
-
-def _frac_str(c):
-    f = Fraction(c)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 def eval_matrix(poly, blocks, d, out_nvars):

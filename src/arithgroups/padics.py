@@ -3,11 +3,12 @@
 A PadicInt is a fixed-precision value: exactly N digits a_0..a_{N-1} in
 [0, p), representing sum a_i p^i mod p^N.  Operations demand matching p and N
 and return canonical digit tuples, so values are immutable and comparable.
+A rational is an int or a Fraction, read through its numerator and
+denominator, so this module makes no Fraction and does not import fractions.
 """
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 
 from .errors import NotARoot, NotUnit, PrecisionMismatch, SingularRoot
 
@@ -16,7 +17,6 @@ INFINITY = math.inf
 
 def vp(x, p):
     """p-adic valuation of a rational; vp(0) is the +infinity sentinel."""
-    x = Fraction(x)
     if x == 0:
         return INFINITY
     t = 0
@@ -49,12 +49,10 @@ class PadicInt(namedtuple("PadicInt", ["p", "precision", "digits"])):
     @staticmethod
     def from_rational(value, p, precision):
         """Embed a rational with denominator prime to p."""
-        q = Fraction(value)
-        if q.denominator % p == 0:
+        if value.denominator % p == 0:
             raise NotUnit(f"denominator divisible by {p}; not a p-adic integer")
-        mod = p ** precision
-        residue = q.numerator * pow(q.denominator, -1, mod) % mod
-        return PadicInt(p, precision, _digits(residue, p, precision))
+        residue = value.numerator * pow(value.denominator, -1, p ** precision)
+        return PadicInt.from_int(residue, p, precision)
 
     def value(self):
         """Canonical integer representative in [0, p^N)."""
@@ -138,12 +136,15 @@ class PadicNumber(namedtuple("PadicNumber", ["valuation", "unit"])):
 
     @staticmethod
     def from_rational(value, p, precision):
-        q = Fraction(value)
-        if q == 0:
+        if value == 0:
             return PadicNumber(INFINITY, None)
-        t = vp(q, p)
-        u = q / Fraction(p) ** t
-        return PadicNumber(t, PadicInt.from_rational(u, p, precision))
+        t = vp(value, p)
+        num, den = value.numerator, value.denominator
+        if t >= 0:
+            num //= p ** t
+        else:
+            den //= p ** -t
+        return PadicNumber(t, PadicInt.from_int(num * pow(den, -1, p ** precision), p, precision))
 
     def is_zero(self):
         return self.unit is None

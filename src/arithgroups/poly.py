@@ -8,10 +8,10 @@ the Sturm chain of rational polynomials are computed over Z by
 pseudo-remainders, so integer polynomials make no Fraction there.
 """
 
-from math import gcd, lcm
+from math import gcd
 
 from .errors import NonSquarefree
-from .rings import QQ, IntegersMod, rational
+from .rings import QQ, IntegersMod, integral, rational
 
 
 class Poly:
@@ -305,7 +305,7 @@ def sturm_real_root_count(f):
         raise ValueError("Sturm count expects a rational polynomial")
     if f.degree <= 0:
         return 0
-    a = _integer_lift(f.coeffs)[1]
+    (a,), _ = integral([f.coeffs])
     chain = [a, [i * c for i, c in enumerate(a)][1:]]
     while len(chain[-1]) > 1:
         b = chain[-1]
@@ -322,12 +322,6 @@ def sturm_real_root_count(f):
     pos = [1 if c[-1] > 0 else -1 for c in chain]
     neg = [s if len(c) % 2 else -s for s, c in zip(pos, chain)]
     return sum(x != y for x, y in zip(neg, neg[1:])) - sum(x != y for x, y in zip(pos, pos[1:]))
-
-
-def _integer_lift(coeffs):
-    """(u, a): u > 0 the least common denominator of the rationals coeffs, a = u * coeffs as ints."""
-    u = lcm(*(c.denominator for c in coeffs))
-    return u, [c.numerator * (u // c.denominator) for c in coeffs]
 
 
 def _prem(a, b):
@@ -390,8 +384,8 @@ def resultant(f, g):
     n, m = f.degree, g.degree
     if n == 0 or m == 0:
         return QQ.canon(f.coeffs[0] ** m if n == 0 else g.coeffs[0] ** n)
-    u, a = _integer_lift(f.coeffs)
-    v, b = _integer_lift(g.coeffs)
+    (a,), u = integral([f.coeffs])
+    (b,), v = integral([g.coeffs])
     return rational(_subresultant(a, b), u ** m * v ** n)
 
 

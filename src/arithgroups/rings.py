@@ -10,8 +10,12 @@ Python values so they hash and compare cheaply:
 All values are immutable and safe to share between tasks.  fractions is
 imported only where a non-integral rational first appears, by rational and
 _ratcanon, so arithmetic on integral values never loads it; a rational is
-told from an int by its denominator, which ints also have.
+told from an int by its denominator, which ints also have.  integral is the
+one lift of rational rows to integer rows, shared by the matrix, polynomial
+and group layers.
 """
+
+from math import gcd, lcm
 
 from .errors import NotInvertible, OutOfRange
 from .primes import is_prime
@@ -24,6 +28,12 @@ def rational(a, b):
     from fractions import Fraction
 
     return Fraction(a, b)
+
+
+def integral(rows):
+    """(B, D) with B = D * rows an integer matrix, D the lcm of the rationals' denominators."""
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
 
 
 def _ratcanon(x):
@@ -121,8 +131,6 @@ class IntegersMod:
             raise NotInvertible(f"{a} is not a unit mod {self.m}") from None
 
     def is_unit(self, a):
-        from math import gcd
-
         return gcd(a % self.m, self.m) == 1
 
     zero = 0

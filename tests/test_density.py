@@ -226,7 +226,7 @@ def conjugation_span_oracle(gens, words_depth=4):
         for b in basis:
             vec.extend(coords(w * b * winv))
         vectors.append(tuple(vec))
-    reduced, _ = rref(QQ, vectors)
+    reduced, _ = rref(vectors)
     return len(reduced)
 
 
@@ -451,7 +451,7 @@ def test_common_rational_line_matches_field_elimination(seed):
         lam, v = fixed[0]
         assert found == (f"Q (eigenvalue {lam})", v)
         assert [type(x) for x in found[1]] == [type(x) for x in v]
-        assert found[1] == kernel_basis(QQ, [[QQ.sub(a, lam), b], [c, QQ.sub(d, lam)]])[0]
+        assert found[1] == kernel_basis([[QQ.sub(a, lam), b], [c, QQ.sub(d, lam)]])[0]
         rational_lines += 1
     assert rational_lines > 100
 

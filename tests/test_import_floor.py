@@ -14,7 +14,10 @@ the resultant and the Sturm chain are computed over Z, and the Chebotarev
 ratios are strings.  A command on a generator file with an entry such as 1/2
 does, and so may a density verdict on integers whose printed common line has
 such an entry, with the bytes it always printed, and a certificate with a
-coefficient such as -4/2.  No command loads
+coefficient such as -4/2.  Nor does a `group lie`, `group reduce` or `group
+ros --field qi` command on a built-in presentation: the polynomials keep
+int coefficients, and the spans, kernels and primitive functionals are
+lifted to integers once.  No command loads
 dataclasses, the number-field commands load no matrix layer and `density
 check` loads no congruence code.
 Checking a minimal polynomial, to reject it or to build its field, loads no
@@ -294,6 +297,23 @@ def test_only_a_non_integral_entry_loads_fractions(tmp_path, argv, gens):
         assert "fractions" in modules
     else:
         assert not modules & RATIONALS
+
+
+@pytest.mark.parametrize("argv", [
+    ("group", "lie", "--preset", "sl2"),
+    ("group", "lie", "--preset", "so3"),
+    ("group", "lie", "--preset", "sp2"),
+    ("group", "reduce", "--preset", "sl2", "--prime", "5"),
+    ("group", "ros", "--field", "qi", "--preset", "mult"),
+    ("group", "ros", "--field", "qi", "--preset", "sl2"),
+], ids=["lie-sl2", "lie-so3", "lie-sp2", "reduce-sl2", "ros-qi-mult", "ros-qi-sl2"])
+def test_group_command_on_a_preset_loads_no_fractions(tmp_path, argv):
+    # canonical rationals are read through their numerators and denominators,
+    # so an integral presentation and its tangent space make no Fraction
+    out, modules = loaded_modules(tmp_path, *argv)
+    assert out.strip() != b""
+    assert {"arithgroups.groups", "arithgroups.mpoly"} <= modules
+    assert not modules & RATIONALS
 
 
 DICHOTOMY_COMMANDS = {

@@ -81,18 +81,18 @@ def test_matrices_immutable_and_hashable():
 
 def test_rref_and_kernel():
     rows = [(1, 0, 0, 1)]  # trace functional on 2x2
-    basis = kernel_basis(QQ, rows)
+    basis = kernel_basis(rows)
     assert len(basis) == 3
     for vec in basis:
         assert vec[0] + vec[3] == 0
-    red, piv = rref(QQ, [(2, 4), (1, 2)])
+    red, piv = rref([(2, 4), (1, 2)])
     assert red == [(1, 2)] and piv == [0]
 
 
 def test_solve_in_span():
     basis = [(1, 0, 1), (0, 1, 1)]
-    assert solve_in_span(QQ, basis, (2, 3, 5)) == (2, 3)
-    assert solve_in_span(QQ, basis, (0, 0, 1)) is None
+    assert solve_in_span(basis, (2, 3, 5)) == (2, 3)
+    assert solve_in_span(basis, (0, 0, 1)) is None
 
 
 def test_pow_negative_exponent():
@@ -250,21 +250,21 @@ def test_rational_elimination_matches_field_gauss_jordan(seed):
     rng = random.Random(seed)
     for _ in range(500):
         rows = random_rational_rows(rng)
-        red, pivots = rref(QQ, rows)
+        red, pivots = rref(rows)
         want, want_pivots = field_rref(rows)
         assert (red, pivots) == (want, want_pivots)
         assert types(red) == types(want)
         if not rows:
             continue
-        kernel, want = kernel_basis(QQ, rows), field_kernel(rows)
+        kernel, want = kernel_basis(rows), field_kernel(rows)
         assert kernel == want and types(kernel) == types(want)
         target = ([sum(c * v[i] for c, v in zip(range(1, 7), rows)) for i in range(len(rows[0]))]
                   if rng.random() < 0.5 else [random_rational(rng) for _ in rows[0]])
-        coords = solve_in_span(QQ, rows, target)
+        coords = solve_in_span(rows, target)
         want = field_solve(rows, target)
         assert coords == want
         assert coords is None or types([coords]) == types([want])
-        tracker = SpanTracker(QQ)
+        tracker = SpanTracker()
         for i, row in enumerate(rows):
             before = tracker.dim
             grew = tracker.add(row)

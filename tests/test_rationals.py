@@ -4,7 +4,9 @@ A generator file's integer literals are read as ints and every other token as
 Fraction reads it, with the same errors; Mat.det, Mat.inverse and QQ.inv over
 Q give what Fraction arithmetic gives, as an int exactly when it is integral.
 So integral work never needs fractions, and keys built from ints are the keys
-built from integral Fractions.
+built from integral Fractions.  A primitive integer vector, a polynomial's
+encoded coefficients and its denominator lcm, read straight off canonical
+rationals, are what the Fraction formulas they replaced gave.
 """
 
 import os
@@ -12,6 +14,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -19,7 +22,9 @@ import pytest
 from arithgroups import cli
 from arithgroups.catalog import read_generator_file, read_group
 from arithgroups.errors import UsageError
+from arithgroups.groups import _primitive
 from arithgroups.matrix import Mat
+from arithgroups.mpoly import MPoly
 from arithgroups.report import ScanCache
 from arithgroups.rings import QQ
 
@@ -146,6 +151,54 @@ def test_det_inverse_and_inv_over_q_are_fraction_arithmetic_as_int_when_integral
         x = data.draw(entries)
         if x:
             assert_exact(QQ.inv(x), 1 / Fraction(x))
+
+    check()
+
+
+def fraction_primitive(vec):
+    """vec scaled to coprime integers with positive lead, through Fraction."""
+    fr = [Fraction(x) for x in vec]
+    denom = lcm(*(f.denominator for f in fr)) if fr else 1
+    ints = [int(f * denom) for f in fr]
+    g = 0
+    for x in ints:
+        g = gcd(g, x)
+    if g:
+        ints = [x // g for x in ints]
+    lead = next((x for x in ints if x != 0), 1)
+    if lead < 0:
+        ints = [-x for x in ints]
+    return tuple(ints)
+
+
+def fraction_text(c):
+    f = Fraction(c)
+    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+
+def test_primitive_vectors_and_encoded_coefficients_are_the_fraction_formulas():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    rationals = st.one_of(
+        st.integers(-3, 3),
+        st.fractions(min_value=-3, max_value=3, max_denominator=6),
+        st.integers(-10 ** 12, 10 ** 12),
+        st.fractions(max_denominator=10 ** 9),
+    ).map(QQ.canon)
+    monomials = st.tuples(st.integers(0, 3), st.integers(0, 3))
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.lists(rationals, max_size=6), st.dictionaries(monomials, rationals, max_size=6))
+    def check(vec, terms):
+        got = _primitive(vec)
+        assert got == fraction_primitive(vec)
+        assert all(type(x) is int for x in got)
+        P = MPoly(2, terms)
+        items = sorted(P.terms.items())
+        want = " ".join(",".join(str(x) for x in e) + ":" + fraction_text(c) for e, c in items)
+        assert P.encode() == (want or "0")
+        assert MPoly.decode(2, P.encode()) == P
+        assert P.denominator_lcm() == lcm(*(Fraction(c).denominator for c in P.terms.values()))
 
     check()
 

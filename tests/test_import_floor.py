@@ -14,10 +14,10 @@ the resultant and the Sturm chain are computed over Z, and the Chebotarev
 ratios are strings.  A command on a generator file with an entry such as 1/2
 does, and so may a density verdict on integers whose printed common line has
 such an entry, with the bytes it always printed, and a certificate with a
-coefficient such as -4/2.  Nor does a `group lie`, `group reduce` or `group
-ros --field qi` command on a built-in presentation: the polynomials keep
-int coefficients, and the spans, kernels and primitive functionals are
-lifted to integers once.  No command loads
+coefficient such as -4/2.  No `group lie`, `group reduce` or `group ros
+--field qi` command on a built-in presentation loads it either: the
+polynomials keep int coefficients, and the spans, kernels and primitive
+functionals are lifted to integers once.  No command loads
 dataclasses, the number-field commands load no matrix layer and `density
 check` loads no congruence code.
 Checking a minimal polynomial, to reject it or to build its field, loads no

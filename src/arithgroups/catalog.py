@@ -203,7 +203,8 @@ def _parse_automorphisms(text):
 
 def _rational_token(tok):
     # int accepts more than [+-]?[0-9]+ (underscores, non-ASCII digits), so
-    # every other token goes to Fraction, whose grammar the file format keeps
+    # every other token goes to Fraction, whose grammar the file format and
+    # padic eval's --value keep
     digits = tok[1:] if tok[:1] in ("+", "-") else tok
     if digits.isascii() and digits.isdigit():
         return int(tok)

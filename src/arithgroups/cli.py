@@ -9,11 +9,11 @@ cached scan, inside the compute() it hands to cached_scan), so that
 `--version` and a cache hit load only argv parsing, the catalog and the cache.
 A cached scan reads its groups as exact rows and builds them inside compute(),
 so a hit loads no matrix layer either.  Nor do `--version`, a hit on a
-built-in group or field, or a `cong`, `density` or `lubotzky` command on an
-integral group import fractions: a built-in group's rows and a generator
-file's integer tokens are ints, and the matrix layer keeps integral values as
-ints, so none of them makes a Fraction, unless a NOT_DENSE line it prints has
-a non-integral entry.
+built-in group or field, a `cong`, `density` or `lubotzky` command on an
+integral group, or a `padic eval` of an integer import fractions: a built-in
+group's rows, a generator file's integer tokens and an integer --value are
+ints, and the matrix layer keeps integral values as ints, so none of them
+makes a Fraction, unless a NOT_DENSE line it prints has a non-integral entry.
 
 Every subcommand is one entry of the COMMANDS table.  dispatch builds the
 parser for the subcommand argv names only; build_parser() with no argv builds
@@ -29,6 +29,7 @@ from . import __version__
 from .catalog import (
     DEFAULT_CAP,
     SIntegerGroup,
+    _rational_token,
     field_aliases,
     group_aliases,
     load_field,
@@ -55,10 +56,8 @@ def int_list_arg(text):
 
 
 def rational_arg(text):
-    from fractions import Fraction
-
     try:
-        return Fraction(text)
+        return _rational_token(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"expected an exact rational a/b with b != 0, got {text}")
 
@@ -320,7 +319,7 @@ def cmd_padic_eval(args, cfg):
     payload = {
         "prime": args.prime,
         "precision": args.prec,
-        "value": value,
+        "value": f"{value.numerator}/{value.denominator}",
         "valuation": "inf" if num.is_zero() else int(t),
         "unit_digits": None if num.is_zero() else list(num.unit.digits),
         "rendered": "0" if num.is_zero() else (

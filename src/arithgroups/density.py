@@ -230,14 +230,9 @@ def adjoint_matrix(g, basis):
 
 def _adjoint_matrix(g, ginv, basis):
     """adjoint_matrix(g, basis), given ginv = g^-1."""
-    vecs = [b.flat() for b in basis]
-    cols = []
-    for b in basis:
-        conj = g * b * ginv
-        coords = solve_in_span(vecs, conj.flat())
-        if coords is None:
-            raise NotStabilizing("conjugation does not preserve the span of the Lie algebra")
-        cols.append(coords)
+    cols = solve_in_span([b.flat() for b in basis], [(g * b * ginv).flat() for b in basis])
+    if None in cols:
+        raise NotStabilizing("conjugation does not preserve the span of the Lie algebra")
     dim = len(basis)
     return Mat(QQ, [[cols[j][i] for j in range(dim)] for i in range(dim)])
 

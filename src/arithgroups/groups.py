@@ -21,7 +21,7 @@ from .errors import (
     read_user_file,
     write_user_file,
 )
-from .matrix import Mat, kernel_basis, rref, solve_in_span
+from .matrix import Mat, _kernel, kernel_basis, rref, solve_in_span
 from .mpoly import MPoly, eval_matrix
 from .rings import QQ, IntegersMod, integral
 
@@ -143,20 +143,15 @@ class LieAlgebraData(namedtuple("LieAlgebraData", ["n", "basis", "structure"])):
 
 def _closure_structure(basis):
     """Structure constants, or raise when the span is not bracket-closed."""
-    vecs = [b.flat() for b in basis]
-    structure = []
-    for i, bi in enumerate(basis):
-        row = []
-        for j, bj in enumerate(basis):
-            target = lie_bracket(bi, bj).flat()
-            coords = solve_in_span(vecs, target)
-            if coords is None:
-                raise BracketNotClosed(
-                    f"[b{i}, b{j}] lies outside the span: the input is not a group presentation"
-                )
-            row.append(coords)
-        structure.append(tuple(row))
-    return tuple(structure)
+    dim = len(basis)
+    brackets = [lie_bracket(bi, bj).flat() for bi in basis for bj in basis]
+    coords = solve_in_span([b.flat() for b in basis], brackets)
+    for t, c in enumerate(coords):
+        if c is None:
+            raise BracketNotClosed(
+                f"[b{t // dim}, b{t % dim}] lies outside the span: the input is not a group presentation"
+            )
+    return tuple(tuple(coords[i * dim:(i + 1) * dim]) for i in range(dim))
 
 
 def tangent_space_at_identity(pres):
@@ -275,8 +270,7 @@ def restriction_of_scalars(G, K):
     for _ in range(d - 1):
         alpha_pows.append(alpha_pows[-1] * alpha)
     rho_vecs = [regular_representation(h).flat() for h in alpha_pows]
-    functionals = kernel_basis(rho_vecs)
-    functionals = [_primitive(vec) for vec in functionals]
+    functionals = [_primitive(vec) for vec in _kernel(rho_vecs)[1]]
 
     fam2 = []
     for s in range(n):

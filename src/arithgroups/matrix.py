@@ -2,11 +2,12 @@
 
 Matrices are immutable; every operation returns a fresh value, so instances
 can be shared freely between concurrent scans.  The determinant and the
-inverse, over Q and Z/m (prime or composite), and rref over Q (with the
-kernels and solutions built on it) come from one fraction-free elimination on
-an integer lift of the matrix.  Over Q each result is divided out once, at
-the end, through rings.rational, so no Fraction is made unless a result is
-not an integer.
+inverse, over Q and Z/m (prime or composite), rref, kernels and solutions
+over Q each come from one fraction-free elimination on an integer lift of the
+matrix.  solve_in_span eliminates its basis once for any number of targets,
+carried as extra columns, and a kernel is read off the eliminated integer
+rows.  Over Q each result is divided out once, at the end, through
+rings.rational, so no Fraction is made unless a result is not an integer.
 """
 
 from math import gcd
@@ -209,21 +210,28 @@ def rref(rows):
     return [tuple(rational(x, d) for x in row) for row in rows[:len(pivots)]], pivots
 
 
+def _kernel(rows):
+    """(d, vectors): d * the kernel_basis of rows, integer vectors, d != 0."""
+    if not rows:
+        return 1, []
+    nc = len(rows[0])
+    rows, _ = integral(rows)
+    d, pivots = _fraction_free(rows, nc)
+    vectors = []
+    for fc in range(nc):
+        if fc not in pivots:
+            vec = [0] * nc
+            vec[fc] = d
+            for row, pc in zip(rows, pivots):
+                vec[pc] = -row[fc]
+            vectors.append(vec)
+    return d, vectors
+
+
 def kernel_basis(rows):
     """Basis of the right kernel of a rational matrix, in rref order."""
-    if not rows:
-        return []
-    nc = len(rows[0])
-    red, pivots = rref(rows)
-    free = [c for c in range(nc) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * nc
-        vec[fc] = 1
-        for r, pc in zip(red, pivots):
-            vec[pc] = -r[fc]
-        basis.append(tuple(vec))
-    return basis
+    d, vectors = _kernel(rows)
+    return [tuple(rational(x, d) for x in vec) for vec in vectors]
 
 
 class SpanTracker:
@@ -258,21 +266,28 @@ class SpanTracker:
         return True
 
 
-def solve_in_span(basis_vecs, target):
-    """Coordinates of the rational target in the span of basis_vecs, or None.
+def solve_in_span(basis_vecs, targets):
+    """Coordinates of each rational target in the span of basis_vecs, or None.
 
-    Solves B^T c = target by elimination; basis_vecs need not be echelonized.
+    Solves B^T c = t for every target t in one elimination of [B^T | t_1 t_2
+    ...], pivoting in B^T's columns only; basis_vecs need not be echelonized.
+    Returns one entry per target: None when it lies outside the span, else
+    its coordinates.
     """
-    if not basis_vecs:
-        return None if any(target) else ()
     k = len(basis_vecs)
-    width = len(basis_vecs[0])
-    aug = [[basis_vecs[j][i] for j in range(k)] + [target[i]] for i in range(width)]
-    red, pivots = rref(aug)
-    coords = [0] * k
-    for row, pc in zip(red, pivots):
-        if pc == k:
-            return None  # inconsistent
-        coords[pc] = row[k]
-    # rows past the pivot structure are zero by rref construction
-    return tuple(coords)
+    width = len(targets[0]) if targets else 0
+    aug, _ = integral(
+        [[v[i] for v in basis_vecs] + [t[i] for t in targets] for i in range(width)]
+    )
+    d, pivots = _fraction_free(aug, k)
+    rank = len(pivots)
+    out = []
+    for c in range(k, k + len(targets)):
+        if any(row[c] for row in aug[rank:]):
+            out.append(None)
+            continue
+        coords = [0] * k
+        for row, pc in zip(aug, pivots):
+            coords[pc] = rational(row[c], d)
+        out.append(tuple(coords))
+    return out

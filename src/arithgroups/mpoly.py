@@ -95,7 +95,7 @@ class MPoly:
         """Evaluate at a point with coordinates in the given ring."""
         acc = ring.zero
         for e, c in self.terms.items():
-            term = _coerce_coeff(c, ring)
+            term = ring.from_rational(c) if isinstance(ring, IntegersMod) else c
             for v, k in zip(values, e):
                 for _ in range(k):
                     term = ring.mul(term, v)
@@ -139,14 +139,6 @@ class MPoly:
             exps = tuple(int(x) for x in epart.split(","))
             terms[exps] = Fraction(cpart)
         return MPoly(nvars, terms)
-
-
-def _coerce_coeff(c, ring):
-    if ring is QQ or isinstance(ring, type(QQ)):
-        return QQ.canon(c)
-    if isinstance(ring, IntegersMod):
-        return ring.from_rational(c)
-    return ring.canon(c)
 
 
 def eval_matrix(poly, blocks, d, out_nvars):

@@ -46,14 +46,6 @@ class PadicInt(namedtuple("PadicInt", ["p", "precision", "digits"])):
     def from_int(value, p, precision):
         return PadicInt(p, precision, _digits(value, p, precision))
 
-    @staticmethod
-    def from_rational(value, p, precision):
-        """Embed a rational with denominator prime to p."""
-        if value.denominator % p == 0:
-            raise NotUnit(f"denominator divisible by {p}; not a p-adic integer")
-        residue = value.numerator * pow(value.denominator, -1, p ** precision)
-        return PadicInt.from_int(residue, p, precision)
-
     def value(self):
         """Canonical integer representative in [0, p^N)."""
         acc = 0

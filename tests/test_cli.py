@@ -371,6 +371,16 @@ def test_group_ros_and_presentation_roundtrip(capfd, tmp_path):
     assert lie["dimension"] == 2      # the restriction of G_x has dimension d
 
 
+def test_group_lie_on_a_non_group_presentation_names_the_bracket(capfd, tmp_path):
+    # x12 = x21 at the identity: the symmetric matrices, whose bracket
+    # [E11, E12 + E21] = E12 - E21 is not symmetric
+    pres = _user_file(tmp_path, "sym.pres", "n=2\nlabel=symmetric\npoly=0,1,0,0:1 0,0,1,0:-1\n")
+    code, out, err = run(capfd, "group", "lie", "--file", str(pres))
+    assert (code, out) == (1, "")
+    assert err == ("error BracketNotClosed: [b0, b1] lies outside the span: "
+                   "the input is not a group presentation\n")
+
+
 def test_group_reduce_cli(capfd):
     code, out, _ = run(capfd, "group", "reduce", "--preset", "sl2", "--prime", "7")
     assert code == 0

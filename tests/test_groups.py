@@ -144,6 +144,16 @@ def test_bracket_closure_rejected_for_non_group_input():
         tangent_space_at_identity(pres)
 
 
+def test_bracket_not_closed_names_the_first_pair_in_row_major_order():
+    # I and E11 commute with everything here; [E11, E12 + E21] = E12 - E21 is
+    # the first bracket outside the span, and [b2, b1] its negative the next
+    from arithgroups.groups import _closure_structure
+
+    basis = (E([[1, 0], [0, 1]]), E([[1, 0], [0, 0]]), E([[0, 1], [1, 0]]))
+    with pytest.raises(BracketNotClosed, match=r"^\[b1, b2\] lies outside the span"):
+        _closure_structure(basis)
+
+
 def test_solvability_examples():
     sl2 = tangent_space_at_identity(sl_group(2))
     rep = is_solvable_lie(sl2)

@@ -14,10 +14,12 @@ the resultant and the Sturm chain are computed over Z, and the Chebotarev
 ratios are strings.  A command on a generator file with an entry such as 1/2
 does, and so may a density verdict on integers whose printed common line has
 such an entry, with the bytes it always printed, and a certificate with a
-coefficient such as -4/2.  No `group lie`, `group reduce` or `group ros
---field qi` command on a built-in presentation loads it either: the
-polynomials keep int coefficients, and the spans, kernels and primitive
-functionals are lifted to integers once.  No command loads
+coefficient such as -4/2.  No `group lie` or `group reduce` command on a
+built-in presentation, nor `group ros` over any built-in field, loads it
+either: the polynomials keep int coefficients, each span and kernel is one
+fraction-free elimination for all its targets, and the functionals of a
+restriction of scalars are its integer kernel vectors.  Nor does `padic
+eval` of an integer.  No command loads
 dataclasses, the number-field commands load no matrix layer and `density
 check` loads no congruence code.
 Checking a minimal polynomial, to reject it or to build its field, loads no
@@ -306,7 +308,10 @@ def test_only_a_non_integral_entry_loads_fractions(tmp_path, argv, gens):
     ("group", "reduce", "--preset", "sl2", "--prime", "5"),
     ("group", "ros", "--field", "qi", "--preset", "mult"),
     ("group", "ros", "--field", "qi", "--preset", "sl2"),
-], ids=["lie-sl2", "lie-so3", "lie-sp2", "reduce-sl2", "ros-qi-mult", "ros-qi-sl2"])
+    ("group", "ros", "--field", "qsqrt2", "--preset", "mult"),
+    ("group", "ros", "--field", "qcbrt2", "--preset", "sl2"),
+], ids=["lie-sl2", "lie-so3", "lie-sp2", "reduce-sl2", "ros-qi-mult", "ros-qi-sl2",
+        "ros-qsqrt2-mult", "ros-qcbrt2-sl2"])
 def test_group_command_on_a_preset_loads_no_fractions(tmp_path, argv):
     # canonical rationals are read through their numerators and denominators,
     # so an integral presentation and its tangent space make no Fraction
@@ -314,6 +319,19 @@ def test_group_command_on_a_preset_loads_no_fractions(tmp_path, argv):
     assert out.strip() != b""
     assert {"arithgroups.groups", "arithgroups.mpoly"} <= modules
     assert not modules & RATIONALS
+
+
+@pytest.mark.parametrize("value, printed, loads_fractions", [
+    ("-7", "-7/1", False),
+    ("-7/2", "-7/2", True),
+])
+def test_padic_eval_of_an_integer_loads_no_fractions(tmp_path, value, printed, loads_fractions):
+    # an integer --value is read as an int, whose numerator and denominator
+    # padics reads as it reads a Fraction's, and printed as a/b all the same
+    out, modules = loaded_modules(tmp_path, "padic", "eval", "--prime", "7", "--prec", "4",
+                                  f"--value={value}")
+    assert f'"value": "{printed}"'.encode() in out
+    assert bool(modules & RATIONALS) == loads_fractions
 
 
 DICHOTOMY_COMMANDS = {

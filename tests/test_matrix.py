@@ -8,7 +8,7 @@ import pytest
 from conftest import random_invertible, random_rational
 
 from arithgroups.errors import NotInvertible
-from arithgroups.matrix import Mat, SpanTracker, kernel_basis, rref, solve_in_span
+from arithgroups.matrix import Mat, SpanTracker, _kernel, kernel_basis, rref, solve_in_span
 from arithgroups.rings import QQ, GF, IntegersMod
 
 
@@ -91,8 +91,10 @@ def test_rref_and_kernel():
 
 def test_solve_in_span():
     basis = [(1, 0, 1), (0, 1, 1)]
-    assert solve_in_span(basis, (2, 3, 5)) == (2, 3)
-    assert solve_in_span(basis, (0, 0, 1)) is None
+    (coords,) = solve_in_span(basis, [(2, 3, 5)])
+    assert coords == (2, 3)
+    (coords,) = solve_in_span(basis, [(0, 0, 1)])
+    assert coords is None
 
 
 def test_pow_negative_exponent():
@@ -258,12 +260,20 @@ def test_rational_elimination_matches_field_gauss_jordan(seed):
             continue
         kernel, want = kernel_basis(rows), field_kernel(rows)
         assert kernel == want and types(kernel) == types(want)
-        target = ([sum(c * v[i] for c, v in zip(range(1, 7), rows)) for i in range(len(rows[0]))]
-                  if rng.random() < 0.5 else [random_rational(rng) for _ in rows[0]])
-        coords = solve_in_span(rows, target)
-        want = field_solve(rows, target)
-        assert coords == want
-        assert coords is None or types([coords]) == types([want])
+        d, vectors = _kernel(rows)
+        assert d != 0 and all(type(x) is int for vec in vectors for x in vec)
+        assert [tuple(vec) for vec in vectors] == [tuple(d * x for x in vec) for vec in want]
+        # combinations of the rows and random vectors, mostly outside their span,
+        # solved in one call
+        targets = [[sum(c * v[i] for c, v in zip(coeffs, rows)) for i in range(len(rows[0]))]
+                   if rng.random() < 0.5 else [random_rational(rng) for _ in rows[0]]
+                   for coeffs in ([rng.randint(-3, 3) for _ in rows] for _ in range(rng.randint(0, 4)))]
+        solved = solve_in_span(rows, targets)
+        assert len(solved) == len(targets)
+        for coords, target in zip(solved, targets):
+            want = field_solve(rows, target)
+            assert coords == want
+            assert coords is None or types([coords]) == types([want])
         tracker = SpanTracker()
         for i, row in enumerate(rows):
             before = tracker.dim

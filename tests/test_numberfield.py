@@ -46,7 +46,7 @@ def test_nf_inverse_one_plus_i_against_linear_system(catalog):
     # oracle: solve (1+i)(u+vi) = 1, i.e. u - v = 1 and u + v = 0
     from arithgroups.matrix import solve_in_span
 
-    coeffs = solve_in_span([(1, 1), (-1, 1)], (1, 0))
+    (coeffs,) = solve_in_span([(1, 1), (-1, 1)], [(1, 0)])
     assert coeffs == (Fraction(1, 2), Fraction(-1, 2))
     qi = catalog["qi"]
     inv = nf_inverse(qi.element([1, 1]))

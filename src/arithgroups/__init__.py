@@ -5,7 +5,7 @@ Submodules:
     primes       prime sieve, per-class prime counts, primality, trial factorization
     rings        coefficient rings (Q, Z/m, F_p) and the integer lift of rational rows
     poly         dense univariate polynomials, gcd, factorization mod p, Sturm
-    matrix       exact dense matrices over Q and Z/m; rref, kernels and spans over Q
+    matrix       exact dense matrices over Q and Z/m; kernels and spans over Q
     numberfield  Q[x]/(m), complete splitting of primes, Chebotarev scans
     ideals       Dedekind factorization of primes, residue fields F_{p^f} (ExtField)
     abelian      exact check of a field's abelian certificate

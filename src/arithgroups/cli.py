@@ -624,6 +624,8 @@ def build_parser(argv=None):
 
 
 def dispatch(argv):
+    if hasattr(sys, "set_int_max_str_digits"):  # reports print integers exactly, however long
+        sys.set_int_max_str_digits(0)
     parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)

@@ -21,7 +21,7 @@ from .errors import (
     read_user_file,
     write_user_file,
 )
-from .matrix import Mat, _kernel, kernel_basis, rref, solve_in_span
+from .matrix import Mat, _fraction_free, _kernel, kernel_basis, solve_in_span
 from .mpoly import MPoly, eval_matrix
 from .rings import QQ, IntegersMod, integral
 
@@ -142,16 +142,24 @@ class LieAlgebraData(namedtuple("LieAlgebraData", ["n", "basis", "structure"])):
 
 
 def _closure_structure(basis):
-    """Structure constants, or raise when the span is not bracket-closed."""
-    dim = len(basis)
-    brackets = [lie_bracket(bi, bj).flat() for bi in basis for bj in basis]
-    coords = solve_in_span([b.flat() for b in basis], brackets)
-    for t, c in enumerate(coords):
+    """Structure constants, or raise when the span is not bracket-closed.
+
+    Only the brackets [b_i, b_j] with i < j are solved, in row-major order, so
+    the error names the first failing pair; [b_j, b_i] is their negation and
+    [b_i, b_i] = 0.
+    """
+    pairs = list(combinations(range(len(basis)), 2))
+    coords = solve_in_span(
+        [b.flat() for b in basis], [lie_bracket(basis[i], basis[j]).flat() for i, j in pairs]
+    )
+    structure = [[(0,) * len(basis) for _ in basis] for _ in basis]
+    for (i, j), c in zip(pairs, coords):
         if c is None:
             raise BracketNotClosed(
-                f"[b{t // dim}, b{t % dim}] lies outside the span: the input is not a group presentation"
+                f"[b{i}, b{j}] lies outside the span: the input is not a group presentation"
             )
-    return tuple(tuple(coords[i * dim:(i + 1) * dim]) for i in range(dim))
+        structure[i][j], structure[j][i] = c, tuple(-x for x in c)
+    return tuple(map(tuple, structure))
 
 
 def tangent_space_at_identity(pres):
@@ -201,25 +209,22 @@ class SolvabilityReport(namedtuple("SolvabilityReport", ["solvable", "series_dim
 
 
 def is_solvable_lie(L):
-    """Derived series by exact span computations; solvable iff it reaches 0."""
-    current = [b.flat() for b in L.basis]
-    dims = [len(current)]
+    """Derived series by exact span computations; solvable iff it reaches 0.
+
+    Each term is spanned by the fraction-free rows of its predecessor's
+    brackets, undivided: only the span matters.
+    """
+    n = L.n
     mats = list(L.basis)
-    while True:
-        if not current:
-            return SolvabilityReport(solvable=True, series_dims=tuple(dims))
-        brackets = []
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                brackets.append(lie_bracket(mats[i], mats[j]))
-        vecs = [b.flat() for b in brackets]
-        reduced, _ = rref(vecs)
-        if len(reduced) == dims[-1]:
+    dims = [len(mats)]
+    while mats:
+        rows, _ = integral([lie_bracket(a, b).flat() for a, b in combinations(mats, 2)])
+        _, pivots = _fraction_free(rows, n * n)
+        if len(pivots) == dims[-1]:
             return SolvabilityReport(solvable=False, series_dims=tuple(dims))
-        dims.append(len(reduced))
-        n = L.n
-        mats = [Mat(QQ, [v[i * n : (i + 1) * n] for i in range(n)]) for v in reduced]
-        current = reduced
+        dims.append(len(pivots))
+        mats = [Mat(QQ, [v[i * n : (i + 1) * n] for i in range(n)]) for v in rows[:len(pivots)]]
+    return SolvabilityReport(solvable=True, series_dims=tuple(dims))
 
 
 class RosPresentation(namedtuple("RosPresentation", [

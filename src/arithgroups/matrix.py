@@ -2,8 +2,8 @@
 
 Matrices are immutable; every operation returns a fresh value, so instances
 can be shared freely between concurrent scans.  The determinant and the
-inverse, over Q and Z/m (prime or composite), rref, kernels and solutions
-over Q each come from one fraction-free elimination on an integer lift of the
+inverse, over Q and Z/m (prime or composite), kernels and solutions over Q
+each come from one fraction-free elimination on an integer lift of the
 matrix.  solve_in_span eliminates its basis once for any number of targets,
 carried as extra columns, and a kernel is read off the eliminated integer
 rows.  Over Q each result is divided out once, at the end, through
@@ -197,17 +197,6 @@ def _fraction_free(rows, width):
         if k + 1 == len(rows):
             break
     return d, pivots
-
-
-def rref(rows):
-    """Reduced row echelon form over Q; returns (rows, pivot columns).
-
-    The elimination is fraction-free and each pivot row is divided by the
-    common pivot once, so an entry is an int exactly when it is integral.
-    """
-    rows, _ = integral(rows)
-    d, pivots = _fraction_free(rows, len(rows[0]) if rows else 0)
-    return [tuple(rational(x, d) for x in row) for row in rows[:len(pivots)]], pivots
 
 
 def _kernel(rows):

@@ -417,6 +417,50 @@ def test_padic_malformed_number_is_a_usage_error(capfd, argv):
     assert "error: argument --" in err and "Traceback" not in err
 
 
+@pytest.fixture
+def default_int_str_limit():
+    """Python's default limit on int/str conversion (4,300 digits), restored afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("argv, key", [
+    (("padic", "lift", "--coeffs", "1,1", "--prime", "5", "--root", "4", "--prec", "6200"),
+     "lifted_residue"),
+    (("padic", "eval", "--prime", "7", "--prec", "3", "--value", "1e5000"), "value"),
+    (("cong", "scan", "--group", "GENS", "--pmax", "7"), "group"),
+    (("density", "check", "--group", "GENS"), "group"),
+    (("lubotzky", "scan", "--group", "GENS", "--pmax", "7"), "group"),
+    (("nf", "signature", "--field", "bigcubic", "--catalog", "CATALOG"), "disc"),
+], ids=lambda a: " ".join(a[:2]) if isinstance(a, tuple) else None)
+def test_integers_past_the_str_digit_limit_print_in_full(capfd, tmp_path, default_int_str_limit,
+                                                         argv, key):
+    # 5^6200 - 1 has 4,334 digits, 10^5000 5,001, and the discriminant -27 (2 * 10^2999)^2
+    # of x^3 - 2 * 10^2999 6,001
+    from arithgroups.catalog import load_field
+    from arithgroups.padics import hensel_lift
+
+    gens = tmp_path / "big.gens"
+    gens.write_text("1 1e5000\n0 1\n\n1 0\n1 1\n")
+    catalog = tmp_path / "big.cat"
+    catalog.write_text(f"name=bigcubic\nminpoly={-2 * 10 ** 2999},0,0,1\ngalois=false\nmaximal=false\n")
+    argv = [{"GENS": str(gens), "CATALOG": str(catalog)}.get(a, a) for a in argv]
+    code, out, err = run(capfd, *argv)
+    assert code == 0 and err == ""
+    want = {
+        "lifted_residue": lambda: hensel_lift([1, 1], 4, 5, 6200),
+        "value": lambda: "1" + "0" * 5000 + "/1",
+        "group": lambda: "big",
+        "disc": lambda: load_field("bigcubic", str(catalog)).disc,
+    }[key]()
+    assert json.loads(out)[key] == want
+
+
 def test_nf_signature_cli(capfd):
     code, out, _ = run(capfd, "nf", "signature", "--field", "qcbrt2")
     assert code == 0

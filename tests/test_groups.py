@@ -7,6 +7,7 @@ from conftest import (
     nf_matrix_mul,
     random_elementary_product,
     random_gaussian_sl2_word,
+    random_invertible,
     random_sl2z_word,
 )
 
@@ -30,7 +31,7 @@ from arithgroups.groups import (
     verify_jacobi,
     write_presentation,
 )
-from arithgroups.matrix import Mat, rref
+from arithgroups.matrix import Mat
 from arithgroups.mpoly import MPoly
 from arithgroups.rings import QQ, IntegersMod
 
@@ -114,8 +115,10 @@ def test_symplectic_tangent_space_equals_sl2_by_hand():
     expected = kernel_basis(by_hand)
     L = tangent_space_at_identity(form_group(E([[0, 1], [-1, 0]])))
     assert L.dim == 3
-    got, _ = rref([b.flat() for b in L.basis])
-    want, _ = rref(expected)
+    from test_matrix import field_rref
+
+    got, _ = field_rref([b.flat() for b in L.basis])
+    want, _ = field_rref(expected)
     assert got == want
 
 
@@ -183,6 +186,53 @@ def test_small_dimension_always_solvable():
     ):
         L = LieAlgebraData(n=2, basis=basis, structure=_closure_structure(basis))
         assert is_solvable_lie(L).solvable
+
+
+def borel_group(n):
+    """b_n: the invertible upper-triangular matrices, x_ij = 0 for i > j."""
+    polys = tuple(MPoly.var(n * n, i * n + j) for i in range(n) for j in range(i))
+    return GroupPresentation(n=n, polys=polys, label=f"b{n}")
+
+
+def random_form_groups(seed, draws=4):
+    """form_group(P) for random rational P, and for P + P^T and P - P^T when invertible."""
+    rng = random.Random(seed)
+    pool = [Fraction(a, b) for a in range(-3, 4) for b in (1, 2)]
+    for n in (2, 3):
+        for _ in range(draws):
+            P = random_invertible(rng, QQ, n, pool)
+            Pt = Mat(QQ, list(zip(*P.rows)))
+            for form in (P, P + Pt, P - Pt):
+                if form.det() != 0:
+                    yield form_group(form)
+
+
+def structure_presentations():
+    from arithgroups import groups
+    from arithgroups.cli import _PRESETS
+
+    yield from (_PRESETS[name](groups) for name in sorted(_PRESETS))
+    yield from (borel_group(n) for n in (2, 3, 4))
+    yield from random_form_groups(seed=5)
+
+
+@pytest.mark.parametrize("pres", list(structure_presentations()), ids=lambda p: p.label[:24])
+def test_structure_constants_give_every_bracket(pres):
+    # sum_k c_ij^k b_k = [b_i, b_j] for every i and j, i >= j included
+    L = tangent_space_at_identity(pres)
+    flats = [b.flat() for b in L.basis]
+    for i, bi in enumerate(L.basis):
+        for j, bj in enumerate(L.basis):
+            got = [sum(c * v[t] for c, v in zip(L.structure[i][j], flats)) for t in range(pres.n ** 2)]
+            assert tuple(got) == lie_bracket(bi, bj).flat(), (i, j)
+
+
+@pytest.mark.parametrize("n, series", [(2, (3, 1, 0)), (3, (6, 3, 1, 0)), (4, (10, 6, 3, 0))])
+def test_borel_derived_series(n, series):
+    # b_n' is the strictly upper-triangular n_n, whose lower central series
+    # drops a superdiagonal at each step while the derived series halves it
+    rep = is_solvable_lie(tangent_space_at_identity(borel_group(n)))
+    assert rep.solvable and rep.series_dims == series
 
 
 def test_adjoint_identity_and_diagonal():

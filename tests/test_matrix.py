@@ -8,8 +8,8 @@ import pytest
 from conftest import random_invertible, random_rational
 
 from arithgroups.errors import NotInvertible
-from arithgroups.matrix import Mat, SpanTracker, _kernel, kernel_basis, rref, solve_in_span
-from arithgroups.rings import QQ, GF, IntegersMod
+from arithgroups.matrix import Mat, SpanTracker, _fraction_free, _kernel, kernel_basis, solve_in_span
+from arithgroups.rings import QQ, GF, IntegersMod, integral, rational
 
 
 def test_det_identity():
@@ -85,8 +85,10 @@ def test_rref_and_kernel():
     assert len(basis) == 3
     for vec in basis:
         assert vec[0] + vec[3] == 0
-    red, piv = rref([(2, 4), (1, 2)])
-    assert red == [(1, 2)] and piv == [0]
+    rows, _ = integral([(2, 4), (1, 2)])
+    d, piv = _fraction_free(rows, 2)
+    assert [tuple(rational(x, d) for x in row) for row in rows[:len(piv)]] == [(1, 2)]
+    assert piv == [0]
 
 
 def test_solve_in_span():
@@ -247,12 +249,15 @@ def types(rows):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_rational_elimination_matches_field_gauss_jordan(seed):
-    # rref over QQ is fraction-free; the reduced form is unique, so values and
-    # their types (int exactly when integral) match the field elimination
+    # the fraction-free pivot rows divided by d are the reduced form, which is
+    # unique, so values and their types (int exactly when integral) match the
+    # field elimination
     rng = random.Random(seed)
     for _ in range(500):
         rows = random_rational_rows(rng)
-        red, pivots = rref(rows)
+        lifted, _ = integral(rows)
+        d, pivots = _fraction_free(lifted, len(rows[0]) if rows else 0)
+        red = [tuple(rational(x, d) for x in row) for row in lifted[:len(pivots)]]
         want, want_pivots = field_rref(rows)
         assert (red, pivots) == (want, want_pivots)
         assert types(red) == types(want)

@@ -173,17 +173,18 @@ def gamma_plus(closure):
 def unipotent_closure_subgroup(gens, max_word_len=4, cap=DEFAULT_CAP):
     """Subgroup generated by the one-parameter points of unipotent words.
 
-    Enumerates words in the generators up to the configured length, collects
-    the unipotent ones, and closes the set {g^t : t in F_p} over all of them.
-    Equality with gamma_plus of the full closure is the Nori check at the
-    level of F_p-points.
+    Enumerates words in the generators up to the configured length and
+    closes the unipotent ones.  For p > n the one-parameter point
+    one_param_point(g, t) of a unipotent g is g^t (binomial theorem), so the
+    points {g^t : t in F_p} generate what the words do.  Equality with
+    gamma_plus of the full closure is the Nori check at the level of
+    F_p-points.
     """
     from .congruence import flat_identity, flat_mul
 
     if not gens:
         raise ValueError("need at least one generator")
-    ring = gens[0].ring
-    p = ring.m
+    p = gens[0].ring.m
     n = gens[0].n
     if p <= n:
         raise ValueError("need p > n")
@@ -196,19 +197,12 @@ def unipotent_closure_subgroup(gens, max_word_len=4, cap=DEFAULT_CAP):
             for g in flats:
                 y = flat_mul(x, g, n, p)
                 if y not in seen:
-                    if len(seen) > cap:
+                    if len(seen) >= cap:   # this word would pass the cap
                         raise Truncated("word enumeration exceeded the cap")
                     seen.add(y)
                     nxt.append(y)
         frontier = nxt
-    unip_words = _unipotent_flats(sorted(seen), n, p)
-    points = set()
-    for flat in unip_words:
-        g = Mat(ring, [flat[i * n : (i + 1) * n] for i in range(n)])
-        X = OneParamSubgroup.from_matrix(g)
-        for t in range(p):
-            points.add(one_param_point(X, t).flat())
-    return _generated_subgroup(sorted(points), n, p, cap)
+    return _generated_subgroup(_unipotent_flats(sorted(seen), n, p), n, p, cap)
 
 
 def _symmetrized(gens):

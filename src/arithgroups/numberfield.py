@@ -5,12 +5,13 @@ is_split decides whether a rational prime splits completely: by the quadratic
 character of disc(m) or the Frobenius test when p is unramified, and by the
 Dedekind factorization (ideals.factor_prime) when p divides disc(m).
 
-chebotarev_scan counts the split primes up to its bound.  Where splitting
-depends only on p mod |disc(m)| and that modulus is small beside the bound,
-it reads the sieve's prime counts per class and decides each class once;
-otherwise it goes prime by prime.  Building a field of integer coefficients
-and scanning it make no Fraction, so the nf commands do not import
-fractions: the report's ratio and expected are exact "a/b" strings.
+chebotarev_scan counts the split primes up to its bound in one loop.  Where
+splitting depends only on p mod |disc(m)| and that modulus is small beside
+the bound, the loop reads the sieve's prime counts per class and decides
+each class once; otherwise it reads the primes one by one.  Building a
+field of integer coefficients and scanning it make no Fraction, so the nf
+commands do not import fractions: the report's ratio and expected are
+exact "a/b" strings.
 
 The factorization of primes in Z[alpha], its Hensel lifts and CRT check, and
 element arithmetic live in ideals.py.  This module imports them only inside
@@ -20,6 +21,7 @@ constructors), so a scan does not compile that layer.
 """
 
 from collections import namedtuple
+from itertools import repeat
 from math import gcd, prod
 
 from .errors import OutOfRange, ReducibleMinPoly
@@ -193,18 +195,17 @@ def _split_by_character(K, p):
     return True if K.degree <= 2 else None
 
 
-def _split_by_frobenius(K, primes):
-    """For each unramified prime p, whether x^p == x (mod m, p).
+def _split_by_frobenius(K, pairs):
+    """The sum of k over the (p, k) pairs, p unramified, with x^p == x (mod m, p).
 
     That holds exactly when m divides x^p - x mod p, i.e. when p splits
-    completely.  The primes share one batched powering per FROBENIUS_BATCH
-    of them.
+    completely.  The primes, at most FROBENIUS_BATCH of them, share one
+    batched powering.
     """
     m = K.min_poly.coeffs
     x = [0, 1] + [0] * (K.degree - 2)
-    residues = [r for i in range(0, len(primes), FROBENIUS_BATCH)
-                for r in _frobenius_residues(m, primes[i : i + FROBENIUS_BATCH])]
-    return [r == ([-m[0] % p] if K.degree == 1 else x) for p, r in zip(primes, residues)]
+    residues = _frobenius_residues(m, [p for p, _ in pairs])
+    return sum(k for (p, k), r in zip(pairs, residues) if r == ([-m[0] % p] if K.degree == 1 else x))
 
 
 def is_split(K, p):
@@ -216,7 +217,7 @@ def is_split(K, p):
     """
     if K.disc % p != 0:
         split = _split_by_character(K, p)
-        return _split_by_frobenius(K, [p])[0] if split is None else split
+        return _split_by_frobenius(K, [(p, 1)]) == 1 if split is None else split
     from .ideals import factor_prime
 
     fac = factor_prime(K, p)
@@ -225,7 +226,7 @@ def is_split(K, p):
     )
 
 
-# the entries of _split_per_prime's class table; 0 is a class not yet asked
+# the entries of _count_split's class table; 0 is a class not yet asked
 _CLASS_OF_VERDICT = {False: 1, True: 2, None: 3}
 _VERDICT_OF_CLASS = (None, False, True, None)
 
@@ -248,14 +249,14 @@ def chebotarev_scan(K, bound):
     certificate (see NumberField).  An abelian K has its conductor f
     dividing disc(K) (conductor-discriminant formula), and disc(K) divides
     disc(m), so whether an unramified p splits depends only on p mod
-    |disc(m)|.  Such a field is scanned class by class (see _split_by_class)
-    when that costs less than the per-prime loop (see _split_per_prime),
-    which scans every other field.  The count hands _frobenius_residues the
-    least prime of each open class, the loop every open prime, ascending.
+    |disc(m)|.  _count_split reads such a field's primes class by class
+    when _counts_by_class finds that cheaper, and every other field's one by
+    one.  It hands _frobenius_residues the least prime of each open class,
+    or every open prime, ascending.
     """
     if bound > MAX_BOUND:
         raise OutOfRange(f"bound must be <= 10^8, got {bound}")
-    split, total = (_split_by_class if _counts_by_class(K, bound) else _split_per_prime)(K, bound)
+    split, total = _count_split(K, bound, _counts_by_class(K, bound))
     g = gcd(split, total)
     return ChebotarevReport(
         field=K.name,
@@ -271,18 +272,19 @@ def chebotarev_scan(K, bound):
 def _counts_by_class(K, bound):
     """Whether chebotarev_scan takes K's primes <= bound class by class.
 
-    A certified field's open classes take the Frobenius test once each
-    where the loop tests every open prime.  So such a field is counted by
-    class once the bound reaches |disc(m)| (below it no class holds two
-    primes, both regimes test the same primes, and the loop costs less),
-    and while |disc(m)| <= WINDOW keeps the count's lists at most one
-    window long.  A field of degree <= 2 opens no class but 2's, so there
-    the regimes differ only in reading the sieve.  Over w windows and
+    Counted by class, a certified field's open classes take the Frobenius
+    test once each; read per prime, every open prime does.  So such a field
+    is counted by class once the bound reaches |disc(m)| (below it no class
+    holds two primes, both sources test the same primes, and reading per
+    prime costs less), and while |disc(m)| <= WINDOW keeps the count's lists
+    at most one window long.  A field of degree <= 2 opens no class but 2's, so
+    there the sources differ only in reading the sieve.  Over w windows and
     M = min(|disc(m)|, bound) classes, the count costs about 0.4 loop steps
     per strided slice, w * M of them, and 0.7 per class for its
-    bookkeeping; the loop costs one step per prime, about bound / ln(bound)
-    of them, and bound.bit_length() / 1.44 is about ln(bound).  These two
-    weights were fitted to timings on quadratic fields, also in README.
+    bookkeeping; read per prime, the loop takes one step per prime, about
+    bound / ln(bound) of them, and bound.bit_length() / 1.44 is about
+    ln(bound).  These two weights were fitted to timings on quadratic
+    fields, also in README.
     """
     modulus = abs(K.disc)
     if K.degree > 2:
@@ -290,49 +292,29 @@ def _counts_by_class(K, bound):
     return min(modulus, bound) * (4 * -(-bound // WINDOW) + 7) * bound.bit_length() <= 14 * bound
 
 
-def _split_by_class(K, bound):
-    """chebotarev_scan's (split, total) from the prime counts per class mod |disc(m)|.
+def _count_split(K, bound, by_class):
+    """chebotarev_scan's (split, total) over the sieve's (p, k) pairs.
 
-    For an abelian K.  Only the least prime of each class is made an int.
-    A class holding a prime that divides disc(m) holds only that prime, and
-    is skipped.  The verdict at the least prime of a class, 2 included, is
-    the class's: the character's where it speaks, and otherwise the
-    Frobenius test's, which the least primes of the open classes take
-    together, ascending.
-    """
-    split = total = 0
-    opened = []  # (least prime, primes in its class) where the character is silent
-    for p, n in count_primes_by_class(bound, abs(K.disc)):
-        if K.disc % p:
-            total += n
-            verdict = _split_by_character(K, p)
-            if verdict is None:
-                opened.append((p, n))
-            else:
-                split += verdict * n
-    verdicts = _split_by_frobenius(K, [p for p, _ in opened])
-    return split + sum(n for (_, n), s in zip(opened, verdicts) if s), total
-
-
-def _split_per_prime(K, bound):
-    """chebotarev_scan's (split, total), streaming the primes from the sieve.
-
-    When |disc(m)| <= WINDOW, the sieve's width, a table of one byte per
-    class mod |disc(m)| holds the quadratic character's verdict, asked once
-    per class; otherwise the character is asked once per prime.  So memory
-    stays at one window, one table of at most WINDOW bytes and one batch.
-    Every prime the character leaves open takes the Frobenius test.
+    by_class reads count_primes_by_class: p is the least prime of a class
+    mod |disc(m)| and k the number of primes in it, whose verdict is p's
+    for an abelian K; otherwise each prime comes with k = 1.  A p dividing
+    disc(m) is skipped (its class holds only it).  Each verdict counts k
+    times: the character's where it speaks, else the Frobenius test's,
+    which the open primes take FROBENIUS_BATCH at a time, ascending.  While
+    |disc(m)| <= WINDOW, the sieve's width, a table of one byte per class
+    holds the character's verdict, so it is asked once per class.  Memory
+    stays at one window, one table and one batch, beside the count's lists.
     """
     disc = K.disc
     modulus = abs(disc)
     classes = bytearray(modulus) if modulus <= WINDOW else None
-    split = 0
-    total = 0
-    pending = []  # primes the character leaves open, tested FROBENIUS_BATCH at a time
-    for p in iter_primes(bound):
+    split = total = 0
+    pending = []  # (p, k) where the character is silent, tested FROBENIUS_BATCH at a time
+    pairs = count_primes_by_class(bound, modulus) if by_class else zip(iter_primes(bound), repeat(1))
+    for p, k in pairs:
         if disc % p == 0:
             continue
-        total += 1
+        total += k
         # the character does not speak for 2, though its class mod |disc| may
         # hold odd primes it speaks for
         if classes is None or p == 2:
@@ -343,12 +325,12 @@ def _split_per_prime(K, bound):
                 classes[c] = _CLASS_OF_VERDICT[_split_by_character(K, p)]
             verdict = _VERDICT_OF_CLASS[classes[c]]
         if verdict is not None:
-            split += verdict
+            split += verdict * k
             continue
-        pending.append(p)
+        pending.append((p, k))
         if len(pending) == FROBENIUS_BATCH:
-            split += sum(_split_by_frobenius(K, pending))
+            split += _split_by_frobenius(K, pending)
             pending = []
     if pending:
-        split += sum(_split_by_frobenius(K, pending))
+        split += _split_by_frobenius(K, pending)
     return split, total

@@ -17,8 +17,10 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 WIDE_MODULUS = 65537          # entries wider than 16 bits
-FULL_WORD = {1: (1 << 63) - 25, 2: 1 << 15, 3: 1 << 7}   # n*n entries of bits(m-1) fill 63 bits
-MINUS_ONE_WIDE = ([(-1,)], 1, FULL_WORD[1], 60, True)    # (m-1)^2 passes 2^64
+# the widest modulus drawn for each n; at n = 1 a product of two entries passes 2^64
+FULL_WORD = {1: (1 << 63) - 25, 2: 1 << 15, 3: 1 << 7}
+# (m-1)^2 passes 2^64, so the product stays exact only on Python ints
+MINUS_ONE_WIDE = ([(-1,)], 1, FULL_WORD[1], 60, True)
 
 
 def reference_closure(gens, n, m, cap, keep_elements):

@@ -43,7 +43,7 @@ def test_closure_truncates_past_the_cap():
 
 
 def test_wide_modulus_closure_is_exact():
-    # n^2 * bits(m - 1) = 68: the packed matrix is wider than a 64-bit word
+    # entries mod 2^17 are wider than 16 bits, and the closure must keep them exact
     gens = [(1, 1 << 16, 0, 1), (1, 0, 1 << 16, 1)]   # commuting involutions mod 2^17
     m = 1 << 17
     order, truncated, elements = run_closure(gens, 2, m, 10 ** 4, True)

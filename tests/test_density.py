@@ -36,6 +36,7 @@ from arithgroups.density import (
     unipotent_closure_subgroup,
 )
 from arithgroups.groups import sl_group, tangent_space_at_identity
+from arithgroups.errors import Truncated
 from arithgroups.matrix import Mat, kernel_basis
 from arithgroups.rings import QQ, GF
 
@@ -145,6 +146,16 @@ def test_unipotent_closure_examples():
 
     diag = unipotent_closure_subgroup([Mat(GF(7), [[3, 0], [0, 5]])], max_word_len=3)
     assert diag.order == 1
+
+
+def test_word_enumeration_keeps_at_most_cap_words():
+    # the words of u = I + E12 over GF(7) are its 7 powers, the identity
+    # included: a cap of 6 cannot hold them, a cap of 7 holds them all
+    u = [Mat(GF(7), [[1, 1], [0, 1]])]
+    with pytest.raises(Truncated, match="word enumeration exceeded the cap"):
+        unipotent_closure_subgroup(u, max_word_len=10, cap=6)
+    closed = unipotent_closure_subgroup(u, max_word_len=10, cap=7)
+    assert (closed.order, closed.truncated) == (7, False)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11])

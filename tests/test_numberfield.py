@@ -2,6 +2,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -658,15 +659,21 @@ WIDE_CERTIFIED = ((4, 0, -16, 0, 1),
                   ((0, 1), (0, -1), (0, -8, 0, Fraction(1, 2)), (0, 8, 0, Fraction(-1, 2))))
 
 
-def frobenius_primes(scan, K, bound):
-    """scan(K, bound), and the primes it passed to _frobenius_residues, in order."""
-    opened = []
+def frobenius_batches(scan, K, bound):
+    """scan(K, bound), and the primes of each _frobenius_residues call, call by call."""
+    batches = []
     residues = numberfield._frobenius_residues
-    numberfield._frobenius_residues = lambda m, primes: opened.extend(primes) or residues(m, primes)
+    numberfield._frobenius_residues = lambda m, primes: batches.append(list(primes)) or residues(m, primes)
     try:
-        return scan(K, bound), opened
+        return scan(K, bound), batches
     finally:
         numberfield._frobenius_residues = residues
+
+
+def frobenius_primes(scan, K, bound):
+    """scan(K, bound), and the primes it passed to _frobenius_residues, in order."""
+    result, batches = frobenius_batches(scan, K, bound)
+    return result, [p for batch in batches for p in batch]
 
 
 def test_both_regimes_match_is_split():
@@ -708,20 +715,42 @@ def test_both_regimes_match_is_split():
         for p in unramified:
             least.setdefault(p % modulus, p)
         silent = [p for p in unramified if numberfield._split_by_character(K, p) is None]
-        regimes = {numberfield._split_per_prime: silent}
+        regimes = {False: silent}
         if K.degree <= 2 or K.automorphisms:
-            regimes[numberfield._split_by_class] = [p for p in silent if least[p % modulus] == p]
-        for scan, want in regimes.items():
-            assert frobenius_primes(scan, K, bound) == ((split, total), want), (K, bound, scan)
+            regimes[True] = [p for p in silent if least[p % modulus] == p]
+        for by_class, want in regimes.items():
+            scan = partial(numberfield._count_split, by_class=by_class)
+            assert frobenius_primes(scan, K, bound) == ((split, total), want), (K, bound, by_class)
         rep, opened = frobenius_primes(chebotarev_scan, K, bound)
-        chosen = numberfield._split_by_class if numberfield._counts_by_class(K, bound) else numberfield._split_per_prime
-        assert opened == regimes[chosen], (K, bound)
+        assert opened == regimes[numberfield._counts_by_class(K, bound)], (K, bound)
         assert (rep.split, rep.total) == (split, total), (K, bound)
         assert rep.ratio == (f"{split // math.gcd(split, total)}/{total // math.gcd(split, total)}"
                              if total else "0/1")
         assert rep.expected == f"1/{K.degree}"
 
     check()
+
+
+def test_frobenius_batches_are_full_and_ascending():
+    # the open primes stream to the batched powering, so one call holds at
+    # most FROBENIUS_BATCH of them, and only the last may hold fewer; both
+    # prime sources, on the certified fields and the class-table fields
+    certified = [NumberField(coeffs, automorphisms=automorphisms)
+                 for coeffs, automorphisms in [*CERTIFIED.values(), WIDE_CERTIFIED]]
+    batch = numberfield.FROBENIUS_BATCH
+    calls = {False: 0, True: 0}   # the most calls one scan made, per source
+    for K in certified + class_table_fields(15, 12):
+        for by_class in (False, True) if K.degree <= 2 or K.automorphisms else (False,):
+            scan = partial(numberfield._count_split, by_class=by_class)
+            _, batches = frobenius_batches(scan, K, 3000)
+            opened = [p for b in batches for p in b]
+            assert opened == sorted(set(opened)), (K, by_class)
+            assert all(len(b) == batch for b in batches[:-1]), (K, by_class)
+            assert all(0 < len(b) <= batch for b in batches), (K, by_class)
+            calls[by_class] = max(calls[by_class], len(batches))
+        for p in opened[:1]:   # is_split tests an open prime alone
+            assert frobenius_batches(is_split, K, p)[1] == [[p]], K
+    assert min(calls.values()) >= 2
 
 
 @pytest.mark.parametrize("coeffs, bound, by_class", [

@@ -381,12 +381,6 @@ def cmd_group_reduce(args, cfg):
     emit(payload, cfg)
 
 
-def _scan_payload(report):
-    payload = jsonable(report)
-    del payload["prime_bound"], payload["exponent"]
-    return payload
-
-
 def cmd_cong_scan(args, cfg):
     label, rows = read_group(args.group)
 
@@ -394,7 +388,7 @@ def cmd_cong_scan(args, cfg):
         from .congruence import strong_approx_scan
 
         G = SIntegerGroup(rows, label)
-        return _scan_payload(strong_approx_scan(G, cfg.pmax, cfg.exp, cfg.cap))
+        return jsonable(strong_approx_scan(G, cfg.pmax, cfg.exp, cfg.cap))
 
     canonical = f"{_group_canonical(label, rows)}|P={cfg.pmax}|k={cfg.exp}|cap={cfg.cap}"
     cached_scan(cfg, "cong-scan", canonical, compute, args.out, [(label, rows)])
@@ -475,10 +469,7 @@ def cmd_lubotzky_scan(args, cfg):
         from .density import lubotzky_scan
 
         rep = lubotzky_scan(SIntegerGroup(rows, label), cfg.pmax, cap=cfg.cap)
-        payload = jsonable(rep)
-        payload["pmax"] = payload.pop("prime_bound")
-        payload["verdict"] = _verdict_payload(rep.verdict)
-        return payload
+        return {**jsonable(rep), "verdict": _verdict_payload(rep.verdict)}
 
     canonical = f"{_group_canonical(label, rows)}|P={cfg.pmax}|cap={cfg.cap}"
     cached_scan(cfg, "lubotzky-scan", canonical, compute, args.out, [(label, rows)])

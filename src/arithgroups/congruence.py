@@ -8,7 +8,8 @@ module counts the image mod rad(m) from orbits of vectors, without listing it
 (for squarefree m its last level is counted as an affine group, without its
 orbit), and when m has a square factor its Schreier generators, taken mod m,
 give the kernel above rad(m) level by level in the congruence filtration.
-This module keeps the records, the scans, the flat Z/m multiply the chain
+This module keeps the records, the census of the primes outside S that
+every scan reads (_census), the scans, the flat Z/m multiply the chain
 uses, the order formulas and the quasisimple check; only
 filtration_closure imports the chain.  Closures that keep their elements
 (gamma_plus) stay breadth-first; the quasisimple check lists G once from a
@@ -233,14 +234,18 @@ def image_record(G, m, cap=DEFAULT_CAP):
     return rec, closure
 
 
-def exact_image_record(G, m, cap=DEFAULT_CAP):
-    """The ImageRecord mod m; Truncated names the modulus that was enumerated."""
-    rec, _ = image_record(G, m, cap)
+def _exact(rec, cap):
+    """rec, or Truncated naming the modulus that was enumerated."""
     if rec.truncated:
         raise Truncated(
-            f"closure mod {radical(m)} exceeded the cap {cap}; raise --cap for an exact answer"
+            f"closure mod {radical(rec.m)} exceeded the cap {cap}; raise --cap for an exact answer"
         )
     return rec
+
+
+def exact_image_record(G, m, cap=DEFAULT_CAP):
+    """The ImageRecord mod m; Truncated names the modulus that was enumerated."""
+    return _exact(image_record(G, m, cap)[0], cap)
 
 
 def is_surjective_image(G, p, k=1, cap=DEFAULT_CAP):
@@ -250,33 +255,36 @@ def is_surjective_image(G, p, k=1, cap=DEFAULT_CAP):
     return exact_image_record(G, p ** k, cap)
 
 
+def _census(G, prime_bound, exponent, cap):
+    """(p, ImageRecord mod p^exponent, closure) for each prime p <= prime_bound outside S.
+
+    The one walk of the primes behind strong_approx_scan, one_for_all_scan
+    and density.lubotzky_scan.  Primes come in ascending order, so their
+    reports are deterministic, and one closure at a time, so a caller may
+    stop at any prime.
+    """
+    for p in primes_upto(prime_bound):
+        if p not in G.S:
+            rec, closure = image_record(G, p ** exponent, cap)
+            yield p, rec, closure
+
+
 class CongruenceReport(namedtuple("CongruenceReport", [
-        "group", "S", "records", "exceptional_primes", "prime_bound", "exponent"])):
+        "group", "S", "records", "exceptional_primes"])):
     __slots__ = ()
 
 
 def strong_approx_scan(G, prime_bound, exponent=1, cap=DEFAULT_CAP):
     """Surjectivity census over all primes p <= bound outside S.
 
-    Per-prime tasks are independent and merged in ascending prime order, so
-    the report is deterministic.
+    A truncated record has no verdict, so its prime is not exceptional.
     """
-    records = []
-    exceptional = []
-    for p in primes_upto(prime_bound):
-        if p in G.S:
-            continue
-        rec, _ = image_record(G, p ** exponent, cap)
-        records.append(rec)
-        if rec.surjective is False:
-            exceptional.append(p)
+    census = [(p, rec) for p, rec, _ in _census(G, prime_bound, exponent, cap)]
     return CongruenceReport(
         group=G.label,
         S=tuple(sorted(G.S)),
-        records=tuple(records),
-        exceptional_primes=tuple(exceptional),
-        prime_bound=prime_bound,
-        exponent=exponent,
+        records=tuple(rec for _, rec in census),
+        exceptional_primes=tuple(p for p, rec in census if rec.surjective is False),
     )
 
 
@@ -296,7 +304,9 @@ def one_for_all_scan(sample_sets, prime_bound, bad_set=frozenset(), cap=DEFAULT_
 
     A set witnesses the one-for-all implication when it generates at some
     prime outside the configured bad set and every non-generating prime in
-    range lies inside the bad set.
+    range lies inside the bad set.  Each set's primes come from _census, and
+    the first truncated image raises Truncated, before any later prime's
+    closure runs.
     """
     rows = []
     bad = frozenset(bad_set)
@@ -304,11 +314,8 @@ def one_for_all_scan(sample_sets, prime_bound, bad_set=frozenset(), cap=DEFAULT_
         G = gens if isinstance(gens, SIntegerGroup) else SIntegerGroup(gens, label=label)
         generating = []
         failing = []
-        for p in primes_upto(prime_bound):
-            if p in G.S:
-                continue
-            rec = is_surjective_image(G, p, 1, cap=cap)
-            (generating if rec.surjective else failing).append(p)
+        for p, rec, _ in _census(G, prime_bound, 1, cap):
+            (generating if _exact(rec, cap).surjective else failing).append(p)
         outside = [p for p in generating if p not in bad]
         rows.append(OneForAllRow(
             label=label,

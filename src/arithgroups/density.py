@@ -22,7 +22,6 @@ from math import comb, isqrt
 from .catalog import DEFAULT_CAP
 from .errors import NotStabilizing, Truncated, UnsupportedDimension
 from .matrix import Mat, SpanTracker, kernel_basis, solve_in_span
-from .primes import primes_upto
 from .rings import QQ, IntegersMod, rational
 
 DENSE_EVIDENCE = "DENSE_EVIDENCE"
@@ -416,7 +415,7 @@ class LubotzkyRecord(namedtuple("LubotzkyRecord", [
 
 
 class LubotzkyReport(namedtuple("LubotzkyReport", [
-        "group", "verdict", "prime_bound", "records", "exceptional_primes"])):
+        "group", "verdict", "pmax", "records", "exceptional_primes"])):
     """A dichotomy report; verdict is the group's DensityVerdict."""
 
     __slots__ = ()
@@ -427,27 +426,22 @@ def lubotzky_scan(G, prime_bound, cap=DEFAULT_CAP):
 
     For surjective primes the PSL_2(p) quotient order is attached (order/2
     for odd p); small surjective primes also get the exhaustive quasisimple
-    verification of the image.  Each prime's image is counted once, by the
-    stabiliser chain, so the records match strong_approx_scan; no elements
-    are kept, and the check lists G itself from that count.
+    verification of the image.  The records come from congruence._census,
+    the one census strong_approx_scan also reads, so each prime's image is
+    counted once, by the stabiliser chain; no elements are kept, and the
+    check lists G itself from that count.
     """
-    from .congruence import image_record, quasisimple_check
+    from .congruence import _census, quasisimple_check
 
     verdict = density_verdict(G)
     records = []
-    exceptional = []
-    for p in primes_upto(prime_bound):
-        if p in G.S:
-            continue
-        rec, closure = image_record(G, p, cap)
+    for p, rec, closure in _census(G, prime_bound, 1, cap):
         psl = None
         quasi = None
         if rec.surjective:
             psl = rec.target_order // 2 if p % 2 else rec.target_order
             if p <= QUASISIMPLE_PMAX:
                 quasi = quasisimple_check(closure).quasisimple
-        elif rec.surjective is False:
-            exceptional.append(p)
         records.append(LubotzkyRecord(
             p=p,
             image_order=rec.image_order,
@@ -460,7 +454,7 @@ def lubotzky_scan(G, prime_bound, cap=DEFAULT_CAP):
     return LubotzkyReport(
         group=G.label,
         verdict=verdict,
-        prime_bound=prime_bound,
+        pmax=prime_bound,
         records=tuple(records),
-        exceptional_primes=tuple(exceptional),
+        exceptional_primes=tuple(r.p for r in records if r.surjective is False),
     )

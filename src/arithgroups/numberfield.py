@@ -226,7 +226,8 @@ def is_split(K, p):
     )
 
 
-# the entries of _count_split's class table; 0 is a class not yet asked
+# the entries of _count_split's class table, which only the per-prime source keeps;
+# 0 is a class not yet asked
 _CLASS_OF_VERDICT = {False: 1, True: 2, None: 3}
 _VERDICT_OF_CLASS = (None, False, True, None)
 
@@ -300,14 +301,16 @@ def _count_split(K, bound, by_class):
     for an abelian K; otherwise each prime comes with k = 1.  A p dividing
     disc(m) is skipped (its class holds only it).  Each verdict counts k
     times: the character's where it speaks, else the Frobenius test's,
-    which the open primes take FROBENIUS_BATCH at a time, ascending.  While
-    |disc(m)| <= WINDOW, the sieve's width, a table of one byte per class
-    holds the character's verdict, so it is asked once per class.  Memory
-    stays at one window, one table and one batch, beside the count's lists.
+    which the open primes take FROBENIUS_BATCH at a time, ascending.  Read
+    per prime while |disc(m)| <= WINDOW, the sieve's width, a table of one
+    byte per class holds the character's verdict, so it is asked once per
+    class; read by class, each class comes up once and no table is kept.
+    Memory stays at one window, at most one table and one batch, beside the
+    count's lists.
     """
     disc = K.disc
     modulus = abs(disc)
-    classes = bytearray(modulus) if modulus <= WINDOW else None
+    classes = bytearray(modulus) if modulus <= WINDOW and not by_class else None
     split = total = 0
     pending = []  # (p, k) where the character is silent, tested FROBENIUS_BATCH at a time
     pairs = count_primes_by_class(bound, modulus) if by_class else zip(iter_primes(bound), repeat(1))

@@ -120,6 +120,36 @@ def test_text_report_prints_an_integral_witness_trace_as_a_fraction(capfd, argv,
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# upper triangular generators over Z[1/6], of determinants -1/6, -1 and -2
+UT6 = "1/2 -3\n0 -1/3\n\n-1/3 -2\n0 3\n\n1 -3\n0 -2\n"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("cong", "oneforall", "--group", "sanov", "--group", "transvection", "--pmax", "31",
+      "--bad", "2"), "010d59022e198044db2aac2403e85a0d53521d789587fbbf4205df3ec2509e7f"),
+    (("cong", "oneforall", "--group", "sanov", "--group", "transvection", "--pmax", "31",
+      "--bad", "2", "--format", "text"),
+     "7c7ebce5cd564206e63c2aab8f4f62a65a66e980c6a9671ba62acb8d9b00b37b"),
+    (("cong", "scan", "--group", "<ut6>", "--pmax", "31"),
+     "d1428971463cfe751df2eace9673ed6855e3f9d672c665ac0060c7d65679e826"),
+    (("cong", "scan", "--group", "<ut6>", "--pmax", "13", "--exp", "2", "--format", "text"),
+     "bb64c6ef0c2f88cfd6994ebe7c647122043f8136333f950f039b6248f2156794"),
+    (("lubotzky", "scan", "--group", "<ut6>", "--pmax", "13"),
+     "55523cef9cf21b633e8bdef03717fc5ab34bc35227803c7ffa80432017505a04"),
+    (("lubotzky", "scan", "--group", "sl2z", "--pmax", "31", "--cap", "100"),
+     "f1b6d49713c1deb4a5c6ecd1881057567416f233f8a9fc2130ef9884f493cd8d"),
+], ids=["oneforall", "oneforall-text", "scan-ut6", "scan-ut6-exp2-text", "lubotzky-ut6",
+        "lubotzky-sl2z-truncated"])
+def test_census_reports_without_a_golden_file_keep_their_bytes(capfd, tmp_path, argv, digest):
+    # the oneforall json is the output perfbench/workloads.json pins; <ut6> is a
+    # generator file with S = {2, 3}, and the sl2z records from 5 on are truncated
+    path = tmp_path / "ut6.gens"
+    path.write_text(UT6)
+    code, out, _ = run(capfd, *(str(path) if arg == "<ut6>" else arg for arg in argv))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 NOT_DENSE_GROUPS = {
     "rot": "0 -1\n1 0\n",                      # discriminant -4
     "frac": "1/2 3\n-1/3 2\n",                  # discriminant -7/4; the witness shows "-1/2"
@@ -548,13 +578,13 @@ def test_argument_range_is_a_usage_error(capfd, argv):
 @pytest.fixture
 def no_sieve(monkeypatch):
     """Fail any scan that gets as far as sieving its primes."""
-    from arithgroups import congruence, density, numberfield
+    from arithgroups import congruence, numberfield
 
     def refuse(n):
         raise AssertionError(f"sieve of {n} allocated")
 
-    for module, sieve in ((congruence, "primes_upto"), (density, "primes_upto"),
-                          (numberfield, "iter_primes"), (numberfield, "count_primes_by_class")):
+    for module, sieve in ((congruence, "primes_upto"), (numberfield, "iter_primes"),
+                          (numberfield, "count_primes_by_class")):
         monkeypatch.setattr(module, sieve, refuse)
 
 

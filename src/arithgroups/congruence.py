@@ -9,11 +9,12 @@ module counts the image mod rad(m) from orbits of vectors, without listing it
 orbit), and when m has a square factor its Schreier generators, taken mod m,
 give the kernel above rad(m) level by level in the congruence filtration.
 This module keeps the records, the census of the primes outside S that
-every scan reads (_census), the scans, the flat Z/m multiply the chain
-uses, the order formulas and the quasisimple check; only
-filtration_closure imports the chain.  Closures that keep their elements
-(gamma_plus) stay breadth-first; the quasisimple check lists G once from a
-counted order.  Surjectivity is decided only by exact order equality.
+every scan reads (_census, streamed from primes.iter_primes), the scans,
+the flat Z/m multiply the chain uses, the order formulas and the
+quasisimple check; only filtration_closure imports the chain.  Closures
+that keep their elements (gamma_plus) stay breadth-first; the quasisimple
+check lists G once from a counted order.  Surjectivity is decided only by
+exact order equality.
 """
 
 from collections import namedtuple
@@ -23,7 +24,7 @@ from math import gcd, prod
 from .catalog import DEFAULT_CAP, SIntegerGroup
 from .errors import NonInvertibleDenominator, OutOfRange, Truncated, Unverified
 from .matrix import Mat
-from .primes import factorint, prime_support, primes_upto
+from .primes import factorint, iter_primes, prime_support
 from .rings import IntegersMod
 
 ELEMENT_RETENTION_CAP = 10 ** 5
@@ -259,11 +260,12 @@ def _census(G, prime_bound, exponent, cap):
     """(p, ImageRecord mod p^exponent, closure) for each prime p <= prime_bound outside S.
 
     The one walk of the primes behind strong_approx_scan, one_for_all_scan
-    and density.lubotzky_scan.  Primes come in ascending order, so their
-    reports are deterministic, and one closure at a time, so a caller may
-    stop at any prime.
+    and density.lubotzky_scan.  Primes come in ascending order from
+    primes.iter_primes, so their reports are deterministic, and one closure
+    at a time, so a caller may stop at any prime having sieved only the
+    window that holds it.
     """
-    for p in primes_upto(prime_bound):
+    for p in iter_primes(prime_bound):
         if p not in G.S:
             rec, closure = image_record(G, p ** exponent, cap)
             yield p, rec, closure

@@ -275,11 +275,13 @@ def _counts_by_class(K, bound):
 
     Counted by class, a certified field's open classes take the Frobenius
     test once each; read per prime, every open prime does.  So such a field
-    is counted by class once the bound reaches |disc(m)| (below it no class
-    holds two primes, both sources test the same primes, and reading per
-    prime costs less), and while |disc(m)| <= WINDOW keeps the count's lists
-    at most one window long.  A field of degree <= 2 opens no class but 2's, so
-    there the sources differ only in reading the sieve.  Over w windows and
+    is counted by class once the bound reaches 3 |disc(m)|, and while
+    |disc(m)| <= WINDOW keeps the count's lists at most one window long.
+    Below |disc(m)| no class holds two primes, so both sources test the same
+    primes; below about 3 |disc(m)| a class holds too few for the tests saved
+    to pay for the slices (timed on four certified fields, in README).
+    A field of degree <= 2 opens no class but 2's, so there the sources
+    differ only in reading the sieve.  Over w windows and
     M = min(|disc(m)|, bound) classes, the count costs about 0.4 loop steps
     per strided slice, w * M of them, and 0.7 per class for its
     bookkeeping; read per prime, the loop takes one step per prime, about
@@ -289,7 +291,7 @@ def _counts_by_class(K, bound):
     """
     modulus = abs(K.disc)
     if K.degree > 2:
-        return K.automorphisms is not None and modulus <= min(bound, WINDOW)
+        return K.automorphisms is not None and modulus <= min(bound // 3, WINDOW)
     return min(modulus, bound) * (4 * -(-bound // WINDOW) + 7) * bound.bit_length() <= 14 * bound
 
 

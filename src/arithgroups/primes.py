@@ -3,7 +3,10 @@
 One windowed sieve serves both iter_primes, which makes an int of every
 prime, and count_primes_by_class, which reads each window's bytes with one
 strided slice per residue class and makes an int only for the least prime
-of a class.
+of a class.  iter_primes is the one stream of primes: the congruence census
+and the per-prime Chebotarev count read it as they go, so a walk that stops
+early sieves only the windows it reached, and none lists every prime up to
+its bound.
 """
 
 from functools import lru_cache
@@ -70,11 +73,6 @@ def count_primes_by_class(n, modulus):
                     firsts[c] = lo + off + row.index(1) * modulus
                 counts[c] += k
     return sorted((p, k) for p, k in zip(firsts, counts) if k)
-
-
-def primes_upto(n):
-    """All primes <= n, ascending, as a list."""
-    return list(iter_primes(n))
 
 
 def is_prime(n):

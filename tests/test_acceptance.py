@@ -48,7 +48,7 @@ from arithgroups.ideals import factor_prime
 from arithgroups.numberfield import chebotarev_scan
 from arithgroups.padics import PadicInt, hensel_lift, padic_add, padic_mul, tower_consistency
 from arithgroups.poly import Poly, factor_poly_mod_p, poly_gcd
-from arithgroups.primes import primes_upto
+from arithgroups.primes import iter_primes
 from arithgroups.rings import QQ, GF, IntegersMod
 
 
@@ -79,7 +79,7 @@ def test_criterion_2_sum_formula():
     checked = 0
     for name in ("qi", "qsqrt2", "qcbrt2", "zeta5"):
         K = builtin_field(name)
-        for p in primes_upto(200):
+        for p in iter_primes(200):
             fac = factor_prime(K, p)
             assert sum(f.e * f.f for f in fac.factors) == K.degree
             checked += 1

@@ -5,6 +5,8 @@ records from one census of the primes outside S.  Random 2x2 generator sets
 over Z[1/2] and Z[1/6], some of determinant other than 1, must give the
 same records, the same exceptional primes and the same truncated primes in
 all three, and one_for_all_scan must stop at its first truncated prime.
+The census draws its primes from primes.iter_primes as it goes, so a scan
+that stops early draws no prime past the one it stopped at.
 """
 
 import random
@@ -13,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from arithgroups import congruence
-from arithgroups.catalog import SIntegerGroup
+from arithgroups.catalog import SIntegerGroup, builtin_group
 from arithgroups.congruence import one_for_all_scan, strong_approx_scan
 from arithgroups.density import lubotzky_scan
 from arithgroups.errors import Truncated
@@ -126,3 +128,31 @@ def test_a_small_cap_truncates_the_same_primes_and_one_for_all_stops_at_the_firs
     # no later prime's closure ran
     assert closed == [p for p in PRIMES if p <= first and p not in G.S]
 
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """The primes the census draws from iter_primes, in the order drawn."""
+    primes = []
+    iter_primes = congruence.iter_primes
+
+    def counting(n):
+        for p in iter_primes(n):
+            primes.append(p)
+            yield p
+
+    monkeypatch.setattr(congruence, "iter_primes", counting)
+    return primes
+
+
+def test_one_for_all_draws_no_prime_past_its_first_truncated_prime(drawn):
+    # SL_2(Z) mod 11 has 1,320 elements; the primes below 10^6 number 78,498
+    with pytest.raises(Truncated, match="closure mod 11 exceeded the cap 1000;"):
+        one_for_all_scan([("sl2z", builtin_group("sl2z"))], 10 ** 6, cap=1000)
+    assert drawn == [2, 3, 5, 7, 11]
+
+
+@pytest.mark.parametrize("scan, modulus", [(strong_approx_scan, "m"), (lubotzky_scan, "p")])
+def test_a_scan_draws_each_prime_up_to_its_bound_once(drawn, scan, modulus):
+    report = scan(builtin_group("sl2z"), 50)
+    assert drawn == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+    assert [getattr(r, modulus) for r in report.records] == drawn

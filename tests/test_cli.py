@@ -583,7 +583,7 @@ def no_sieve(monkeypatch):
     def refuse(n):
         raise AssertionError(f"sieve of {n} allocated")
 
-    for module, sieve in ((congruence, "primes_upto"), (numberfield, "iter_primes"),
+    for module, sieve in ((congruence, "iter_primes"), (numberfield, "iter_primes"),
                           (numberfield, "count_primes_by_class")):
         monkeypatch.setattr(module, sieve, refuse)
 

@@ -49,7 +49,7 @@ from arithgroups.cli import dispatch
 from arithgroups.errors import DomainError, UsageError
 from arithgroups.ideals import factor_prime
 from arithgroups.numberfield import is_split
-from arithgroups.primes import primes_upto
+from arithgroups.primes import iter_primes
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -290,14 +290,14 @@ def test_chebotarev_catalog_and_out_file(run):
         assert_catalog_exit(names, field, catalog, code, err)
         if code == 0 and field in names and fmt == "json":
             K = read_field_catalog(catalog)[field]
-            unramified = [p for p in primes_upto(int(bound)) if K.disc % p]
+            unramified = [p for p in iter_primes(int(bound)) if K.disc % p]
             assert json.loads(stdout)["split"] == sum(is_split(K, p) for p in unramified)
         assert_out_file_holds_the_printed_bytes(argv, printed, work, out)
 
 
 @hypothesis.settings(max_examples=40, deadline=None)
 @hypothesis.given(catalogs(), st.sampled_from(("factor", "signature")),
-                  st.sampled_from(primes_upto(50)))
+                  st.sampled_from(list(iter_primes(50))))
 @hypothesis.example((["abelian7", "forged"], "abelian7"), "factor", 13)
 def test_factor_and_signature_read_the_catalog(catalog_draw, command, prime):
     names, field = catalog_draw

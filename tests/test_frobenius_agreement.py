@@ -15,13 +15,13 @@ import pytest
 
 from arithgroups.numberfield import _frobenius_residues
 from arithgroups.poly import Poly
-from arithgroups.primes import primes_upto
+from arithgroups.primes import iter_primes
 from arithgroups.rings import IntegersMod
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-PRIMES = primes_upto(2000)
+PRIMES = list(iter_primes(2000))
 
 
 def reference_residue(m, p):

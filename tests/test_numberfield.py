@@ -22,7 +22,7 @@ from arithgroups.ideals import (
 )
 from arithgroups.numberfield import NumberField, _split_by_character, chebotarev_scan, is_split
 from arithgroups.poly import Poly, discriminant, factor_poly_mod_p, is_irreducible_mod_p, poly_xgcd
-from arithgroups.primes import WINDOW, primes_upto
+from arithgroups.primes import WINDOW, iter_primes
 from arithgroups.rings import QQ, IntegersMod
 
 
@@ -106,7 +106,7 @@ def test_is_split_examples(catalog):
 
 def test_is_split_matches_factor_data(catalog):
     for K in catalog.values():
-        for p in primes_upto(2000):
+        for p in iter_primes(2000):
             fac = factor_prime(K, p)
             split = len(fac.factors) == K.degree and all(
                 f.e == 1 and f.f == 1 for f in fac.factors
@@ -117,7 +117,7 @@ def test_is_split_matches_factor_data(catalog):
 def brute_split_count_qi(bound):
     """Oracle: roots of x^2 + 1 mod p by testing every residue."""
     split = total = 0
-    for p in primes_upto(bound):
+    for p in iter_primes(bound):
         if p == 2:
             continue
         total += 1
@@ -143,7 +143,7 @@ def test_chebotarev_non_galois_flagged(catalog):
 
 def test_sum_formula_all_catalog_fields(catalog):
     for K in catalog.values():
-        for p in primes_upto(200):
+        for p in iter_primes(200):
             fac = factor_prime(K, p)
             assert sum(f.e * f.f for f in fac.factors) == K.degree
 
@@ -152,7 +152,7 @@ def test_galois_uniformity(catalog):
     for K in catalog.values():
         if not K.galois:
             continue
-        for p in primes_upto(500):
+        for p in iter_primes(500):
             if K.disc % p == 0:
                 continue
             fac = factor_prime(K, p)
@@ -162,7 +162,7 @@ def test_galois_uniformity(catalog):
 
 def test_ramification_only_at_disc_primes(catalog):
     for K in catalog.values():
-        for p in primes_upto(500):
+        for p in iter_primes(500):
             fac = factor_prime(K, p)
             if any(f.e > 1 for f in fac.factors):
                 assert K.disc % p == 0
@@ -270,7 +270,7 @@ def test_fields_reducible_mod_every_prime_build_and_scan(coeffs, modulus, residu
     # Frobenius test
     K = NumberField(coeffs)
     assert math.isqrt(K.disc) ** 2 == K.disc
-    unramified = [p for p in primes_upto(10 ** 4) if K.disc % p]
+    unramified = [p for p in iter_primes(10 ** 4) if K.disc % p]
     rep = chebotarev_scan(K, 10 ** 4)
     assert rep.total == len(unramified)
     assert rep.split == sum(p % modulus in residues for p in unramified)
@@ -419,7 +419,7 @@ def test_stickelberger_parity():
     # of irreducible factors of m mod p: checked here apart from is_split
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
-    odd_primes = primes_upto(1000)[1:]
+    odd_primes = list(iter_primes(1000))[1:]
 
     @st.composite
     def monic_and_odd_prime(draw):
@@ -459,7 +459,7 @@ def test_is_split_matches_dedekind_on_random_fields():
     # which tests the open primes in batches, must count the same primes
     for K in random_fields(12, 12):
         split_unramified = 0
-        for p in primes_upto(2000):
+        for p in iter_primes(2000):
             fac = factor_prime(K, p)
             split = len(fac.factors) == K.degree and all(
                 f.e == 1 and f.f == 1 for f in fac.factors
@@ -474,7 +474,7 @@ def test_frobenius_test_runs_only_where_the_character_is_silent(catalog, monkeyp
     residues = numberfield._frobenius_residues
     monkeypatch.setattr(numberfield, "_frobenius_residues",
                         lambda m, primes: calls.extend(primes) or residues(m, primes))
-    primes = primes_upto(10 ** 4)
+    primes = list(iter_primes(10 ** 4))
     fields = {**catalog, "zeta5": NumberField((1, 1, 1, 1, 1)), "certified zeta5": catalog["zeta5"]}
     assert fields["zeta5"].automorphisms is None and catalog["zeta5"].automorphisms
     first_in_class = {}   # the first prime of each class mod 125
@@ -535,7 +535,7 @@ def test_class_table_scan_matches_dedekind(monkeypatch):
     monkeypatch.setattr(numberfield, "_frobenius_residues",
                         lambda m, primes: opened.extend(primes) or residues(m, primes))
     for K in fields:
-        unramified = [p for p in primes_upto(2000) if K.disc % p]
+        unramified = [p for p in iter_primes(2000) if K.disc % p]
         split = [p for p in unramified if len(factor_prime(K, p).factors) == K.degree]
         for bound in (100, 1000, 2000):
             opened.clear()
@@ -551,7 +551,7 @@ def test_scan_past_the_window_asks_the_character_per_prime():
     K = NumberField((-70001, 0, 1))
     assert abs(K.disc) > WINDOW
     bound = 4 * WINDOW
-    unramified = [p for p in primes_upto(bound) if K.disc % p]
+    unramified = [p for p in iter_primes(bound) if K.disc % p]
     rep = chebotarev_scan(K, bound)
     assert rep.total == len(unramified)
     assert rep.split == sum(is_split(K, p) for p in unramified)
@@ -581,7 +581,7 @@ def test_certified_scan_matches_dedekind(name, monkeypatch):
     residues = numberfield._frobenius_residues
     monkeypatch.setattr(numberfield, "_frobenius_residues",
                         lambda m, primes: opened.extend(primes) or residues(m, primes))
-    unramified = [p for p in primes_upto(2000) if K.disc % p]
+    unramified = [p for p in iter_primes(2000) if K.disc % p]
     split = [p for p in unramified if len(factor_prime(K, p).factors) == K.degree]
     for bound in (100, 1000, 2000):
         opened.clear()
@@ -626,7 +626,7 @@ def test_quadratic_character_is_constant_on_classes_mod_disc():
     # GTM 138, 1.4): all odd primes p not dividing D in one class mod |D|
     # share one Euler-criterion value, which the scan's class table relies on
     rng = random.Random(20)
-    odd_primes = primes_upto(10 ** 4)[1:]
+    odd_primes = list(iter_primes(10 ** 4))[1:]
     discs = [4 * rng.randint(-500, 500) + rng.randint(0, 1) for _ in range(30)]
     discs = [D for D in discs if D]
     for _ in range(30):
@@ -650,7 +650,7 @@ def test_quadratic_character_is_constant_on_classes_mod_disc():
 
 def reference_counts(K, bound):
     """(split, total) over the unramified primes <= bound, one is_split call each."""
-    unramified = [p for p in primes_upto(bound) if K.disc % p]
+    unramified = [p for p in iter_primes(bound) if K.disc % p]
     return sum(is_split(K, p) for p in unramified), len(unramified)
 
 
@@ -710,7 +710,7 @@ def test_both_regimes_match_is_split():
     def check(K, bound):
         split, total = reference_counts(K, bound)
         modulus = abs(K.disc)
-        unramified = [p for p in primes_upto(bound) if K.disc % p]
+        unramified = [p for p in iter_primes(bound) if K.disc % p]
         least = {}
         for p in unramified:
             least.setdefault(p % modulus, p)
@@ -792,10 +792,10 @@ def test_scan_regime_weighs_the_slices_of_every_window(k, bound, by_class):
 
 @pytest.mark.parametrize("certificate, bound, by_class", [
     (CERTIFIED["zeta5"], 3000, True),           # disc 125
-    (CERTIFIED["zeta5"], 124, False),           # no class holds two primes
-    (CERTIFIED["zeta5"], 125, True),
-    (CERTIFIED["cyclic7"], 48, False),          # disc 49
-    (CERTIFIED["cyclic7"], 49, True),
+    (CERTIFIED["zeta5"], 374, False),           # a class holds at most 3 primes
+    (CERTIFIED["zeta5"], 375, True),            # 3 |disc|
+    (CERTIFIED["cyclic7"], 146, False),         # disc 49
+    (CERTIFIED["cyclic7"], 147, True),
     (CERTIFIED["biquadratic"], 3000, False),    # disc 147,456
     (WIDE_CERTIFIED, 3000, False),              # disc 3,686,400 > WINDOW
 ], ids=["zeta5", "zeta5-past-the-bound", "zeta5-at-the-bound", "cyclic7-past-the-bound",
@@ -818,10 +818,10 @@ def test_certified_scan_regime_is_chosen_from_the_discriminant_and_the_bound(
 
 def test_certified_regime_follows_the_bound_only_within_the_window():
     # a count whose lists would outgrow a window is never chosen, however
-    # large the bound; below WINDOW, a bound of |disc(m)| is enough
+    # large the bound; below WINDOW, a bound of 3 |disc(m)| is enough
     coeffs, automorphisms = CERTIFIED["biquadratic"]
     K = NumberField(coeffs, automorphisms=automorphisms)
-    assert [numberfield._counts_by_class(K, b) for b in (147455, 147456, numberfield.MAX_BOUND)] == [
+    assert [numberfield._counts_by_class(K, b) for b in (442367, 442368, numberfield.MAX_BOUND)] == [
         False, True, True]
     K = NumberField(WIDE_CERTIFIED[0], automorphisms=WIDE_CERTIFIED[1])
     assert not numberfield._counts_by_class(K, numberfield.MAX_BOUND)

@@ -1,12 +1,12 @@
 from bisect import bisect_right
 
-from arithgroups.primes import WINDOW, count_primes_by_class, is_prime, iter_primes, primes_upto
+from arithgroups.primes import WINDOW, count_primes_by_class, is_prime, iter_primes
 
 
-def test_primes_upto_matches_is_prime():
+def test_iter_primes_matches_is_prime():
     primes = [k for k in range(3001) if is_prime(k)]
     for n in range(-1, 3001):
-        assert primes_upto(n) == primes[: bisect_right(primes, n)]
+        assert list(iter_primes(n)) == primes[: bisect_right(primes, n)]
 
 
 def test_iter_primes_agrees_across_window_edges(monkeypatch):

@@ -108,7 +108,7 @@ def resolve_field(spec, catalog_path=None):
     if spec in _BUILTIN_FIELD_RECORDS:
         coeffs, galois = _BUILTIN_FIELD_RECORDS[spec][:2]
         return spec, coeffs, galois, lambda: builtin_field(spec)
-    raise KeyError(f"unknown field {spec!r}; aliases: {', '.join(field_aliases())}")
+    raise UsageError(f"unknown field {spec!r}; aliases: {', '.join(field_aliases())}")
 
 
 def load_field(spec, catalog_path=None):
@@ -120,8 +120,8 @@ def read_group(spec):
     """(label, rows) of a group alias or generator file, without building the group.
 
     rows holds one matrix per generator as lists of exact int or Fraction
-    entries.  A malformed file raises UsageError and an unknown name KeyError;
-    only SIntegerGroup(rows, label) raises the group's domain errors.
+    entries.  A malformed file or an unknown name raises UsageError; only
+    SIntegerGroup(rows, label) raises the group's domain errors.
     """
     if spec in _BUILTIN_GROUPS:
         return spec, _BUILTIN_GROUPS[spec]
@@ -129,7 +129,7 @@ def read_group(spec):
 
     if os.path.exists(spec):
         return os.path.splitext(os.path.basename(spec))[0], read_generator_file(spec)
-    raise KeyError(f"unknown group {spec!r}; aliases: {', '.join(group_aliases())}")
+    raise UsageError(f"unknown group {spec!r}; aliases: {', '.join(group_aliases())}")
 
 
 def load_group(spec):

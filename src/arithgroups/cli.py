@@ -38,7 +38,7 @@ from .catalog import (
     resolve_field,
 )
 from .errors import DomainError, OutOfRange, UsageError, read_user_file, write_user_file
-from .report import ScanCache, jsonable, render_report, sha256
+from .report import ScanCache, render_report, sha256
 
 
 def positive_int(text):
@@ -87,21 +87,19 @@ class RunConfig:
         self.cache_dir = cache_dir
 
     def validate(self):
-        for attr in ("pmax", "cap", "fmt"):
+        for attr in ("pmax", "fmt"):
             check_setting(attr, getattr(self, attr))
         return self
 
 
 def check_setting(attr, value):
-    """ValueError when a value of a RunConfig attribute is out of range."""
+    """UsageError when a value of a RunConfig attribute is out of range."""
     if attr == "pmax" and value < 2:
-        raise ValueError("pmax must be >= 2")
+        raise UsageError("pmax must be >= 2")
     if attr == "pmax" and value > MAX_PMAX:
         raise OutOfRange(f"pmax must be <= 10^6, got {value}")
-    if attr == "cap" and value < 1:
-        raise ValueError("cap must be >= 1")
     if attr == "fmt" and value not in ("json", "text"):
-        raise ValueError(f"unknown format {value!r}")
+        raise UsageError(f"unknown format {value!r}")
 
 
 # config file key (and argparse dest of the option) -> RunConfig attribute
@@ -129,7 +127,7 @@ def load_config_file(path):
                 raise UsageError(f"{where}: {key} must be a positive integer, got {val!r}") from None
         try:
             check_setting(CONFIG_KEYS[key], val)
-        except ValueError as exc:
+        except UsageError as exc:
             raise UsageError(f"{where}: {exc}") from None
         values[key] = val
     return values
@@ -257,7 +255,7 @@ def cmd_nf_factor(args, cfg):
         "degree": K.degree,
         "verified": fac.verified,
         "factors": [
-            {"e": f.e, "f": f.f, "poly": [int(c) for c in f.factor_poly.coeffs]}
+            {"e": f.e, "f": f.f, "poly": f.factor_poly}
             for f in fac.factors
         ],
         "sum_e_f": sum(f.e * f.f for f in fac.factors),
@@ -271,7 +269,7 @@ def cmd_nf_chebotarev(args, cfg):
     def compute():
         from .numberfield import chebotarev_scan
 
-        return jsonable(chebotarev_scan(build(), args.bound))
+        return chebotarev_scan(build(), args.bound)
 
     # the galois flag sets the report's sample_only, so it is part of the key
     canonical = f"{name}|{','.join(str(c) for c in coeffs)}|galois={galois}|X={args.bound}"
@@ -388,7 +386,7 @@ def cmd_cong_scan(args, cfg):
         from .congruence import strong_approx_scan
 
         G = SIntegerGroup(rows, label)
-        return jsonable(strong_approx_scan(G, cfg.pmax, cfg.exp, cfg.cap))
+        return strong_approx_scan(G, cfg.pmax, cfg.exp, cfg.cap)
 
     canonical = f"{_group_canonical(label, rows)}|P={cfg.pmax}|k={cfg.exp}|cap={cfg.cap}"
     cached_scan(cfg, "cong-scan", canonical, compute, args.out, [(label, rows)])
@@ -399,7 +397,7 @@ def cmd_cong_image(args, cfg):
 
     G = load_group(args.group)
     rec = exact_image_record(G, args.mod, cfg.cap)
-    emit({"group": G.label, **jsonable(rec)}, cfg)
+    emit({"group": G.label, **rec._asdict()}, cfg)
 
 
 def cmd_cong_index(args, cfg):
@@ -418,7 +416,7 @@ def cmd_cong_oneforall(args, cfg):
     for spec in args.group:
         try:
             groups.append(read_group(spec))
-        except (KeyError, UsageError):
+        except UsageError:
             _build_groups(groups)       # an earlier group's domain error comes first
             raise
     bad = frozenset(args.bad or ())
@@ -429,7 +427,7 @@ def cmd_cong_oneforall(args, cfg):
         # every group is built before the first scan, so its domain error wins over a Truncated
         sets = [(label, SIntegerGroup(rows, label)) for label, rows in groups]
         table = one_for_all_scan(sets, cfg.pmax, bad_set=bad, cap=cfg.cap)
-        return {"pmax": cfg.pmax, "bad_set": sorted(bad), "rows": jsonable(table)}
+        return {"pmax": cfg.pmax, "bad_set": sorted(bad), "rows": table}
 
     canonical = (
         "|".join(_group_canonical(label, rows) for label, rows in groups)
@@ -441,11 +439,12 @@ def cmd_cong_oneforall(args, cfg):
 def _verdict_payload(v):
     from .density import CRITERION_NOTE
 
-    payload = {**jsonable(v), "criterion": CRITERION_NOTE}
-    if v.infinite_order_witness is not None:
+    payload = {**v._asdict(), "criterion": CRITERION_NOTE}
+    witness = v.infinite_order_witness
+    if witness is not None:
         # the trace prints as a/b even when it is an int
-        t = v.infinite_order_witness["trace"]
-        payload["infinite_order_witness"]["trace"] = f"{t.numerator}/{t.denominator}"
+        t = witness["trace"]
+        payload["infinite_order_witness"] = {**witness, "trace": f"{t.numerator}/{t.denominator}"}
     return payload
 
 
@@ -469,7 +468,7 @@ def cmd_lubotzky_scan(args, cfg):
         from .density import lubotzky_scan
 
         rep = lubotzky_scan(SIntegerGroup(rows, label), cfg.pmax, cap=cfg.cap)
-        return {**jsonable(rep), "verdict": _verdict_payload(rep.verdict)}
+        return {**rep._asdict(), "verdict": _verdict_payload(rep.verdict)}
 
     canonical = f"{_group_canonical(label, rows)}|P={cfg.pmax}|cap={cfg.cap}"
     cached_scan(cfg, "lubotzky-scan", canonical, compute, args.out, [(label, rows)])
@@ -623,16 +622,11 @@ def dispatch(argv):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
-        cfg = build_config(args)
-    except (ValueError, OSError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        args.func(args, cfg)
+        args.func(args, build_config(args))
     except DomainError as exc:
         print(f"error {exc.name}: {exc}", file=sys.stderr)
         return 1
-    except (KeyError, UsageError) as exc:
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     return 0

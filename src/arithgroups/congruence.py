@@ -27,6 +27,7 @@ from .matrix import Mat
 from .primes import factorint, iter_primes, prime_support
 from .rings import IntegersMod
 
+_MAX_MODULUS = 10 ** 6
 ELEMENT_RETENTION_CAP = 10 ** 5
 # quasisimple_check lists G only when p * |G| is at most this
 QUASISIMPLE_CAP = 4 * 10 ** 5
@@ -173,7 +174,7 @@ def order_sl(n, m):
     """|SL_n(Z/m)| for 2 <= n <= 4 and 1 <= m <= 10^6; OutOfRange outside them."""
     if not 2 <= n <= 4:
         raise OutOfRange(f"order formula kept to 2 <= n <= 4 at desk scale, got n={n}")
-    if not 1 <= m <= 10 ** 6:
+    if not 1 <= m <= _MAX_MODULUS:
         raise OutOfRange(f"modulus must lie in 1..10^6, got {m}")
     return _sl_order(n, m)
 
@@ -263,8 +264,13 @@ def _census(G, prime_bound, exponent, cap):
     and density.lubotzky_scan.  Primes come in ascending order from
     primes.iter_primes, so their reports are deterministic, and one closure
     at a time, so a caller may stop at any prime having sieved only the
-    window that holds it.
+    window that holds it.  When some prime's p^exponent is past order_sl's
+    range, the first such prime raises its OutOfRange before any closure.
     """
+    if exponent > 1 or prime_bound > _MAX_MODULUS:   # not prime_bound ** exponent: a huge power
+        for p in iter_primes(prime_bound):
+            if p not in G.S and p ** exponent > _MAX_MODULUS:
+                order_sl(G.n, p ** exponent)             # raises
     for p in iter_primes(prime_bound):
         if p not in G.S:
             rec, closure = image_record(G, p ** exponent, cap)

@@ -2,8 +2,8 @@
 
 NumberField checks its minimal polynomial and an abelian certificate, and
 is_split decides whether a rational prime splits completely: by the quadratic
-character of disc(m) or the Frobenius test when p is unramified, and by the
-Dedekind factorization (ideals.factor_prime) when p divides disc(m).
+character of disc(m) or the Frobenius test when p is unramified; a p dividing
+disc(m) never splits completely, since m mod p has a repeated factor.
 
 chebotarev_scan counts the split primes up to its bound in one loop.  Where
 splitting depends only on p mod |disc(m)| and that modulus is small beside
@@ -16,8 +16,8 @@ exact "a/b" strings.
 The factorization of primes in Z[alpha], its Hensel lifts and CRT check, and
 element arithmetic live in ideals.py.  This module imports them only inside
 the functions that use them (the irreducibility check of a polynomial no
-small prime certifies, is_split at a ramified prime, and the element
-constructors), so a scan does not compile that layer.
+small prime certifies and the element constructors), so a scan does not
+compile that layer.
 """
 
 from collections import namedtuple
@@ -211,19 +211,15 @@ def _split_by_frobenius(K, pairs):
 def is_split(K, p):
     """True when (p) splits completely: d distinct factors with e = f = 1.
 
-    An unramified p is decided by the quadratic character of disc(m) where
-    it can be, and by the Frobenius test otherwise; a p dividing disc(m)
-    reads the Dedekind factorization.
+    A p dividing disc(m) does not: m is monic, so m mod p has a repeated
+    factor, and the Dedekind factorization read off it has some e >= 2.  Any
+    other p is decided by the quadratic character of disc(m) where it can be,
+    and by the Frobenius test otherwise.
     """
-    if K.disc % p != 0:
-        split = _split_by_character(K, p)
-        return _split_by_frobenius(K, [(p, 1)]) == 1 if split is None else split
-    from .ideals import factor_prime
-
-    fac = factor_prime(K, p)
-    return len(fac.factors) == K.degree and all(
-        f.e == 1 and f.f == 1 for f in fac.factors
-    )
+    if K.disc % p == 0:
+        return False
+    split = _split_by_character(K, p)
+    return _split_by_frobenius(K, [(p, 1)]) == 1 if split is None else split
 
 
 # the entries of _count_split's class table, which only the per-prime source keeps;

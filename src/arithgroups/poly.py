@@ -224,13 +224,15 @@ def _ddf(f, p):
 
 
 def _candidate_polys(ring, max_deg):
-    """Deterministic enumeration of monic polynomials of degree 1..max_deg."""
-    from itertools import product
+    """Deterministic enumeration of monic polynomials of degree 1..max_deg.
 
+    A tail is the base-p digits of k, most significant first, which is
+    itertools.product's order without its tuple of all p residues.
+    """
     p = ring.m
     for deg in range(1, max_deg + 1):
-        for tail in product(range(p), repeat=deg):
-            yield Poly(ring, list(tail) + [1])
+        for k in range(p ** deg):
+            yield Poly(ring, [k // p ** i % p for i in range(deg - 1, -1, -1)] + [1])
 
 
 def _edf(f, d, p):
@@ -278,8 +280,6 @@ def factor_poly_mod_p(f):
     factors = []
     for piece, mult in _sqf_decomposition(f, p):
         for prod, d in _ddf(piece, p):
-            if prod.degree == 0:
-                continue
             for irr in _edf(prod, d, p):
                 factors.append((irr, mult))
     factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))

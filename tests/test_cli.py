@@ -40,6 +40,24 @@ def test_usage_error_negative_prime(capfd):
     assert code == 2
 
 
+def test_nf_factor_at_a_large_prime_runs_in_bounded_memory():
+    """The equal-degree split draws its candidates lazily, so no p-long sequence is built."""
+    resource = pytest.importorskip("resource")
+    p = 100000037
+    limit = 256 * 2 ** 20
+
+    def bound_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-m", "arithgroups.cli", "nf", "factor", "--field", "qi",
+                           "--prime", str(p)], env=dict(os.environ, PYTHONPATH=src),
+                          preexec_fn=bound_memory, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    (a, one), (b, _) = [f["poly"] for f in json.loads(proc.stdout)["factors"]]
+    assert one == 1 and (a + b) % p == 0 and a * b % p == 1      # (x + a)(x + b) = x^2 + 1
+
+
 def test_usage_error_unknown_field(capfd):
     code, _, err = run(capfd, "nf", "factor", "--field", "nosuch", "--prime", "5")
     assert code == 2
@@ -619,6 +637,55 @@ def test_scan_range_limits_are_inclusive(monkeypatch):
     monkeypatch.setattr(numberfield, "count_primes_by_class", lambda n, modulus: [])
     rep = numberfield.chebotarev_scan(builtin_field("qi"), numberfield.MAX_BOUND)
     assert (rep.bound, rep.total) == (10 ** 8, 0)
+
+
+@pytest.fixture
+def no_closure(monkeypatch):
+    """Fail any scan that gets as far as closing an image."""
+    from arithgroups import congruence
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("closure started")
+
+    monkeypatch.setattr(congruence, "filtration_closure", refuse)
+
+
+@pytest.mark.parametrize("gens, modulus", [
+    (None, 1009 ** 2),
+    ("1 1/1009\n0 1\n\n1 0\n1 1\n", 1013 ** 2),     # S = {1009}: the first prime past is 1013
+], ids=["sl2z", "1009-in-S"])
+def test_scan_modulus_range_is_checked_before_the_first_closure(capfd, tmp_path, no_closure,
+                                                                gens, modulus):
+    group = "sl2z" if gens is None else str(_user_file(tmp_path, "s1009.gens", gens))
+    code, out, err = run(capfd, "cong", "scan", "--group", group, "--pmax", "1000000",
+                         "--exp", "2")
+    assert (code, out) == (2, "")
+    assert err == f"usage error: modulus must lie in 1..10^6, got {modulus}\n"
+
+
+UNKNOWN_NAME = {
+    "--group": "usage error: unknown group 'nosuch'; aliases: sanov, sl2z, transvection, triangular\n",
+    "--field": "usage error: unknown field 'nosuch'; aliases: qcbrt2, qi, qsqrt2, zeta5\n",
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ("cong", "scan", "--group", "nosuch"),
+    ("cong", "image", "--group", "nosuch", "--mod", "5"),
+    ("cong", "oneforall", "--group", "sanov", "--group", "nosuch"),
+    ("density", "check", "--group", "nosuch"),
+    ("lubotzky", "scan", "--group", "nosuch"),
+    ("nf", "chebotarev", "--field", "nosuch", "--bound", "50"),
+    ("nf", "factor", "--field", "nosuch", "--prime", "5"),
+    ("nf", "signature", "--field", "nosuch"),
+    ("group", "ros", "--field", "nosuch"),
+], ids=" ".join)
+@pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cache-dir"])
+def test_unknown_name_is_a_usage_error_listing_the_aliases(capfd, tmp_path, argv, cached):
+    cache = tmp_path / "cache"
+    result = run(capfd, *argv, *(("--cache-dir", str(cache)) if cached else ()))
+    assert result == (2, "", UNKNOWN_NAME[argv[argv.index("nosuch") - 1]])
+    assert not list(cache.glob("*"))
 
 
 def test_lubotzky_scan_rejects_non_sl2_group(capfd, tmp_path):

@@ -189,7 +189,7 @@ def test_cli_contract_holds_with_and_without_the_cache(command, gens_text, confi
         n = group_size(argv[3]) if argv[2] == "--group" else None
         hypothesis.event(f"{argv[0]} {argv[1]}, n={n}: exit {code}")
         assert code in (0, 1, 2), err
-        assert "Traceback" not in err
+        assert "Traceback" not in err and not err.startswith('usage error: "'), err
         malformed = (config_text in MALFORMED_CONFIGS
                      or "--bad" in argv and argv[argv.index("--bad") + 1] in MALFORMED_BAD_SETS)
         if malformed:
@@ -263,6 +263,7 @@ def write_catalog(work, names):
 def assert_catalog_exit(names, field, catalog, code, err):
     """Records are read in order, and the first bad one ends the run."""
     assert code in (0, 1, 2) and "Traceback" not in err, err
+    assert not err.startswith('usage error: "'), err
     bad = next((name for name in names if name not in CATALOG_RECORDS), None)
     if bad in MALFORMED_RECORDS:
         assert code == 2 and err.startswith(f"usage error: {catalog}: field "), err

@@ -10,6 +10,7 @@ from arithgroups.poly import (
     Poly,
     discriminant,
     factor_poly_mod_p,
+    _candidate_polys,
     poly_gcd,
     resultant,
     sturm_real_root_count,
@@ -337,3 +338,10 @@ def test_resultant_matches_the_sylvester_determinant():
 
     check()
     check_integral()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_candidate_polys_follow_product_order(p):
+    ring = IntegersMod(p)
+    expected = [(*tail, 1) for deg in (1, 2, 3) for tail in product(range(p), repeat=deg)]
+    assert [h.coeffs for h in _candidate_polys(ring, 3)] == expected
